@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .linalg import Permutation, as_complex_matrix, lu_solve
 from .sfq import BreakdownError, GeneralPencil, SfqPencil, structured_a, structured_b
@@ -169,32 +170,13 @@ class _Reducer:
         m = self.m
         lower = self.aw[m:, m:]
         upper = self.bw[:m, :m]
-        e0 = _solve_upper(upper, self.aw[:m, :m])
-        y0 = -_solve_upper(upper, self.bw[:m, m:])
-        x0 = -_solve_lower(lower, self.aw[m:, :m])
-        f0 = _solve_lower(lower, self.bw[m:, m:])
+        e0 = solve_triangular(upper, self.aw[:m, :m], check_finite=False)
+        y0 = -solve_triangular(upper, self.bw[:m, m:], check_finite=False)
+        x0 = -solve_triangular(lower, self.aw[m:, :m], lower=True, check_finite=False)
+        f0 = solve_triangular(lower, self.bw[m:, m:], lower=True, check_finite=False)
         pencil = SfqPencil(m=m, n=self.n, E=e0, F=f0, X=x0, Y=y0,
                            Q1=Permutation(self.col_a), Q2=Permutation(self.col_b))
         return pencil, self.growth
-
-
-def _solve_lower(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = b.astype(np.complex128, copy=True)
-    for k in range(lo.shape[0]):
-        if k:
-            x[k] -= lo[k, :k] @ x[:k]
-        x[k] /= lo[k, k]
-    return x
-
-
-def _solve_upper(up: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = up.shape[0]
-    x = b.astype(np.complex128, copy=True)
-    for k in range(n - 1, -1, -1):
-        if k < n - 1:
-            x[k] -= up[k, k + 1:] @ x[k + 1:]
-        x[k] /= up[k, k]
-    return x
 
 
 def _run_phased(red: _Reducer, variant: Variant, first_banded: bool, second_banded: bool):

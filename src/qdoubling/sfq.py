@@ -12,6 +12,7 @@ classical first standard form, and ``Q1 @ Q2.T`` equal to the block swap
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,8 @@ class GeneralPencil:
             raise ValueError(f"m + n = {self.m + self.n} does not match size {a.shape[0]}")
         if self.m < 1 or self.n < 1:
             raise ValueError("both split sizes must be at least 1")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("pencil matrices contain non-finite entries")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
 
@@ -227,6 +230,15 @@ def dual_nme_residual(p0: SfqPencil, y: np.ndarray) -> float:
     return float(np.linalg.norm(y - rhs)) / max(1.0, float(np.linalg.norm(y)))
 
 
+def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(s * a, s)``: ``s`` is the power of two (kept finite) taking ``max|a|`` near 1."""
+    big = float(np.abs(a).max(initial=0.0))
+    if big == 0.0:
+        return a, 1.0
+    s = math.ldexp(1.0, -max(math.frexp(big)[1], -1020))
+    return a * s, s
+
+
 def orthonormal_residual(a: np.ndarray, b: np.ndarray | None, z: np.ndarray) -> float:
     """Normalized eigen-residual of span(z) for ``A v = lambda B v``.
 
@@ -234,16 +246,22 @@ def orthonormal_residual(a: np.ndarray, b: np.ndarray | None, z: np.ndarray) -> 
     least squares against ``B U``, and the result scaled by
     ``sqrt(p) * (two_est(A) + two_est(M) * two_est(B))``.  With ``b=None``
     (standard problem) this is the conditioning-robust normalized residual.
+    ``A U`` and ``B U`` are rescaled by powers of two, so no scale of A or B
+    makes the Gram matrix overflow or underflow.
     """
     from .linalg import lu_solve as _solve, thin_qr, two_est
 
     a = as_complex_matrix(a)
     u, _ = thin_qr(as_complex_matrix(z))
-    au = a @ u
-    bu = u if b is None else as_complex_matrix(b) @ u
+    au, sa = _pow2_scaled(a @ u)
+    if b is None:
+        bu, sb, b_est = u, 1.0, 1.0
+    else:
+        b = as_complex_matrix(b)
+        bu, sb = _pow2_scaled(b @ u)
+        b_est = two_est(b)
     gram = bu.conj().T @ bu
     mray = _solve(gram, bu.conj().T @ au)
     num = float(np.linalg.norm(au - bu @ mray))
-    b_est = 1.0 if b is None else two_est(b)
-    den = np.sqrt(u.shape[1]) * (two_est(a) + two_est(mray) * b_est)
+    den = np.sqrt(u.shape[1]) * (two_est(a) * sa + two_est(mray) * b_est * sb)
     return num / den

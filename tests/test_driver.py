@@ -26,6 +26,15 @@ from conftest import complex_normal
 
 
 class TestRunQda:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_residual_safeguard_at_any_scale(self, scale):
+        g = cayley(gen_random_split(3, 3, 8.0, 1e-2, seed=1).pencil, CayleyParams(-1.0))
+        base = run_qda(g, QdaConfig())
+        scaled = run_qda(GeneralPencil(A=scale * g.A, B=scale * g.B, m=3, n=3), QdaConfig())
+        assert base.status is RunStatus.CONVERGED
+        assert scaled.status is RunStatus.CONVERGED
+        assert scaled.iterations == base.iterations
+
     def test_decoupled_diagonal_converges_fast(self):
         g = GeneralPencil(A=np.diag([0.5, 2.0]), B=np.eye(2), m=1, n=1)
         res = run_qda(g, QdaConfig())

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdoubling import (
+    CayleyParams,
+    GeneralPencil,
     Permutation,
     SfqPencil,
     assemble,
+    cayley,
     dual,
     dual_nme_residual,
     extract_blocks,
@@ -17,6 +20,7 @@ from qdoubling import (
     q_blocks,
     swap_perm,
 )
+from qdoubling.sfq import orthonormal_residual
 
 from conftest import complex_normal, random_sfq
 
@@ -187,3 +191,40 @@ class TestResiduals:
         assert dual_nme_residual(inst.pencil, inst.psi) <= 1e-12
         noisy = inst.phi + 0.1 * complex_normal(rng, 5, 4)
         assert primal_nme_residual(inst.pencil, noisy) > 1e-4
+
+
+class TestGeneralPencil:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            GeneralPencil(A=a, B=np.eye(3), m=1, n=2)
+        with pytest.raises(ValueError, match="non-finite"):
+            GeneralPencil(A=np.eye(3), B=a, m=1, n=2)
+
+
+class TestOrthonormalResidualScaling:
+    @staticmethod
+    def pencil_and_basis():
+        inst = gen_random_split(m=4, n=5, alpha=8.0, eta=1e-2, seed=4)
+        g = cayley(inst.pencil, CayleyParams(-1.0))
+        return g.A, g.B, inst.true_basis_stable + 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=-900, max_value=900),
+           st.integers(min_value=-900, max_value=900))
+    def test_invariant_under_powers_of_two(self, ka, kb):
+        a, b, z = self.pencil_and_basis()
+        ref = orthonormal_residual(a, b, z)
+        got = orthonormal_residual(np.ldexp(a.real, ka) + 1j * np.ldexp(a.imag, ka),
+                                   np.ldexp(b.real, kb) + 1j * np.ldexp(b.imag, kb), z)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_decimal_scales(self, scale):
+        a, b, z = self.pencil_and_basis()
+        ref = orthonormal_residual(a, b, z)
+        assert orthonormal_residual(scale * a, scale * b, z) == pytest.approx(ref, rel=1e-12)
+        assert orthonormal_residual(scale * a, None, z) == pytest.approx(
+            orthonormal_residual(a, None, z), rel=1e-12)
