@@ -149,27 +149,33 @@ def guard(p: SfqPencil, cfg: GuardConfig) -> tuple[SfqPencil, GuardReport]:
 
     Returns the possibly updated pencil and a report of what was done.  A
     still-violating pencil after escalation is returned as best effort.
+    Each action's ``max_before`` is the magnitude of the violation it fixes
+    and its ``max_after`` that of the next violation, so X and Y are scanned
+    once per action; only a pencil left compliant needs one more max scan.
     """
     actions: list[GuardAction] = []
     current = p
+    violation = find_violation(current, cfg.tau)
     for _ in range(cfg.max_actions_per_iteration):
-        violation = find_violation(current, cfg.tau)
         if violation is None:
             return current, GuardReport(tuple(actions))
-        before = max(current.max_abs_x(), current.max_abs_y())
-        if violation.which == "X":
-            current = action_x(current, violation.row, violation.col)
+        fixed = violation
+        if fixed.which == "X":
+            current = action_x(current, fixed.row, fixed.col)
             kind = "action_x"
         else:
-            current = action_y(current, violation.row, violation.col)
+            current = action_y(current, fixed.row, fixed.col)
             kind = "action_y"
-        actions.append(GuardAction(kind=kind, pivot=(violation.row, violation.col),
-                                   max_before=before,
-                                   max_after=max(current.max_abs_x(), current.max_abs_y())))
-    if find_violation(current, cfg.tau) is not None and cfg.escalate_to_reinit:
-        before = max(current.max_abs_x(), current.max_abs_y())
+        violation = find_violation(current, cfg.tau)
+        if violation is None:
+            after = max(current.max_abs_x(), current.max_abs_y())
+        else:
+            after = violation.magnitude
+        actions.append(GuardAction(kind=kind, pivot=(fixed.row, fixed.col),
+                                   max_before=fixed.magnitude, max_after=after))
+    if violation is not None and cfg.escalate_to_reinit:
         report = reinit(current, cfg.reinit_idea, cfg.reinit_variant)
         current = report.pencil
-        actions.append(GuardAction(kind="reinit", pivot=None, max_before=before,
-                                   max_after=max(current.max_abs_x(), current.max_abs_y())))
+        actions.append(GuardAction(kind="reinit", pivot=None, max_before=violation.magnitude,
+                                   max_after=max(report.max_abs_x, report.max_abs_y)))
     return current, GuardReport(tuple(actions))

@@ -90,7 +90,12 @@ def norms(a: np.ndarray) -> MatrixNorms:
     absa = np.abs(a)
     one = float(absa.sum(axis=0).max(initial=0.0))
     inf = float(absa.sum(axis=1).max(initial=0.0))
-    fro = float(np.sqrt((absa * absa).sum()))
+    # squared after an exact power-of-two scaling to a largest entry in
+    # [1/2, 1): no overflow or underflow, and the same bits whenever the
+    # unscaled sum of squares would not have overflowed or underflowed
+    shift = math.frexp(float(absa.max(initial=0.0)))[1]
+    scaled = np.ldexp(absa, -shift)
+    fro = math.ldexp(float(np.sqrt((scaled * scaled).sum())), shift)
     return MatrixNorms(one, inf, fro, math.sqrt(one) * math.sqrt(inf))
 
 

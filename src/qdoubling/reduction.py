@@ -19,6 +19,18 @@ The A-side is triangularized bottom-up (its trailing n-by-n block becomes
 lower triangular), the B-side top-down (leading m-by-m upper triangular);
 a final scaling by the two triangular inverses produces the exact identity
 blocks.
+
+Each elimination step subtracts one rank-1 update from the rows it changes
+in both working matrices.  The magnitudes ``|A|`` and ``|B|`` live in two
+float arrays that are recomputed only on the rows a step updated, which
+include every row a later pivot window can reach.  The pivot search is an
+``argmax`` over them, and the pivot growth is the running maximum of the
+updated rows' peaks over the largest initial entry, which is still the
+maximum over all entries and all steps.
+Where two pivot candidates tie to within an ulp (the late steps of
+Cayley-transformed pencils with ``B = I``, whose candidates are all near 2),
+which one wins, and so ``Q1`` / ``Q2``, is a rounding-level choice: any
+change to the order or fusing of the update's arithmetic can flip it.
 """
 
 from __future__ import annotations
@@ -85,25 +97,31 @@ class _Reducer:
     left factor); column swaps apply to one matrix only and are recorded in
     its permutation.  A-side steps fix rows from the bottom, B-side steps
     from the top, so completed rows and columns never move again.
+
+    ``mag_a`` / ``mag_b`` hold ``|aw|`` / ``|bw|`` on every row a later pivot
+    window can reach.  They do not follow the swaps: a step's update covers
+    all rows between the two completed bands, and their magnitudes are
+    recomputed right after it, so the pivot search and the growth never
+    take a magnitude twice.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, m: int, n: int, stage: str):
         self.m, self.n, self.size = m, n, m + n
-        self.aw = as_complex_matrix(a).copy()
+        self.aw = as_complex_matrix(a).copy()   # C order: updated rows are contiguous
         self.bw = as_complex_matrix(b).copy()
+        self.mag_a = np.abs(self.aw)
+        self.mag_b = np.abs(self.bw)
         self.col_a = np.arange(self.size)
         self.col_b = np.arange(self.size)
         self.a_done = 0
         self.b_done = 0
-        self.tol_a = PIVOT_TOL * max(float(np.abs(self.aw).max()), 1e-300)
-        self.tol_b = PIVOT_TOL * max(float(np.abs(self.bw).max()), 1e-300)
-        self.scale0 = max(float(np.abs(self.aw).max()), float(np.abs(self.bw).max()))
+        peak_a = float(self.mag_a.max())
+        peak_b = float(self.mag_b.max())
+        self.tol_a = PIVOT_TOL * max(peak_a, 1e-300)
+        self.tol_b = PIVOT_TOL * max(peak_b, 1e-300)
+        self.scale0 = max(peak_a, peak_b)
         self.growth = 1.0
         self.stage = stage
-
-    def _track_growth(self):
-        peak = max(float(np.abs(self.aw).max()), float(np.abs(self.bw).max()))
-        self.growth = max(self.growth, peak / self.scale0)
 
     def _swap_rows(self, i: int, j: int):
         if i != j:
@@ -121,8 +139,7 @@ class _Reducer:
             self.col_b[[i, j]] = self.col_b[[j, i]]
 
     @staticmethod
-    def _pivot(window: np.ndarray, from_end: bool) -> tuple[int, int, float]:
-        mags = np.abs(window)
+    def _pivot(mags: np.ndarray, from_end: bool) -> tuple[int, int, float]:
         view = mags[::-1, ::-1] if from_end else mags
         flat = int(np.argmax(view))
         r, c = np.unravel_index(flat, view.shape)
@@ -131,21 +148,38 @@ class _Reducer:
             c = view.shape[1] - 1 - c
         return int(r), int(c), float(mags[r, c])
 
+    def _eliminate(self, rows: slice, t: int, pivot: np.ndarray, other: np.ndarray):
+        """``w[rows] -= outer(pivot[rows, t] / pivot[t, t], w[t])`` for both matrices.
+
+        The magnitudes of the updated rows are then recomputed and folded
+        into the growth; entries outside ``rows`` were counted when they were
+        last written, so the growth stays the maximum over all entries and
+        all steps.  (Columns that are zero in the pivot row do not change,
+        but whole contiguous rows run through ``np.abs`` faster than the
+        strided rest.)
+        """
+        mult = pivot[rows, t] / pivot[t, t]
+        if not mult.size:
+            return
+        for w in (pivot, other):
+            w[rows] -= np.outer(mult, w[t])
+        pivot[rows, t] = 0.0
+        peak = 0.0
+        for w, mag in ((self.aw, self.mag_a), (self.bw, self.mag_b)):
+            peak = max(peak, float(np.abs(w[rows], out=mag[rows]).max()))
+        self.growth = max(self.growth, peak / self.scale0)
+
     def a_step(self, band_limited: bool):
         """One bottom-up elimination step on the A side."""
         t = self.size - 1 - self.a_done
         r0 = max(self.b_done, self.m) if band_limited else self.b_done
-        r, c, mag = self._pivot(self.aw[r0:t + 1, :t + 1], from_end=True)
+        r, c, mag = self._pivot(self.mag_a[r0:t + 1, :t + 1], from_end=True)
         if mag <= self.tol_a:
             raise BreakdownError(self.stage, f"A-side pivot {mag:.3e} at step {self.a_done + 1}")
         self._swap_rows(r0 + r, t)
         self._swap_cols_a(c, t)
-        mult = self.aw[:t, t] / self.aw[t, t]
-        self.aw[:t, :] -= np.outer(mult, self.aw[t, :])
-        self.bw[:t, :] -= np.outer(mult, self.bw[t, :])
-        self.aw[:t, t] = 0.0
+        self._eliminate(slice(0, t), t, self.aw, self.bw)
         self.a_done += 1
-        self._track_growth()
 
     def b_step(self, band_limited: bool):
         """One top-down elimination step on the B side."""
@@ -153,17 +187,13 @@ class _Reducer:
         r1 = self.size - 1 - self.a_done
         if band_limited:
             r1 = min(r1, self.m - 1)
-        r, c, mag = self._pivot(self.bw[t:r1 + 1, t:], from_end=False)
+        r, c, mag = self._pivot(self.mag_b[t:r1 + 1, t:], from_end=False)
         if mag <= self.tol_b:
             raise BreakdownError(self.stage, f"B-side pivot {mag:.3e} at step {self.b_done + 1}")
         self._swap_rows(t + r, t)
         self._swap_cols_b(t + c, t)
-        mult = self.bw[t + 1:, t] / self.bw[t, t]
-        self.bw[t + 1:, :] -= np.outer(mult, self.bw[t, :])
-        self.aw[t + 1:, :] -= np.outer(mult, self.aw[t, :])
-        self.bw[t + 1:, t] = 0.0
+        self._eliminate(slice(t + 1, self.size), t, self.bw, self.aw)
         self.b_done += 1
-        self._track_growth()
 
     def finish(self) -> tuple[SfqPencil, float]:
         """Scale out the two triangular factors and extract the blocks."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdoubling import (
+    GuardAction,
     GuardConfig,
     Permutation,
     SfqPencil,
@@ -12,6 +13,7 @@ from qdoubling import (
     default_tau,
     find_violation,
     guard,
+    reinit,
 )
 
 from conftest import complex_normal, random_sfq
@@ -172,6 +174,22 @@ class TestEntrywiseBounds:
             assert (np.abs(q.X) <= bound_x + slack).all()
 
 
+def rescanned_actions(p, report, cfg):
+    """Replay ``report`` with a full max scan of X and Y around every action."""
+    def peak(pencil):
+        return max(pencil.max_abs_x(), pencil.max_abs_y())
+
+    expected, current = [], p
+    for act in report.actions:
+        before = peak(current)
+        if act.kind == "reinit":
+            current = reinit(current, cfg.reinit_idea, cfg.reinit_variant).pencil
+        else:
+            current = (action_x if act.kind == "action_x" else action_y)(current, *act.pivot)
+        expected.append(GuardAction(act.kind, act.pivot, before, peak(current)))
+    return tuple(expected)
+
+
 class TestGuardLoop:
     def test_compliant_untouched(self, rng):
         p = random_sfq(rng, 3, 4, scale=0.3)
@@ -188,6 +206,21 @@ class TestGuardLoop:
         q, report = guard(with_block(p, "X", x), cfg)
         assert [a.kind for a in report.actions] == ["action_x"]
         assert max(q.max_abs_x(), q.max_abs_y()) <= cfg.tau
+        assert report.actions == rescanned_actions(with_block(p, "X", x), report, cfg)
+
+    def test_records_match_full_rescans(self, rng):
+        # several planted entries on both sides: the records reuse the
+        # violation magnitudes, and must equal full max scans bit for bit
+        p = random_sfq(rng, 4, 5, scale=0.2)
+        x, y = p.X.copy(), p.Y.copy()
+        x[1, 0], x[3, 2] = 5.0e4, -3.0e4j
+        y[0, 4], y[2, 1] = 7.0e4, 2.5e4
+        p = with_block(with_block(p, "X", x), "Y", y)
+        cfg = GuardConfig(tau=1000.0, max_actions_per_iteration=9)
+        q, report = guard(p, cfg)
+        assert len(report.actions) >= 4
+        assert report.actions == rescanned_actions(p, report, cfg)
+        assert max(q.max_abs_x(), q.max_abs_y()) <= cfg.tau
 
     def test_escalates_to_reinit(self, rng):
         p = random_sfq(rng, 3, 3, scale=0.2)
@@ -197,3 +230,5 @@ class TestGuardLoop:
         kinds = [a.kind for a in report.actions]
         assert kinds[-1] == "reinit"
         assert max(q.max_abs_x(), q.max_abs_y()) <= cfg.tau
+        assert report.actions == rescanned_actions(with_block(p, "X", x.astype(complex)),
+                                                   report, cfg)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,21 @@ class TestNorms:
     def test_diagonal(self):
         got = norms(np.diag([3.0, -4.0]).astype(complex))
         assert (got.one, got.inf, got.fro, got.two_est) == (4.0, 4.0, 5.0, 4.0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_frobenius_at_extreme_scales(self, scale):
+        a = np.full((3, 4), scale * (0.6 + 0.8j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = norms(a)
+        assert got.fro == pytest.approx(scale * np.sqrt(12.0), rel=1e-15, abs=0.0)
+        assert got.one == pytest.approx(3 * scale, rel=1e-15, abs=0.0)
+        assert got.inf == pytest.approx(4 * scale, rel=1e-15, abs=0.0)
+
+    def test_frobenius_bits_unchanged_at_unit_scale(self, rng):
+        a = complex_normal(rng, 6, 5)
+        absa = np.abs(a)
+        assert norms(a).fro == float(np.sqrt((absa * absa).sum()))
 
     def test_two_est_upper_bounds_power_iteration(self, rng):
         a = complex_normal(rng, 5, 5)
