@@ -1,23 +1,26 @@
 """Structure-preserving doubling kernels and stopping rules.
 
 Two equivalent update rules advance a Q-standard-form pencil one doubling
-step: one solves with the n-by-n matrix ``W``, the other with the m-by-m
-matrix ``Wt``.  Either is nonsingular exactly when the other is, and both
-produce the same next pencil.  With ``Q1 = Q2 = I`` the W-rule collapses to
-the classical SDASF1 update, and with ``Q1 @ Q2.T`` equal to the block swap
-(m = n) to SDASF2.
+step: the W-rule solves with the n-by-n matrix ``W = [-X, I] P [Y; I]``
+(``P = Q1 @ Q2.T``), and the Wt-rule with the m-by-m matrix ``Wt``.  The
+Wt-rule is the W-rule of the dual pencil, relabelled back by :func:`dual`,
+so either is nonsingular exactly when the other is and both produce the
+same next pencil.  ``P`` enters as its index vector (:func:`q_blocks_of`),
+so its blocks are applied by scatters and gathers, never multiplied.  With
+``Q1 = Q2 = I`` the W-rule collapses to the classical SDASF1 update, and
+with ``Q1 @ Q2.T`` equal to the block swap (m = n) to SDASF2.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .linalg import SingularMatrixError, lu_factor
-from .sfq import BreakdownError, QBlocks, SfqPencil, q_blocks_of
+from .sfq import BreakdownError, SfqPencil, dual, neg_x_eye_p, p_y_eye, q_blocks_of
 
 
 class Kernel(enum.Enum):
@@ -35,58 +38,56 @@ class StepOutcome:
     kernel: Kernel
 
 
-def compute_w(p: SfqPencil, qb: QBlocks | None = None) -> np.ndarray:
+def _form_w(p: SfqPencil, z: np.ndarray | None) -> np.ndarray:
+    """``W`` of ``p`` from ``z = [-X, I] P`` (formed here when None)."""
+    z = neg_x_eye_p(p, q_blocks_of(p)) if z is None else z
+    return z[:, p.m:] + z[:, :p.m] @ p.Y
+
+
+def compute_w(p: SfqPencil, z: np.ndarray | None = None) -> np.ndarray:
     """``W = Q22 - X Q12 + (Q21 - X Q11) Y``  (n-by-n)."""
-    qb = qb or q_blocks_of(p)
-    return qb.Q22 - p.X @ qb.Q12 + (qb.Q21 - p.X @ qb.Q11) @ p.Y
+    return _form_w(p, z)
 
 
-def compute_wt(p: SfqPencil, qb: QBlocks | None = None) -> np.ndarray:
-    """``Wt = Q11^T - Y Q12^T + (Q21^T - Y Q22^T) X``  (m-by-m)."""
-    qb = qb or q_blocks_of(p)
-    return qb.Q11.T - p.Y @ qb.Q12.T + (qb.Q21.T - p.Y @ qb.Q22.T) @ p.X
+def compute_wt(p: SfqPencil, z: np.ndarray | None = None) -> np.ndarray:
+    """``Wt = Q11^T - Y Q12^T + (Q21^T - Y Q22^T) X`` (m-by-m), the W of ``dual(p)``."""
+    # not compute_w: a wrapper of compute_w (a benchmark span) sees W steps only
+    return _form_w(dual(p), z)
 
 
-def step_w(p: SfqPencil, qb: QBlocks | None = None) -> StepOutcome:
-    """One doubling step through the n-by-n solve."""
-    qb = qb or q_blocks_of(p)
-    w = compute_w(p, qb)
+def _w_rule(p: SfqPencil, form_w: Callable[[np.ndarray], np.ndarray],
+            kernel: Kernel, solve: str) -> StepOutcome:
+    """One W-rule step of ``p``; ``form_w(z)`` builds W from ``z = [-X, I] P``."""
+    m = p.m
+    pi = q_blocks_of(p)
+    z = neg_x_eye_p(p, pi)
     try:
-        factors = lu_factor(w)
+        factors = lu_factor(form_w(z))
     except SingularMatrixError as exc:
-        raise BreakdownError("doubling step (W solve)", str(exc)) from exc
-    xq_min_q21 = p.X @ qb.Q11 - qb.Q21          # n x m
-    q11y_q12 = qb.Q11 @ p.Y + qb.Q12            # m x n
-    winv_xq = factors.solve(xq_min_q21)         # W^{-1} (X Q11 - Q21)
+        raise BreakdownError(f"doubling step ({solve} solve)", str(exc)) from exc
+    q11y_q12 = p_y_eye(pi[:m], p.Y)             # m x n
+    winv_xq = factors.solve(-z[:, :m])          # W^{-1} (X Q11 - Q21)
     winv_f = factors.solve(p.F)                 # W^{-1} F
-    e_next = p.E @ (qb.Q11 + q11y_q12 @ winv_xq) @ p.E
+    core = q11y_q12 @ winv_xq
+    rows = np.flatnonzero(pi[:m] < m)
+    core[rows, pi[rows]] += 1.0                 # + Q11
+    e_next = p.E @ core @ p.E
     f_next = p.F @ winv_f
     x_next = p.X + p.F @ winv_xq @ p.E
     y_next = p.Y + p.E @ q11y_q12 @ winv_f
-    nxt = SfqPencil(m=p.m, n=p.n, E=e_next, F=f_next, X=x_next, Y=y_next,
-                    Q1=p.Q1, Q2=p.Q2)
-    return StepOutcome(nxt, factors.condition_estimate, factors.min_pivot, Kernel.W)
+    nxt = replace(p, E=e_next, F=f_next, X=x_next, Y=y_next)
+    return StepOutcome(nxt, factors.condition_estimate, factors.min_pivot, kernel)
 
 
-def step_wt(p: SfqPencil, qb: QBlocks | None = None) -> StepOutcome:
-    """One doubling step through the m-by-m solve."""
-    qb = qb or q_blocks_of(p)
-    wt = compute_wt(p, qb)
-    try:
-        factors = lu_factor(wt)
-    except SingularMatrixError as exc:
-        raise BreakdownError("doubling step (Wt solve)", str(exc)) from exc
-    q22x_q12 = qb.Q22.T @ p.X + qb.Q12.T        # n x m
-    yq_min_q21 = p.Y @ qb.Q22.T - qb.Q21.T      # m x n
-    wtinv_e = factors.solve(p.E)                # Wt^{-1} E
-    wtinv_yq = factors.solve(yq_min_q21)        # Wt^{-1} (Y Q22^T - Q21^T)
-    e_next = p.E @ wtinv_e
-    f_next = p.F @ (qb.Q22.T + q22x_q12 @ wtinv_yq) @ p.F
-    x_next = p.X + p.F @ q22x_q12 @ wtinv_e
-    y_next = p.Y + p.E @ wtinv_yq @ p.F
-    nxt = SfqPencil(m=p.m, n=p.n, E=e_next, F=f_next, X=x_next, Y=y_next,
-                    Q1=p.Q1, Q2=p.Q2)
-    return StepOutcome(nxt, factors.condition_estimate, factors.min_pivot, Kernel.WTILDE)
+def step_w(p: SfqPencil) -> StepOutcome:
+    """One doubling step through the n-by-n solve."""
+    return _w_rule(p, lambda z: compute_w(p, z), Kernel.W, "W")
+
+
+def step_wt(p: SfqPencil) -> StepOutcome:
+    """One doubling step through the m-by-m solve: the W-rule of ``dual(p)``."""
+    out = _w_rule(dual(p), lambda z: compute_wt(p, z), Kernel.WTILDE, "Wt")
+    return replace(out, next=dual(out.next))
 
 
 def select_kernel(m: int, n: int) -> Kernel:

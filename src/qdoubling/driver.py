@@ -3,20 +3,22 @@
 ``run_qda`` reduces a general pencil to Q-standard form, iterates the
 doubling kernel with the magnitude guard after every step, and terminates on
 a Kahan (or plain) update criterion backed by a residual safeguard against
-false convergence.  ``run_sdasf1`` / ``run_sdasf2`` iterate the classical
-fixed-Q kernels with no guard, reporting non-finite blow-ups as breakdowns.
+false convergence.  ``run_sdasf1`` / ``run_sdasf2`` run the same loop with
+the classical fixed-Q steps, no guard and no recovery, reporting breakdowns
+and non-finite blow-ups as they happen.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
-from .doubling import Kernel, StopMode, check_stop, select_kernel, step, step_sf1, step_sf2
+from .doubling import (Kernel, StepOutcome, StopMode, check_stop, select_kernel, step,
+                       step_sf1, step_sf2)
 from .guard import GuardConfig, GuardReport, guard
 from .linalg import Permutation, RankDeficientError, SingularMatrixError, permute_rows
 from .reduction import Idea, InitReport, Variant, closed_form_init, reduce_with_fallback, reinit
@@ -127,20 +129,23 @@ def _relative(delta: float, norm_x: float) -> float:
     return 0.0 if delta == 0.0 else math.inf
 
 
-def run_sdasfq(p0: SfqPencil, cfg: QdaConfig,
-               reference: Optional[tuple[np.ndarray, np.ndarray]] = None,
-               init_report: Optional[InitReport] = None) -> QdaResult:
-    """Doubling loop on an already-reduced pencil (guard included)."""
-    guard_cfg = cfg.guard_for(p0.m, p0.n)
-    if reference is None:
-        reference = assemble(p0)
+def _iterate(p0: SfqPencil, cfg: QdaConfig,
+             advance: Callable[[SfqPencil, Kernel], StepOutcome],
+             guard_cfg: Optional[GuardConfig], recover: bool,
+             reference: tuple[np.ndarray, np.ndarray],
+             init_report: Optional[InitReport] = None) -> QdaResult:
+    """The doubling loop every algorithm runs.
+
+    ``advance(p, kernel)`` makes one step; ``guard_cfg`` None runs no guard.
+    With ``recover``, a breakdown is met by one re-reduction, then one
+    kernel switch, before it ends the run.
+    """
     p = p0
     diffs: list[float] = []
     history: list[IterationRecord] = []
     status = RunStatus.MAX_ITER
     message = ""
-    reinit_used = False
-    kernel_switched = False
+    reinit_used = kernel_switched = not recover
     it = 0
     while it < cfg.max_iter:
         it += 1
@@ -148,7 +153,7 @@ def run_sdasfq(p0: SfqPencil, cfg: QdaConfig,
         if kernel_switched:
             kernel = Kernel.WTILDE if kernel is Kernel.W else Kernel.W
         try:
-            outcome = step(p, kernel)
+            outcome = advance(p, kernel)
         except BreakdownError as exc:
             # Recovery policy: one re-reduction, then one kernel switch.
             if not reinit_used:
@@ -197,6 +202,14 @@ def run_sdasfq(p0: SfqPencil, cfg: QdaConfig,
                      init_report=init_report, message=message)
 
 
+def run_sdasfq(p0: SfqPencil, cfg: QdaConfig,
+               reference: Optional[tuple[np.ndarray, np.ndarray]] = None,
+               init_report: Optional[InitReport] = None) -> QdaResult:
+    """Doubling loop on an already-reduced pencil (guard and recovery included)."""
+    return _iterate(p0, cfg, step, cfg.guard_for(p0.m, p0.n), True,
+                    assemble(p0) if reference is None else reference, init_report)
+
+
 def run_qda(g: GeneralPencil, cfg: QdaConfig = QdaConfig()) -> QdaResult:
     """Full pipeline on a disk-split pencil: reduce, iterate, guard, stop."""
     try:
@@ -212,41 +225,12 @@ def run_qda(g: GeneralPencil, cfg: QdaConfig = QdaConfig()) -> QdaResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_fixed_q(p0: SfqPencil, cfg: QdaConfig, stepper, kernel: Kernel) -> QdaResult:
-    reference = assemble(p0)
-    p = p0
-    diffs: list[float] = []
-    history: list[IterationRecord] = []
-    status = RunStatus.MAX_ITER
-    message = ""
-    for it in range(1, cfg.max_iter + 1):
-        try:
-            e, f, x, y = stepper(p.E, p.F, p.X, p.Y)
-        except BreakdownError as exc:
-            status = RunStatus.BREAKDOWN
-            message = f"iteration {it}: {exc}"
-            break
-        if not all(bool(np.isfinite(b).all()) for b in (e, f, x, y)):
-            status = RunStatus.BREAKDOWN
-            message = f"non-finite iterate at iteration {it}"
-            break
-        delta = float(np.linalg.norm(x - p.X))
-        p = SfqPencil(m=p.m, n=p.n, E=e, F=f, X=x, Y=y, Q1=p.Q1, Q2=p.Q2)
-        norm_x = float(np.linalg.norm(p.X))
-        history.append(IterationRecord(
-            index=it, abs_update_x=delta, rel_update_x=_relative(delta, norm_x),
-            norm_e=float(np.linalg.norm(p.E)), norm_f=float(np.linalg.norm(p.F)),
-            norm_x=norm_x, norm_y=float(np.linalg.norm(p.Y)),
-            w_condition=math.nan, w_min_pivot=math.nan,
-            kernel=kernel, guard_events=GuardReport(), pencil=p,
-        ))
-        diffs.append(delta)
-        if check_stop(diffs, norm_x, cfg.rtol, cfg.stop_mode):
-            if not cfg.residual_safeguard or _safeguard_ok(p, cfg.rtol, reference):
-                status = RunStatus.CONVERGED
-                break
-    return QdaResult(phi=p.X, psi=p.Y, q1=p.Q1, q2=p.Q2, history=tuple(history),
-                     status=status, initial=p0, final=p, message=message)
+def _run_baseline(p0: SfqPencil, cfg: QdaConfig, stepper, kernel: Kernel) -> QdaResult:
+    """The shared loop with a classical fixed-Q ``stepper``, no guard and no recovery."""
+    def advance(p: SfqPencil, _kernel: Kernel) -> StepOutcome:
+        e, f, x, y = stepper(p.E, p.F, p.X, p.Y)
+        return StepOutcome(replace(p, E=e, F=f, X=x, Y=y), math.nan, math.nan, kernel)
+    return _iterate(p0, cfg, advance, None, False, assemble(p0))
 
 
 def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
@@ -255,7 +239,7 @@ def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
     m, n = e0.shape[0], f0.shape[0]
     ident = Permutation.identity(m + n)
     p0 = SfqPencil(m=m, n=n, E=e0, F=f0, X=x0, Y=y0, Q1=ident, Q2=ident)
-    return _run_fixed_q(p0, cfg, step_sf1, Kernel.SF1)
+    return _run_baseline(p0, cfg, step_sf1, Kernel.SF1)
 
 
 def run_sdasf2(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
@@ -266,7 +250,7 @@ def run_sdasf2(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
         raise ValueError("the second standard form requires m = n")
     p0 = SfqPencil(m=n, n=n, E=e0, F=f0, X=x0, Y=y0,
                    Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n))
-    return _run_fixed_q(p0, cfg, step_sf2, Kernel.SF2)
+    return _run_baseline(p0, cfg, step_sf2, Kernel.SF2)
 
 
 def sdasf1_init(g: GeneralPencil) -> SfqPencil:
@@ -282,24 +266,23 @@ def sdasf2_init(g: GeneralPencil) -> SfqPencil:
     return closed_form_init(g, Permutation.identity(g.size), swap_perm(g.m, g.n))
 
 
-def run_sdasf1_on(g: GeneralPencil, cfg: QdaConfig = QdaConfig()) -> QdaResult:
+def _run_baseline_on(g: GeneralPencil, cfg: QdaConfig, init, stepper,
+                     kernel: Kernel) -> QdaResult:
     try:
-        p0 = sdasf1_init(g)
+        p0 = init(g)
     except SingularMatrixError as exc:
         return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
                          status=RunStatus.BREAKDOWN,
-                         message=f"SF1 initialization: {exc}")
-    return run_sdasf1(p0.E, p0.F, p0.X, p0.Y, cfg)
+                         message=f"{kernel.name} initialization: {exc}")
+    return _run_baseline(p0, cfg, stepper, kernel)
+
+
+def run_sdasf1_on(g: GeneralPencil, cfg: QdaConfig = QdaConfig()) -> QdaResult:
+    return _run_baseline_on(g, cfg, sdasf1_init, step_sf1, Kernel.SF1)
 
 
 def run_sdasf2_on(g: GeneralPencil, cfg: QdaConfig = QdaConfig()) -> QdaResult:
-    try:
-        p0 = sdasf2_init(g)
-    except SingularMatrixError as exc:
-        return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
-                         status=RunStatus.BREAKDOWN,
-                         message=f"SF2 initialization: {exc}")
-    return run_sdasf2(p0.E, p0.F, p0.X, p0.Y, cfg)
+    return _run_baseline_on(g, cfg, sdasf2_init, step_sf2, Kernel.SF2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,22 @@ Whenever an entry of X or Y exceeds the threshold ``tau``, a single column
 swap between the structured identity block and the offending column turns
 the pencil into an equivalent one in which that entry is replaced by its
 reciprocal.  The swap is a rank-one update of all four blocks plus a
-transposition recorded in the corresponding permutation.  If repeated swaps
-cannot bring the iterate under control, the guard escalates to a full
-re-reduction.
+transposition recorded in ``Q1``.  A swap on Y is the same swap applied to
+the dual pencil (where Y is the X-block), so it records its transposition in
+``Q2``.  If repeated swaps cannot bring the iterate under control, the guard
+escalates to a full re-reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .linalg import SINGULARITY_TOL
-from .reduction import Idea, Variant, reinit
-from .sfq import SfqPencil
+from .reduction import reinit
+from .sfq import SfqPencil, dual
 
 
 class ZeroPivotError(Exception):
@@ -36,9 +37,6 @@ def default_tau(m: int, n: int) -> float:
 class GuardConfig:
     tau: float
     max_actions_per_iteration: int
-    escalate_to_reinit: bool = True
-    reinit_idea: Idea = Idea.IDEA3
-    reinit_variant: Variant = Variant.A_FIRST
 
     def __post_init__(self):
         if self.tau <= 1.0:
@@ -90,6 +88,24 @@ def find_violation(p: SfqPencil, tau: float) -> Optional[Violation]:
     return Violation("Y", int(r), int(c), best_y)
 
 
+def _swap_x(p: SfqPencil, j: int, ell: int, block: str) -> SfqPencil:
+    # action_y calls this, not action_x: a wrapper of action_x sees X swaps only
+    d = p.X[j, ell]
+    if abs(d) <= SINGULARITY_TOL * max(float(np.abs(p.X[j, :]).max()), 1e-300):
+        raise ZeroPivotError(f"{block}[{j},{ell}] = {d} is too small to swap on")
+    h = p.E[:, ell].copy()
+    u = p.X[:, ell].copy()
+    u[j] += 1.0                                   # x + e_j
+    row_adj = -p.X[j, :].copy()                   # e_ell^T - e_j^T X
+    row_adj[ell] += 1.0
+    frow = p.F[j, :].copy()
+    x_new = p.X + np.outer(u / d, row_adj)
+    f_new = p.F - np.outer(u / d, frow)
+    e_new = p.E + np.outer(h / d, row_adj)
+    y_new = p.Y - np.outer(h / d, frow)
+    return replace(p, E=e_new, F=f_new, X=x_new, Y=y_new, Q1=p.Q1.swapped(ell, p.m + j))
+
+
 def action_x(p: SfqPencil, j: int, ell: int) -> SfqPencil:
     """Swap column ``ell`` of the X-block with identity column ``j``.
 
@@ -103,45 +119,12 @@ def action_x(p: SfqPencil, j: int, ell: int) -> SfqPencil:
 
     and Q1 picks up the transposition of positions ``ell`` and ``m + j``.
     """
-    x_col = p.X[:, ell].copy()
-    d = p.X[j, ell]
-    if abs(d) <= SINGULARITY_TOL * max(float(np.abs(p.X[j, :]).max()), 1e-300):
-        raise ZeroPivotError(f"X[{j},{ell}] = {d} is too small to swap on")
-    h = p.E[:, ell].copy()
-    n = p.n
-    u = x_col.copy()
-    u[j] += 1.0                                   # x + e_j
-    row_adj = -p.X[j, :].copy()                   # e_ell^T - e_j^T X
-    row_adj[ell] += 1.0
-    frow = p.F[j, :].copy()
-    x_new = p.X + np.outer(u / d, row_adj)
-    f_new = p.F - np.outer(u / d, frow)
-    e_new = p.E + np.outer(h / d, row_adj)
-    y_new = p.Y - np.outer(h / d, frow)
-    q1_new = p.Q1.swapped(ell, p.m + j)
-    return SfqPencil(m=p.m, n=n, E=e_new, F=f_new, X=x_new, Y=y_new,
-                     Q1=q1_new, Q2=p.Q2)
+    return _swap_x(p, j, ell, "X")
 
 
 def action_y(p: SfqPencil, j: int, ell: int) -> SfqPencil:
-    """Mirror of :func:`action_x` for an oversized Y entry; updates Q2."""
-    y_col = p.Y[:, ell].copy()
-    d = p.Y[j, ell]
-    if abs(d) <= SINGULARITY_TOL * max(float(np.abs(p.Y[j, :]).max()), 1e-300):
-        raise ZeroPivotError(f"Y[{j},{ell}] = {d} is too small to swap on")
-    h = p.F[:, ell].copy()
-    u = y_col.copy()
-    u[j] += 1.0                                   # y + e_j
-    row_adj = -p.Y[j, :].copy()                   # e_ell^T - e_j^T Y
-    row_adj[ell] += 1.0
-    erow = p.E[j, :].copy()
-    y_new = p.Y + np.outer(u / d, row_adj)
-    e_new = p.E - np.outer(u / d, erow)
-    f_new = p.F + np.outer(h / d, row_adj)
-    x_new = p.X - np.outer(h / d, erow)
-    q2_new = p.Q2.swapped(j, p.m + ell)
-    return SfqPencil(m=p.m, n=p.n, E=e_new, F=f_new, X=x_new, Y=y_new,
-                     Q1=p.Q1, Q2=q2_new)
+    """Mirror of :func:`action_x` for an oversized ``Y[j, ell]``: its swap on ``dual(p)``."""
+    return dual(_swap_x(dual(p), j, ell, "Y"))
 
 
 def guard(p: SfqPencil, cfg: GuardConfig) -> tuple[SfqPencil, GuardReport]:
@@ -173,8 +156,8 @@ def guard(p: SfqPencil, cfg: GuardConfig) -> tuple[SfqPencil, GuardReport]:
             after = violation.magnitude
         actions.append(GuardAction(kind=kind, pivot=(fixed.row, fixed.col),
                                    max_before=fixed.magnitude, max_after=after))
-    if violation is not None and cfg.escalate_to_reinit:
-        report = reinit(current, cfg.reinit_idea, cfg.reinit_variant)
+    if violation is not None:
+        report = reinit(current)
         current = report.pencil
         actions.append(GuardAction(kind="reinit", pivot=None, max_before=violation.magnitude,
                                    max_after=max(report.max_abs_x, report.max_abs_y)))

@@ -64,15 +64,6 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 class MatrixNorms(NamedTuple):
     one: float
     inf: float
@@ -266,17 +257,15 @@ def permute_rows(p: Permutation, a: np.ndarray, transpose: bool = False) -> np.n
     return a[idx, :]
 
 
-def permute_cols(p: Permutation, a: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """``a @ Q`` (or ``a @ Q.T`` with ``transpose=True``) by entry moves."""
-    a = as_complex_matrix(a)
-    if a.shape[1] != p.n:
-        raise ValueError(f"permutation size {p.n} does not match {a.shape[1]} columns")
-    idx = p.image if transpose else p.inverse().image
-    return a[:, idx]
-
-
 def frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only complex copy, used for immutable value types."""
+    """A read-only complex copy, used for immutable value types.
+
+    An array this function made (read-only, complex, owning its data) is
+    returned as it is, so pencils that relabel each other share their blocks.
+    """
+    if (isinstance(a, np.ndarray) and a.dtype == np.complex128
+            and a.flags.owndata and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=np.complex128, copy=True)
     out.setflags(write=False)
     return out

@@ -310,7 +310,7 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int,
     asymptotic convergence rates.
     """
     from .linalg import Permutation
-    from .sfq import SfqPencil, q_blocks
+    from .sfq import SfqPencil, p_y_eye
 
     if not (0 < rho_m and 0 < rho_n and rho_m * rho_n < 1):
         raise ValueError("need rho_m * rho_n < 1")
@@ -328,13 +328,12 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int,
     n_mat = _diagonal_radius(n, rho_n)
     q1 = Permutation(rng.permutation(m + n))
     q2 = Permutation(rng.permutation(m + n))
-    qb = q_blocks(q1, q2, m, n)
-    g1 = qb.Q12.T + qb.Q22.T @ phi          # n x m
-    g2 = qb.Q12 + qb.Q11 @ psi              # m x n
-    k1 = qb.Q11.T + qb.Q21.T @ phi          # m x m
-    k2 = qb.Q22 + qb.Q21 @ psi              # n x n
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)
+    pi = q1.compose(q2.inverse()).image         # P = Q1 Q2^T
+    g2, k2 = np.split(p_y_eye(pi, psi), [m])    # Q11 Psi + Q12, Q21 Psi + Q22
+    # P^T [I; Phi] = [Q11^T + Q21^T Phi; Q12^T + Q22^T Phi] takes rows pi^-1
+    k1, g1 = np.split(np.vstack([eye_m, phi])[np.argsort(pi)], [m])
     e0 = solve_transposed(eye_m - g2 @ n_mat @ g1 @ m_mat, (k1 - psi @ g1) @ m_mat)
     f0 = solve_transposed(eye_n - g1 @ m_mat @ g2 @ n_mat, (k2 - phi @ g2) @ n_mat)
     y0 = psi - e0 @ g2 @ n_mat

@@ -36,7 +36,7 @@ change to the order or fusing of the update's arithmetic can flip it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -251,18 +251,6 @@ def reduce_pencil(g: GeneralPencil, idea: Idea = Idea.IDEA3,
                       pivot_growth=growth)
 
 
-def reduce_idea1(g: GeneralPencil, variant: Variant = Variant.A_FIRST) -> InitReport:
-    return reduce_pencil(g, Idea.IDEA1, variant)
-
-
-def reduce_idea2(g: GeneralPencil, variant: Variant = Variant.A_FIRST) -> InitReport:
-    return reduce_pencil(g, Idea.IDEA2, variant)
-
-
-def reduce_idea3(g: GeneralPencil, variant: Variant = Variant.A_FIRST) -> InitReport:
-    return reduce_pencil(g, Idea.IDEA3, variant)
-
-
 #: Fallback order when a reduction breaks down: try the remaining ideas from
 #: the most to the least robust pivoting, then switch the starting side.
 _FALLBACK_IDEAS = (Idea.IDEA3, Idea.IDEA2, Idea.IDEA1)
@@ -286,20 +274,16 @@ def reduce_with_fallback(g: GeneralPencil, idea: Idea = Idea.IDEA3,
 
 
 def reinit(p: SfqPencil, idea: Idea = Idea.IDEA3,
-           variant: Variant = Variant.A_FIRST, fallback: bool = True) -> InitReport:
+           variant: Variant = Variant.A_FIRST) -> InitReport:
     """Re-reduce the current structured pair, composing the new column moves.
 
     The reduction runs on ``(A_i Q1^T, B_i Q2^T)`` so the permutations it
     discovers are composed on top of the existing ones.
     """
     g = GeneralPencil(A=structured_a(p), B=structured_b(p), m=p.m, n=p.n)
-    if fallback:
-        report = reduce_with_fallback(g, idea, variant)
-    else:
-        report = reduce_pencil(g, idea, variant)
+    report = reduce_with_fallback(g, idea, variant)
     q = report.pencil
-    composed = SfqPencil(m=p.m, n=p.n, E=q.E, F=q.F, X=q.X, Y=q.Y,
-                         Q1=q.Q1.compose(p.Q1), Q2=q.Q2.compose(p.Q2))
+    composed = replace(q, Q1=q.Q1.compose(p.Q1), Q2=q.Q2.compose(p.Q2))
     return InitReport(pencil=composed, idea=report.idea, variant=report.variant,
                       max_abs_x=report.max_abs_x, max_abs_y=report.max_abs_y,
                       pivot_growth=report.pivot_growth)

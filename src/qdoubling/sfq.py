@@ -8,6 +8,11 @@ with permutation matrices ``Q1``, ``Q2`` of size ``m + n``, ``E`` m-by-m,
 ``F`` n-by-n, ``X`` n-by-m and ``Y`` m-by-n.  ``Q1 = Q2 = I`` recovers the
 classical first standard form, and ``Q1 @ Q2.T`` equal to the block swap
 (with ``m = n``) recovers the second.
+
+``P = Q1 @ Q2.T = [[Q11, Q12], [Q21, Q22]]`` is kept as its index vector
+``pi`` (``P[i, pi[i]] = 1``): ``[-X, I] P`` is a column scatter and
+``P [Y; I]`` a row gather.  Every mirror (Y-side) formula is its primal
+applied to :func:`dual`.
 """
 
 from __future__ import annotations
@@ -105,37 +110,14 @@ class SfqPencil:
         return float(np.abs(self.Y).max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class QBlocks:
-    """The four blocks of the permutation matrix ``Q1 @ Q2.T``."""
-
-    Q11: np.ndarray
-    Q12: np.ndarray
-    Q21: np.ndarray
-    Q22: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.block([[self.Q11, self.Q12], [self.Q21, self.Q22]])
-
-
 def structured_a(p: SfqPencil) -> np.ndarray:
     """The left factor ``[[E, 0], [-X, I]]`` (that is, ``A_i @ Q1.T``)."""
-    m, n = p.m, p.n
-    out = np.zeros((m + n, m + n), dtype=np.complex128)
-    out[:m, :m] = p.E
-    out[m:, :m] = -p.X
-    out[m:, m:] = np.eye(n)
-    return out
+    return np.block([[p.E, np.zeros((p.m, p.n))], [-p.X, np.eye(p.n)]])
 
 
 def structured_b(p: SfqPencil) -> np.ndarray:
     """The left factor ``[[I, -Y], [0, F]]`` (that is, ``B_i @ Q2.T``)."""
-    m, n = p.m, p.n
-    out = np.zeros((m + n, m + n), dtype=np.complex128)
-    out[:m, :m] = np.eye(m)
-    out[:m, m:] = -p.Y
-    out[m:, m:] = p.F
-    return out
+    return np.block([[np.eye(p.m), -p.Y], [np.zeros((p.n, p.m)), p.F]])
 
 
 def assemble(p: SfqPencil) -> tuple[np.ndarray, np.ndarray]:
@@ -154,19 +136,23 @@ def extract_blocks(a: np.ndarray, b: np.ndarray, q1: Permutation, q2: Permutatio
                      X=-sa[m:, :m], Y=-sb[:m, m:], Q1=q1, Q2=q2)
 
 
-def q_blocks(q1: Permutation, q2: Permutation, m: int, n: int) -> QBlocks:
-    """Blocks of ``Q1 @ Q2.T``, each an exact 0/1 complex matrix."""
-    if q1.n != m + n or q2.n != m + n:
-        raise ValueError("permutation sizes must equal m + n")
-    prod = q1.compose(q2.inverse())
-    dense = np.zeros((m + n, m + n), dtype=np.complex128)
-    dense[np.arange(m + n), prod.image] = 1.0
-    return QBlocks(Q11=dense[:m, :m], Q12=dense[:m, m:],
-                   Q21=dense[m:, :m], Q22=dense[m:, m:])
+def q_blocks_of(p: SfqPencil) -> np.ndarray:
+    """The index vector ``pi`` of ``P = Q1 @ Q2.T``: ``P[i, pi[i]] = 1``."""
+    return p.Q1.compose(p.Q2.inverse()).image
 
 
-def q_blocks_of(p: SfqPencil) -> QBlocks:
-    return q_blocks(p.Q1, p.Q2, p.m, p.n)
+def neg_x_eye_p(p: SfqPencil, pi: np.ndarray) -> np.ndarray:
+    """``[-X, I] P = [Q21 - X Q11, Q22 - X Q12]`` (n-by-(m+n)), a column scatter."""
+    z = np.zeros((p.n, p.size), dtype=np.complex128)
+    z[:, pi[:p.m]] = -p.X
+    z[np.arange(p.n), pi[p.m:]] = 1.0
+    return z
+
+
+def p_y_eye(pi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows ``pi`` of ``[y; I]``: ``P [y; I] = [Q11 y + Q12; Q21 y + Q22]``
+    for the whole of ``pi``, its top block for ``pi[:m]``."""
+    return np.vstack([y, np.eye(y.shape[1], dtype=np.complex128)])[pi]
 
 
 def swap_perm(m: int, n: int) -> Permutation:
@@ -211,22 +197,24 @@ def primal_nme_residual(p0: SfqPencil, x: np.ndarray) -> float:
     """Residual of the primal fixed-point equation at a candidate solution X.
 
     The equation reads
-    ``X = X0 + F0 (Q12^T + Q22^T X) [Q11^T - Y0 Q12^T + (Q21^T - Y0 Q22^T) X]^{-1} E0``
-    and the residual is normalized by ``max(1, ||X||_F)``.
+    ``X = X0 + F0 (Q12^T + Q22^T X) [Q11^T - Y0 Q12^T + (Q21^T - Y0 Q22^T) X]^{-1} E0``,
+    which is the dual equation of ``dual(p0)``; the residual is normalized by
+    ``max(1, ||X||_F)``.
     """
-    x = as_complex_matrix(x)
-    qb = q_blocks_of(p0)
-    bracket = (qb.Q11.T - p0.Y @ qb.Q12.T) + (qb.Q21.T - p0.Y @ qb.Q22.T) @ x
-    rhs = p0.X + p0.F @ (qb.Q12.T + qb.Q22.T @ x) @ lu_solve(bracket, p0.E)
-    return float(np.linalg.norm(x - rhs)) / max(1.0, float(np.linalg.norm(x)))
+    return dual_nme_residual(dual(p0), x)
 
 
 def dual_nme_residual(p0: SfqPencil, y: np.ndarray) -> float:
-    """Residual of the dual fixed-point equation at a candidate solution Y."""
+    """Residual of the dual fixed-point equation at a candidate solution Y.
+
+    ``Y = Y0 + E0 (Q11 Y + Q12) [Q22 - X0 Q12 + (Q21 - X0 Q11) Y]^{-1} F0``,
+    normalized by ``max(1, ||Y||_F)``.
+    """
     y = as_complex_matrix(y)
-    qb = q_blocks_of(p0)
-    bracket = (qb.Q22 - p0.X @ qb.Q12) + (qb.Q21 - p0.X @ qb.Q11) @ y
-    rhs = p0.Y + p0.E @ (qb.Q12 + qb.Q11 @ y) @ lu_solve(bracket, p0.F)
+    pi = q_blocks_of(p0)
+    z = neg_x_eye_p(p0, pi)
+    bracket = z[:, p0.m:] + z[:, :p0.m] @ y
+    rhs = p0.Y + p0.E @ p_y_eye(pi[:p0.m], y) @ lu_solve(bracket, p0.F)
     return float(np.linalg.norm(y - rhs)) / max(1.0, float(np.linalg.norm(y)))
 
 

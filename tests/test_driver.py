@@ -154,6 +154,21 @@ class TestBaselines:
         assert res.status is RunStatus.CONVERGED
         np.testing.assert_array_equal(res.phi, z)
 
+    def test_sf1_breakdown_is_never_recovered(self, monkeypatch):
+        # X = Y = I makes I - XY singular at the first step; a baseline must
+        # stop there, without the re-reduction or kernel switch QDA tries
+        import qdoubling.driver
+
+        def no_reinit(*args, **kwargs):
+            raise AssertionError("a baseline run called reinit")
+
+        monkeypatch.setattr(qdoubling.driver, "reinit", no_reinit)
+        e = np.diag([0.5, 0.3]).astype(complex)
+        res = run_sdasf1(e, e, np.eye(2), np.eye(2), QdaConfig())
+        assert res.status is RunStatus.BREAKDOWN
+        assert res.history == ()
+        assert res.message.startswith("iteration 1: breakdown in SF1 step")
+
     def test_sf1_blowup_reported_not_raised(self):
         inst = gen_random_split(m=10, n=12, alpha=8.0, eta=1e-7, seed=1)
         g = cayley(inst.pencil, CayleyParams(-1.0))

@@ -183,7 +183,7 @@ def rescanned_actions(p, report, cfg):
     for act in report.actions:
         before = peak(current)
         if act.kind == "reinit":
-            current = reinit(current, cfg.reinit_idea, cfg.reinit_variant).pencil
+            current = reinit(current).pencil
         else:
             current = (action_x if act.kind == "action_x" else action_y)(current, *act.pivot)
         expected.append(GuardAction(act.kind, act.pivot, before, peak(current)))

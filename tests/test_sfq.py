@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from qdoubling import (
     known_eigenpairs,
     primal_eig_residual,
     primal_nme_residual,
-    q_blocks,
+    q_blocks_of,
     swap_perm,
 )
 from qdoubling.sfq import orthonormal_residual
@@ -70,36 +72,29 @@ class TestAssemble:
         np.testing.assert_array_equal(dd.X, p.X)
 
 
-class TestQBlocks:
-    def test_equal_permutations_give_identity_blocks(self, rng):
+def _product_perms(rng, kind):
+    if kind == "random":
+        return Permutation(rng.permutation(7)), Permutation(rng.permutation(7)), 3, 4
+    if kind == "equal":
         q = Permutation(rng.permutation(5))
-        qb = q_blocks(q, q, 2, 3)
-        np.testing.assert_array_equal(qb.Q11, np.eye(2))
-        np.testing.assert_array_equal(qb.Q22, np.eye(3))
-        np.testing.assert_array_equal(qb.Q12, np.zeros((2, 3)))
-        np.testing.assert_array_equal(qb.Q21, np.zeros((3, 2)))
+        return q, q, 2, 3
+    return Permutation.identity(6), swap_perm(3, 3), 3, 3
 
-    def test_block_swap(self):
-        n = 3
-        qb = q_blocks(Permutation.identity(2 * n), swap_perm(n, n), n, n)
-        np.testing.assert_array_equal(qb.Q11, np.zeros((n, n)))
-        np.testing.assert_array_equal(qb.Q22, np.zeros((n, n)))
-        np.testing.assert_array_equal(qb.Q12, np.eye(n))
-        np.testing.assert_array_equal(qb.Q21, np.eye(n))
 
-    def test_matches_dense_product_exactly(self, rng):
-        for _ in range(10):
-            q1 = Permutation(rng.permutation(7))
-            q2 = Permutation(rng.permutation(7))
-            qb = q_blocks(q1, q2, 3, 4)
-            np.testing.assert_array_equal(qb.stacked(), q1.matrix() @ q2.matrix().T)
-
-    def test_zero_one_entries_sum(self, rng):
-        q1 = Permutation(rng.permutation(6))
-        q2 = Permutation(rng.permutation(6))
-        stacked = q_blocks(q1, q2, 2, 4).stacked()
-        assert set(np.unique(stacked.real)) <= {0.0, 1.0}
-        assert stacked.sum() == 6
+@pytest.mark.parametrize("kind", ["random", "equal", "block_swap"])
+def test_q_blocks_of_indexes_the_dense_product(rng, kind):
+    # P = Q1 Q2^T has its single 1 of row i in column pi[i]; equal
+    # permutations give the identity, the block swap [[0, I], [I, 0]]
+    for _ in range(10):
+        q1, q2, m, n = _product_perms(rng, kind)
+        p = replace(random_sfq(rng, m, n), Q1=q1, Q2=q2)
+        dense = np.zeros((m + n, m + n), dtype=complex)
+        dense[np.arange(m + n), q_blocks_of(p)] = 1.0
+        np.testing.assert_array_equal(dense, q1.matrix() @ q2.matrix().T)
+        if kind == "equal":
+            np.testing.assert_array_equal(dense, np.eye(m + n))
+        if kind == "block_swap":
+            np.testing.assert_array_equal(dense, np.roll(np.eye(6), 3, axis=1))
 
 
 class TestDual:
