@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lu_factor
+from .linalg import SingularMatrixError, lu_factor, sealed
 from .sfq import BreakdownError, SfqPencil, dual, neg_x_eye_p, p_y_eye, q_blocks_of
 
 
@@ -71,10 +71,10 @@ def _w_rule(p: SfqPencil, form_w: Callable[[np.ndarray], np.ndarray],
     core = q11y_q12 @ winv_xq
     rows = np.flatnonzero(pi[:m] < m)
     core[rows, pi[rows]] += 1.0                 # + Q11
-    e_next = p.E @ core @ p.E
-    f_next = p.F @ winv_f
-    x_next = p.X + p.F @ winv_xq @ p.E
-    y_next = p.Y + p.E @ q11y_q12 @ winv_f
+    e_next, f_next, x_next, y_next = sealed(p.E @ core @ p.E,
+                                            p.F @ winv_f,
+                                            p.X + p.F @ winv_xq @ p.E,
+                                            p.Y + p.E @ q11y_q12 @ winv_f)
     nxt = replace(p, E=e_next, F=f_next, X=x_next, Y=y_next)
     return StepOutcome(nxt, factors.condition_estimate, factors.min_pivot, kernel)
 

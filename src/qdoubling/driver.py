@@ -6,6 +6,13 @@ a Kahan (or plain) update criterion backed by a residual safeguard against
 false convergence.  ``run_sdasf1`` / ``run_sdasf2`` run the same loop with
 the classical fixed-Q steps, no guard and no recovery, reporting breakdowns
 and non-finite blow-ups as they happen.
+
+A run holds its live iterate, its history of pencils and, only while the
+safeguard runs, a few arrays of the basis's size: the safeguard checks
+against the dense ``(A, B)`` that ``run_qda`` was given, or against the
+starting pencil's own blocks, and never builds a dense copy.  Each step's
+fresh blocks are sealed (:func:`~qdoubling.linalg.sealed`) and so become the
+next pencil without a copy.
 """
 
 from __future__ import annotations
@@ -20,13 +27,12 @@ import numpy as np
 from .doubling import (Kernel, StepOutcome, StopMode, check_stop, select_kernel, step,
                        step_sf1, step_sf2)
 from .guard import GuardConfig, GuardReport, guard
-from .linalg import Permutation, RankDeficientError, SingularMatrixError, permute_rows
+from .linalg import Permutation, RankDeficientError, SingularMatrixError, permute_rows, sealed
 from .reduction import Idea, InitReport, Variant, closed_form_init, reduce_with_fallback, reinit
 from .sfq import (
     BreakdownError,
     GeneralPencil,
     SfqPencil,
-    assemble,
     orthonormal_residual,
     swap_perm,
 )
@@ -113,9 +119,19 @@ def _all_finite(p: SfqPencil) -> bool:
     return all(bool(np.isfinite(block).all()) for block in (p.E, p.F, p.X, p.Y))
 
 
-def _safeguard_ok(p: SfqPencil, rtol: float,
-                  reference: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Residual backstop before declaring convergence."""
+#: What the safeguard checks a basis against: the dense pair ``(A, B)`` a run
+#: was reduced from, or ``(p0, None)``, the pencil it started from standing
+#: for its own ``(A_0, B_0)`` without a dense copy.
+Reference = tuple[np.ndarray | SfqPencil, Optional[np.ndarray]]
+
+
+def _safeguard_ok(p: SfqPencil, rtol: float, reference: Reference) -> bool:
+    """Residual backstop before declaring convergence.
+
+    The check holds ``sfq_basis(p)``, its orthonormal basis and the two
+    products with it, a few N-by-m blocks, beside the run's history (see
+    :func:`orthonormal_residual`).
+    """
     try:
         res = orthonormal_residual(reference[0], reference[1], sfq_basis(p))
     except (RankDeficientError, SingularMatrixError):
@@ -131,8 +147,7 @@ def _relative(delta: float, norm_x: float) -> float:
 
 def _iterate(p0: SfqPencil, cfg: QdaConfig,
              advance: Callable[[SfqPencil, Kernel], StepOutcome],
-             guard_cfg: Optional[GuardConfig], recover: bool,
-             reference: tuple[np.ndarray, np.ndarray],
+             guard_cfg: Optional[GuardConfig], recover: bool, reference: Reference,
              init_report: Optional[InitReport] = None) -> QdaResult:
     """The doubling loop every algorithm runs.
 
@@ -205,9 +220,13 @@ def _iterate(p0: SfqPencil, cfg: QdaConfig,
 def run_sdasfq(p0: SfqPencil, cfg: QdaConfig,
                reference: Optional[tuple[np.ndarray, np.ndarray]] = None,
                init_report: Optional[InitReport] = None) -> QdaResult:
-    """Doubling loop on an already-reduced pencil (guard and recovery included)."""
+    """Doubling loop on an already-reduced pencil (guard and recovery included).
+
+    The residual safeguard checks against ``reference = (A, B)`` when given,
+    and otherwise against ``p0``'s own blocks.
+    """
     return _iterate(p0, cfg, step, cfg.guard_for(p0.m, p0.n), True,
-                    assemble(p0) if reference is None else reference, init_report)
+                    (p0, None) if reference is None else reference, init_report)
 
 
 def run_qda(g: GeneralPencil, cfg: QdaConfig = QdaConfig()) -> QdaResult:
@@ -228,9 +247,9 @@ def run_qda(g: GeneralPencil, cfg: QdaConfig = QdaConfig()) -> QdaResult:
 def _run_baseline(p0: SfqPencil, cfg: QdaConfig, stepper, kernel: Kernel) -> QdaResult:
     """The shared loop with a classical fixed-Q ``stepper``, no guard and no recovery."""
     def advance(p: SfqPencil, _kernel: Kernel) -> StepOutcome:
-        e, f, x, y = stepper(p.E, p.F, p.X, p.Y)
+        e, f, x, y = sealed(*stepper(p.E, p.F, p.X, p.Y))
         return StepOutcome(replace(p, E=e, F=f, X=x, Y=y), math.nan, math.nan, kernel)
-    return _iterate(p0, cfg, advance, None, False, assemble(p0))
+    return _iterate(p0, cfg, advance, None, False, (p0, None))
 
 
 def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,

@@ -24,6 +24,7 @@ from .linalg import (
     SingularMatrixError,
     as_complex_matrix,
     lu_solve,
+    sealed,
     thin_qr,
     two_est,
 )
@@ -42,7 +43,7 @@ class CayleyParams:
 def cayley(g: GeneralPencil, params: CayleyParams) -> GeneralPencil:
     """Map a half-plane split to a disk split: ``(A - gB, A + gB)``."""
     gm = params.gamma
-    return GeneralPencil(A=g.A - gm * g.B, B=g.A + gm * g.B, m=g.m, n=g.n)
+    return GeneralPencil(A=sealed(g.A - gm * g.B), B=sealed(g.A + gm * g.B), m=g.m, n=g.n)
 
 
 def cayley_map(lam: complex, gamma: float) -> complex:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import SINGULARITY_TOL
+from .linalg import SINGULARITY_TOL, sealed
 from .reduction import reinit
 from .sfq import SfqPencil, dual
 
@@ -99,10 +99,10 @@ def _swap_x(p: SfqPencil, j: int, ell: int, block: str) -> SfqPencil:
     row_adj = -p.X[j, :].copy()                   # e_ell^T - e_j^T X
     row_adj[ell] += 1.0
     frow = p.F[j, :].copy()
-    x_new = p.X + np.outer(u / d, row_adj)
-    f_new = p.F - np.outer(u / d, frow)
-    e_new = p.E + np.outer(h / d, row_adj)
-    y_new = p.Y - np.outer(h / d, frow)
+    x_new, f_new, e_new, y_new = sealed(p.X + np.outer(u / d, row_adj),
+                                        p.F - np.outer(u / d, frow),
+                                        p.E + np.outer(h / d, row_adj),
+                                        p.Y - np.outer(h / d, frow))
     return replace(p, E=e_new, F=f_new, X=x_new, Y=y_new, Q1=p.Q1.swapped(ell, p.m + j))
 
 

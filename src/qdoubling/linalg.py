@@ -17,6 +17,14 @@ A :class:`Permutation` ``p`` represents the matrix ``Q`` with
 The product of two permutation matrices ``P @ R`` is the permutation with
 image ``r.image[p.image]``.
 
+Fresh arrays and row blocks
+---------------------------
+:func:`frozen` copies what it is given into a read-only array, except an
+array its maker marked with :func:`sealed`; only the code that computed an
+array may seal it.  Kernels that stream over a tall matrix (:func:`abs_sums`,
+:func:`two_est`, the residual safeguard) work in blocks of
+:data:`ROW_BLOCK` rows, so their temporaries do not grow with the matrix.
+
 LU factorization
 ----------------
 :func:`lu_factor` and :meth:`LUFactors.solve` call LAPACK ``zgetrf`` /
@@ -90,11 +98,39 @@ def norms(a: np.ndarray) -> MatrixNorms:
     return MatrixNorms(one, inf, fro, math.sqrt(one) * math.sqrt(inf))
 
 
+#: Rows per block in the kernels that stream over a tall matrix, so that no
+#: temporary grows with the matrix.
+ROW_BLOCK = 128
+
+
+def row_blocks(rows: int) -> list[slice]:
+    """Slices of :data:`ROW_BLOCK` consecutive rows covering ``range(rows)``."""
+    return [slice(i, i + ROW_BLOCK) for i in range(0, rows, ROW_BLOCK)]
+
+
+def abs_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row sums of ``|a|``, taken over blocks of :data:`ROW_BLOCK` rows.
+
+    The sums carry the same bits as ``np.abs(a).sum(axis=0)`` and
+    ``.sum(axis=1)`` without an ``|a|``-sized temporary: numpy sums axis 0
+    row by row, so adding the running column sums to a block's first row
+    continues that order.
+    """
+    a = as_complex_matrix(a)
+    col = np.zeros(a.shape[1])
+    row = np.empty(a.shape[0])
+    for rows in row_blocks(a.shape[0]):
+        blk = np.abs(a[rows])
+        row[rows] = blk.sum(axis=1)
+        blk[0] += col
+        col = blk.sum(axis=0)
+    return col, row
+
+
 def two_est(a: np.ndarray) -> float:
     """Cheap spectral-norm bound ``sqrt(norm1) * sqrt(norminf)``; never overflows."""
-    absa = np.abs(as_complex_matrix(a))
-    one = absa.sum(axis=0).max(initial=0.0)
-    return math.sqrt(one) * math.sqrt(absa.sum(axis=1).max(initial=0.0))
+    col, row = abs_sums(a)
+    return math.sqrt(col.max(initial=0.0)) * math.sqrt(row.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +293,27 @@ def permute_rows(p: Permutation, a: np.ndarray, transpose: bool = False) -> np.n
     return a[idx, :]
 
 
+def sealed(*arrays: np.ndarray):
+    """Mark arrays the caller has just made read-only, and return them.
+
+    :func:`frozen` then keeps a sealed complex array as it is instead of
+    copying it, so a pencil built from freshly computed blocks holds them
+    once.  Only the code that made an array, and so holds the only reference
+    to it, may seal it; an array that arrived from a caller is never sealed,
+    since the caller's next write into it would raise.
+    """
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 def frozen(a: np.ndarray) -> np.ndarray:
     """A read-only complex copy, used for immutable value types.
 
-    An array this function made (read-only, complex, owning its data) is
-    returned as it is, so pencils that relabel each other share their blocks.
+    An array this function made or its maker :func:`sealed` (read-only,
+    complex, owning its data) is returned as it is, so pencils that relabel
+    each other share their blocks and fresh blocks are not copied again.
+    Any other input, a caller's writeable array included, is copied.
     """
     if (isinstance(a, np.ndarray) and a.dtype == np.complex128
             and a.flags.owndata and not a.flags.writeable):

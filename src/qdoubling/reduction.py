@@ -21,12 +21,14 @@ a final scaling by the two triangular inverses produces the exact identity
 blocks.
 
 Each elimination step subtracts one rank-1 update from the rows it changes
-in both working matrices.  The magnitudes ``|A|`` and ``|B|`` live in two
-float arrays that are recomputed only on the rows a step updated, which
-include every row a later pivot window can reach.  The pivot search is an
-``argmax`` over them, and the pivot growth is the running maximum of the
-updated rows' peaks over the largest initial entry, which is still the
-maximum over all entries and all steps.
+in both working matrices, tile by tile of rows.  The magnitudes ``|A|`` and
+``|B|`` live in two float arrays that are recomputed only on the rows a step
+updated, right after each tile's update, and those rows include every row a
+later pivot window can reach.  The pivot search takes the largest of them
+with ``np.argmax``'s tie rule (from the end of the window on the A side),
+and the pivot growth is the running maximum of the updated rows' peaks over
+the largest initial entry, which is still the maximum over all entries and
+all steps.
 Where two pivot candidates tie to within an ulp (the late steps of
 Cayley-transformed pencils with ``B = I``, whose candidates are all near 2),
 which one wins, and so ``Q1`` / ``Q2``, is a rounding-level choice: any
@@ -41,12 +43,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .linalg import Permutation, as_complex_matrix, lu_solve
+from .linalg import Permutation, as_complex_matrix, lu_solve, sealed
 from .sfq import BreakdownError, GeneralPencil, SfqPencil, structured_a, structured_b
 
 #: Pivot-zero threshold, relative to the largest initial entry magnitude of
 #: the matrix being eliminated.
 PIVOT_TOL = 1e-13
+
+#: Rows per tile of an elimination step: the tiles of both working matrices
+#: and of their magnitudes stay in L2 between the update and the rescan.
+ELIMINATION_TILE = 32
 
 
 class Idea(enum.Enum):
@@ -140,33 +146,48 @@ class _Reducer:
 
     @staticmethod
     def _pivot(mags: np.ndarray, from_end: bool) -> tuple[int, int, float]:
-        view = mags[::-1, ::-1] if from_end else mags
-        flat = int(np.argmax(view))
-        r, c = np.unravel_index(flat, view.shape)
-        if from_end:
-            r = view.shape[0] - 1 - r
-            c = view.shape[1] - 1 - c
-        return int(r), int(c), float(mags[r, c])
+        """Row, column and value of the window's largest magnitude.
+
+        Ties go to the first entry in row-major order, or with ``from_end``
+        to the last, and a NaN counts as the largest, as ``np.argmax`` picks
+        on the window (or on its reverse).  One pass of row maxima finds the
+        row, so the strided window is never copied.
+        """
+        row_max = mags.max(axis=1)
+        big = row_max.max()
+
+        def pick(v: np.ndarray) -> int:
+            hits = np.flatnonzero(np.isnan(v) if np.isnan(big) else v == big)
+            return int(hits[-1] if from_end else hits[0])
+
+        r = pick(row_max)
+        c = pick(mags[r])
+        return r, c, float(mags[r, c])
 
     def _eliminate(self, rows: slice, t: int, pivot: np.ndarray, other: np.ndarray):
         """``w[rows] -= outer(pivot[rows, t] / pivot[t, t], w[t])`` for both matrices.
 
-        The magnitudes of the updated rows are then recomputed and folded
-        into the growth; entries outside ``rows`` were counted when they were
-        last written, so the growth stays the maximum over all entries and
-        all steps.  (Columns that are zero in the pivot row do not change,
-        but whole contiguous rows run through ``np.abs`` faster than the
-        strided rest.)
+        The update runs over tiles of ``ELIMINATION_TILE`` rows, and each
+        tile's magnitudes are recomputed and folded into the growth while
+        the tile is still in cache; every entry gets the same one multiply
+        and subtract as in a single update.  Entries outside ``rows`` were
+        counted when they were last written, so the growth stays the maximum
+        over all entries and all steps.  (Columns that are zero in the pivot
+        row do not change, but whole contiguous rows run through ``np.abs``
+        faster than the strided rest.)
         """
         mult = pivot[rows, t] / pivot[t, t]
         if not mult.size:
             return
-        for w in (pivot, other):
-            w[rows] -= np.outer(mult, w[t])
-        pivot[rows, t] = 0.0
         peak = 0.0
-        for w, mag in ((self.aw, self.mag_a), (self.bw, self.mag_b)):
-            peak = max(peak, float(np.abs(w[rows], out=mag[rows]).max()))
+        for lo in range(0, mult.size, ELIMINATION_TILE):
+            mult_tile = mult[lo:lo + ELIMINATION_TILE]
+            tile = slice(rows.start + lo, rows.start + lo + mult_tile.size)
+            for w in (pivot, other):
+                w[tile] -= np.outer(mult_tile, w[t])
+            pivot[tile, t] = 0.0
+            for w, mag in ((self.aw, self.mag_a), (self.bw, self.mag_b)):
+                peak = max(peak, float(np.abs(w[tile], out=mag[tile]).max()))
         self.growth = max(self.growth, peak / self.scale0)
 
     def a_step(self, band_limited: bool):
@@ -200,10 +221,11 @@ class _Reducer:
         m = self.m
         lower = self.aw[m:, m:]
         upper = self.bw[:m, :m]
-        e0 = solve_triangular(upper, self.aw[:m, :m], check_finite=False)
-        y0 = -solve_triangular(upper, self.bw[:m, m:], check_finite=False)
-        x0 = -solve_triangular(lower, self.aw[m:, :m], lower=True, check_finite=False)
-        f0 = solve_triangular(lower, self.bw[m:, m:], lower=True, check_finite=False)
+        e0, y0, x0, f0 = sealed(
+            solve_triangular(upper, self.aw[:m, :m], check_finite=False),
+            -solve_triangular(upper, self.bw[:m, m:], check_finite=False),
+            -solve_triangular(lower, self.aw[m:, :m], lower=True, check_finite=False),
+            solve_triangular(lower, self.bw[m:, m:], lower=True, check_finite=False))
         pencil = SfqPencil(m=m, n=self.n, E=e0, F=f0, X=x0, Y=y0,
                            Q1=Permutation(self.col_a), Q2=Permutation(self.col_b))
         return pencil, self.growth

@@ -13,6 +13,13 @@ classical first standard form, and ``Q1 @ Q2.T`` equal to the block swap
 ``pi`` (``P[i, pi[i]] = 1``): ``[-X, I] P`` is a column scatter and
 ``P [Y; I]`` a row gather.  Every mirror (Y-side) formula is its primal
 applied to :func:`dual`.
+
+The residual safeguard (:func:`orthonormal_residual`) can check a basis
+against a pencil in this form without assembling it: ``A_i U`` is a row
+gather of ``U`` by ``Q1`` and two block products, ``B_i U`` likewise by
+``Q2``, and the 2-norm estimates come from the blocks' row and column sums.
+It streams over blocks of rows, so it holds only a few arrays of the basis's
+size.
 """
 
 from __future__ import annotations
@@ -24,10 +31,14 @@ import numpy as np
 
 from .linalg import (
     Permutation,
+    abs_sums,
     as_complex_matrix,
     frozen,
     lu_solve,
     permute_rows,
+    row_blocks,
+    thin_qr,
+    two_est,
 )
 
 
@@ -218,38 +229,96 @@ def dual_nme_residual(p0: SfqPencil, y: np.ndarray) -> float:
     return float(np.linalg.norm(y - rhs)) / max(1.0, float(np.linalg.norm(y)))
 
 
-def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(s * a, s)``: ``s`` is the power of two (kept finite) taking ``max|a|`` near 1."""
-    big = float(np.abs(a).max(initial=0.0))
+def _times_a(p: SfqPencil, u: np.ndarray) -> np.ndarray:
+    """``A_i u = [E ua_top; ua_bot - X ua_top]`` with ``ua = Q1 u``, a row gather."""
+    out = u[p.Q1.image]
+    top = p.E @ out[:p.m]
+    out[p.m:] -= p.X @ out[:p.m]
+    out[:p.m] = top
+    return out
+
+
+def _times_b(p: SfqPencil, u: np.ndarray) -> np.ndarray:
+    """``B_i u = [ub_top - Y ub_bot; F ub_bot]`` with ``ub = Q2 u``, a row gather."""
+    out = u[p.Q2.image]
+    bottom = p.F @ out[p.m:]
+    out[:p.m] -= p.Y @ out[p.m:]
+    out[p.m:] = bottom
+    return out
+
+
+def _two_ests(p: SfqPencil) -> tuple[float, float]:
+    """``two_est`` of ``A_i`` and of ``B_i`` from the blocks' row and column sums.
+
+    The columns of ``[[E, 0], [-X, I]]`` sum to ``|E| + |X|`` and 1, its rows
+    to ``|E|`` and ``|X| + 1``; ``[[I, -Y], [0, F]]`` likewise.  Q1 and Q2
+    only permute the columns.
+    """
+    (e_cols, e_rows), (x_cols, x_rows), (y_cols, y_rows), (f_cols, f_rows) = (
+        abs_sums(blk) for blk in (p.E, p.X, p.Y, p.F))
+    a_one = max(float((e_cols + x_cols).max()), 1.0)
+    a_inf = max(float(e_rows.max()), float(x_rows.max()) + 1.0)
+    b_one = max(1.0, float((y_cols + f_cols).max()))
+    b_inf = max(float(y_rows.max()) + 1.0, float(f_rows.max()))
+    return (math.sqrt(a_one) * math.sqrt(a_inf), math.sqrt(b_one) * math.sqrt(b_inf))
+
+
+def _sq_norm(r: np.ndarray) -> float:
+    return float(np.vdot(r, r).real)
+
+
+def _pow2_scale(a: np.ndarray) -> float:
+    """Scale ``a`` in place by the power of two ``s`` (kept finite) taking
+    ``max|a|`` near 1, and return ``s``."""
+    big = float(np.max([np.abs(a[blk]).max(initial=0.0) for blk in row_blocks(a.shape[0])]))
     if big == 0.0:
-        return a, 1.0
+        return 1.0
     s = math.ldexp(1.0, -max(math.frexp(big)[1], -1020))
-    return a * s, s
+    a *= s
+    return s
 
 
-def orthonormal_residual(a: np.ndarray, b: np.ndarray | None, z: np.ndarray) -> float:
+def orthonormal_residual(a: np.ndarray | SfqPencil, b: np.ndarray | None,
+                         z: np.ndarray) -> float:
     """Normalized eigen-residual of span(z) for ``A v = lambda B v``.
 
     The basis is orthonormalized first, the block Rayleigh quotient solved in
     least squares against ``B U``, and the result scaled by
     ``sqrt(p) * (two_est(A) + two_est(M) * two_est(B))``.  With ``b=None``
     (standard problem) this is the conditioning-robust normalized residual.
-    ``A U`` and ``B U`` are rescaled by powers of two, so no scale of A or B
-    makes the Gram matrix overflow or underflow.
-    """
-    from .linalg import lu_solve as _solve, thin_qr, two_est
 
-    a = as_complex_matrix(a)
-    u, _ = thin_qr(as_complex_matrix(z))
-    au, sa = _pow2_scaled(a @ u)
-    if b is None:
-        bu, sb, b_est = u, 1.0, 1.0
+    ``a`` may instead be an :class:`SfqPencil`, with ``b=None``, standing for
+    its own pair ``(A_i, B_i)``: ``A_i U`` and ``B_i U`` then take a row
+    gather and two block products each, and the 2-norm estimates come from
+    the blocks' row and column sums, so no dense N-by-N matrix is formed.
+
+    Only ``U``, ``A U`` and ``B U`` are kept at the size of ``z``.  ``A U``
+    and ``B U`` are rescaled in place by powers of two, so no scale of A or B
+    makes the Gram matrix overflow or underflow; the Gram matrix, the
+    right-hand side and the residual are accumulated over blocks of rows
+    (:func:`~qdoubling.linalg.row_blocks`).
+    """
+    u = thin_qr(as_complex_matrix(z))[0]
+    if isinstance(a, SfqPencil):
+        if b is not None:
+            raise ValueError("a Q-standard-form pencil stands for both A and B; pass b=None")
+        au, bu = _times_a(a, u), _times_b(a, u)
+        a_est, b_est = _two_ests(a)
     else:
-        b = as_complex_matrix(b)
-        bu, sb = _pow2_scaled(b @ u)
-        b_est = two_est(b)
-    gram = bu.conj().T @ bu
-    mray = _solve(gram, bu.conj().T @ au)
-    num = float(np.linalg.norm(au - bu @ mray))
-    den = np.sqrt(u.shape[1]) * (two_est(a) * sa + two_est(mray) * b_est * sb)
+        a = as_complex_matrix(a)
+        au, a_est = a @ u, two_est(a)
+        if b is None:
+            bu, b_est = u, 1.0
+        else:
+            b = as_complex_matrix(b)
+            bu, b_est = b @ u, two_est(b)
+    sa = _pow2_scale(au)
+    sb = 1.0 if bu is u else _pow2_scale(bu)
+    cols = u.shape[1]
+    del u   # from here on only A U and B U are needed
+    blocks = row_blocks(au.shape[0])
+    gram = sum(bu[blk].conj().T @ bu[blk] for blk in blocks)
+    mray = lu_solve(gram, sum(bu[blk].conj().T @ au[blk] for blk in blocks))
+    num = math.sqrt(sum(_sq_norm(au[blk] - bu[blk] @ mray) for blk in blocks))
+    den = np.sqrt(cols) * (a_est * sa + two_est(mray) * b_est * sb)
     return num / den

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qdoubling import (
     Permutation,
+    SfqPencil,
     RankDeficientError,
     SingularMatrixError,
     lu_factor,
@@ -15,7 +16,7 @@ from qdoubling import (
     permute_rows,
     thin_qr,
 )
-from qdoubling.linalg import solve_transposed
+from qdoubling.linalg import ROW_BLOCK, abs_sums, frozen, sealed, solve_transposed
 
 from conftest import complex_normal
 
@@ -121,6 +122,13 @@ class TestNorms:
         absa = np.abs(a)
         assert norms(a).fro == float(np.sqrt((absa * absa).sum()))
 
+    def test_row_blocked_sums_keep_the_bits(self, rng):
+        rows = 2 * ROW_BLOCK + 7
+        a = complex_normal(rng, rows, 9) * 10.0 ** rng.uniform(-8, 8, size=(rows, 9))
+        col, row = abs_sums(a)
+        assert col.tobytes() == np.abs(a).sum(axis=0).tobytes()
+        assert row.tobytes() == np.abs(a).sum(axis=1).tobytes()
+
     def test_two_est_upper_bounds_power_iteration(self, rng):
         a = complex_normal(rng, 5, 5)
         # power iteration on a^H a as an independent lower-bound oracle
@@ -168,3 +176,28 @@ class TestPermutation:
         p, q = Permutation(np.array(idx1)), Permutation(np.array(idx2))
         np.testing.assert_array_equal(p.compose(q).matrix(), p.matrix() @ q.matrix())
         np.testing.assert_array_equal(p.inverse().matrix(), p.matrix().T)
+
+
+class TestSealed:
+    def test_frozen_keeps_a_sealed_array(self, rng):
+        a = complex_normal(rng, 3, 4)
+        assert frozen(sealed(a)) is a
+        b, c = sealed(complex_normal(rng, 2, 2), complex_normal(rng, 1, 2))
+        assert frozen(b) is b and frozen(c) is c
+
+    def test_a_callers_array_is_still_copied(self, rng):
+        a = complex_normal(rng, 3, 3)
+        got = frozen(a)
+        assert got is not a and a.flags.writeable
+        np.testing.assert_array_equal(got, a)
+
+    def test_pencil_block_from_sealed_output_is_read_only(self, rng):
+        e, f, x, y = sealed(complex_normal(rng, 2, 2), complex_normal(rng, 1, 1),
+                            complex_normal(rng, 1, 2), complex_normal(rng, 2, 1))
+        p = SfqPencil(m=2, n=1, E=e, F=f, X=x, Y=y,
+                      Q1=Permutation.identity(3), Q2=Permutation.identity(3))
+        assert p.E is e and p.Y is y
+        with pytest.raises(ValueError):
+            p.X[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            e[0, 0] = 1.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qdoubling.reduction
 from qdoubling import (
     BreakdownError,
     CayleyParams,
@@ -192,3 +193,60 @@ class TestReinit:
         for rep in (rep1, rep2):
             a0, b0 = assemble(rep.pencil)
             assert eigenpair_residual(a0, b0, pairs, gamma) <= 1e-9
+
+
+def argmax_pivot(mags, from_end):
+    """The pivot rule as ``np.argmax`` states it, on the reversed window for ``from_end``."""
+    view = mags[::-1, ::-1] if from_end else mags
+    r, c = np.unravel_index(int(np.argmax(view)), view.shape)
+    if from_end:
+        r, c = view.shape[0] - 1 - r, view.shape[1] - 1 - c
+    return int(r), int(c)
+
+
+class TestPivotSearch:
+    @staticmethod
+    def windows():
+        rng = np.random.default_rng(5)
+        yield np.zeros((3, 4))
+        yield np.full((4, 4), 2.0)
+        for shape in ((1, 1), (1, 6), (6, 1), (5, 7), (9, 9)):
+            yield rng.integers(0, 3, size=shape).astype(float)     # many exact ties
+            yield rng.random(shape)
+        for nans in (1, 2, 5):
+            w = rng.integers(0, 3, size=(6, 5)).astype(float)
+            w.flat[rng.choice(w.size, nans, replace=False)] = np.nan
+            yield w
+        w = rng.random((5, 5))
+        w[[1, 3], [2, 0]] = np.inf
+        yield w
+        big = rng.integers(0, 4, size=(12, 12)).astype(float)
+        big[7, 1] = np.nan
+        yield big[2:11, 1:10]      # strided windows, as the reducer passes them
+        yield big[:6, 3:]
+
+    @pytest.mark.parametrize("from_end", [False, True])
+    def test_matches_argmax_on_ties_and_nans(self, from_end):
+        for mags in self.windows():
+            r, c, mag = qdoubling.reduction._Reducer._pivot(mags, from_end)
+            assert (r, c) == argmax_pivot(mags, from_end), mags
+            assert np.array_equal(mag, mags[r, c], equal_nan=True)
+
+
+class TestEliminationTiles:
+    def test_tiles_update_every_entry_as_one_update(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        pencils = [GeneralPencil(A=complex_normal(rng, 70, 70), B=complex_normal(rng, 70, 70),
+                                 m=30, n=40),
+                   cayley(gen_random_split(40, 33, 8.0, 1e-6, 2).pencil, CayleyParams(-1.0))]
+        for g in pencils:
+            for idea, variant in ALL_REDUCTIONS:
+                tiled = reduce_pencil(g, idea, variant)
+                monkeypatch.setattr(qdoubling.reduction, "ELIMINATION_TILE", g.size)
+                whole = reduce_pencil(g, idea, variant)
+                monkeypatch.undo()
+                assert tiled.pivot_growth == whole.pivot_growth
+                p, q = tiled.pencil, whole.pencil
+                assert p.Q1 == q.Q1 and p.Q2 == q.Q2
+                for name in "EFXY":
+                    assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name

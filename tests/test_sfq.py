@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,11 +18,14 @@ from qdoubling import (
     dual_nme_residual,
     extract_blocks,
     gen_random_split,
+    gen_solved_sfq,
     known_eigenpairs,
     primal_eig_residual,
     primal_nme_residual,
     q_blocks_of,
+    sfq_basis,
     swap_perm,
+    two_est,
 )
 from qdoubling.sfq import orthonormal_residual
 
@@ -223,3 +228,68 @@ class TestOrthonormalResidualScaling:
         assert orthonormal_residual(scale * a, scale * b, z) == pytest.approx(ref, rel=1e-12)
         assert orthonormal_residual(scale * a, None, z) == pytest.approx(
             orthonormal_residual(a, None, z), rel=1e-12)
+
+
+def dense_residual(a, b, z):
+    """The safeguard's formula on dense matrices, in one piece (unit scale only)."""
+    u, _ = np.linalg.qr(z)
+    au, bu = a @ u, b @ u
+    mray = np.linalg.solve(bu.conj().T @ bu, bu.conj().T @ au)
+    num = np.linalg.norm(au - bu @ mray)
+    return num / (np.sqrt(u.shape[1]) * (two_est(a) + two_est(mray) * two_est(b)))
+
+
+class TestStructuredResidual:
+    """An SfqPencil stands for its own dense pair in the residual safeguard."""
+
+    #: Relative bound, fixed from the dtype and the size before the first
+    #: run: the two sides differ only in summation order over ``m + n`` terms.
+    @staticmethod
+    def bound(size):
+        return 256 * size * np.finfo(np.float64).eps
+
+    @staticmethod
+    def q_pair(rng, kind, m, n):
+        if kind == "random":
+            return Permutation(rng.permutation(m + n)), Permutation(rng.permutation(m + n))
+        if kind == "identity":
+            return Permutation.identity(m + n), Permutation.identity(m + n)
+        return Permutation.identity(m + n), swap_perm(m, n)
+
+    @pytest.mark.parametrize("kind", ["random", "identity", "block_swap"])
+    def test_matches_the_dense_pair(self, kind):
+        rng = np.random.default_rng({"random": 11, "identity": 12, "block_swap": 13}[kind])
+        for _ in range(80):
+            m, n = (int(k) for k in rng.integers(1, 9, size=2))
+            q1, q2 = self.q_pair(rng, kind, m, n)
+            p = SfqPencil(m=m, n=n, E=complex_normal(rng, m, m), F=complex_normal(rng, n, n),
+                          X=complex_normal(rng, n, m), Y=complex_normal(rng, m, n),
+                          Q1=q1, Q2=q2)
+            z = complex_normal(rng, m + n, m)
+            a, b = assemble(p)
+            ref = dense_residual(a, b, z)
+            assert ref > 1e-3   # a random basis: an O(1) residual, no cancellation
+            for got in (orthonormal_residual(p, None, z), orthonormal_residual(a, b, z)):
+                assert abs(got - ref) <= self.bound(m + n) * ref, (m, n)
+
+    def test_pencil_takes_no_second_matrix(self, rng):
+        p = random_sfq(rng, 2, 3)
+        with pytest.raises(ValueError, match="b=None"):
+            orthonormal_residual(p, np.eye(5), complex_normal(rng, 5, 2))
+
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_peak_memory_is_a_few_basis_blocks(self, structured):
+        # U, A U, B U and m-by-m work: about 4.1 (structured) and 4.3 (dense)
+        # blocks of the basis's size here, against 6.5 for the unblocked form
+        inst = gen_solved_sfq(m=120, n=120, rho_m=0.5, rho_n=0.5, seed=3)
+        p0 = inst.pencil
+        z = sfq_basis(replace(p0, X=inst.phi))
+        a, b = (p0, None) if structured else assemble(p0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            orthonormal_residual(a, b, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * z.nbytes
