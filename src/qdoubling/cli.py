@@ -20,11 +20,9 @@ from .driver import (
     QdaConfig,
     QdaResult,
     RunStatus,
-    anti_basis,
     run_qda,
     run_sdasf1_on,
     run_sdasf2_on,
-    sfq_basis,
 )
 from .eig import CayleyParams, cayley, nres1, nres2
 from .experiments import bse_like, critical_rate, eta_sweep, pivot_table
@@ -39,7 +37,7 @@ from .fileio import (
 from .guard import GuardConfig, default_tau
 from .problems import CriticalSpec, gen_bse_like, gen_critical, gen_random_split
 from .reduction import Idea, Variant
-from .sfq import GeneralPencil
+from .sfq import GeneralPencil, anti_basis, sfq_basis
 from .doubling import StopMode
 
 _EXIT_FOR_STATUS = {

@@ -57,26 +57,43 @@ def compute_wt(p: SfqPencil, z: np.ndarray | None = None) -> np.ndarray:
 
 def _w_rule(p: SfqPencil, form_w: Callable[[np.ndarray], np.ndarray],
             kernel: Kernel, solve: str) -> StepOutcome:
-    """One W-rule step of ``p``; ``form_w(z)`` builds W from ``z = [-X, I] P``."""
+    """One W-rule step of ``p``; ``form_w(z)`` builds W from ``z = [-X, I] P``.
+
+    Each temporary is dropped as soon as the blocks that need it are formed,
+    and X and Y are added into fresh products in place (``a + b == b + a``
+    exactly), so one step holds little beyond ``p`` and the next pencil.
+    """
     m = p.m
     pi = q_blocks_of(p)
     z = neg_x_eye_p(p, pi)
+    w, xq = form_w(z), -z[:, :m]                # xq = X Q11 - Q21
+    del z
     try:
-        factors = lu_factor(form_w(z))
+        factors = lu_factor(w)
     except SingularMatrixError as exc:
         raise BreakdownError(f"doubling step ({solve} solve)", str(exc)) from exc
-    q11y_q12 = p_y_eye(pi[:m], p.Y)             # m x n
-    winv_xq = factors.solve(-z[:, :m])          # W^{-1} (X Q11 - Q21)
+    del w
+    winv_xq = factors.solve(xq)                 # W^{-1} (X Q11 - Q21)
+    del xq
     winv_f = factors.solve(p.F)                 # W^{-1} F
+    condition, min_pivot = factors.condition_estimate, factors.min_pivot
+    del factors
+    q11y_q12 = p_y_eye(pi[:m], p.Y)             # m x n
     core = q11y_q12 @ winv_xq
     rows = np.flatnonzero(pi[:m] < m)
     core[rows, pi[rows]] += 1.0                 # + Q11
-    e_next, f_next, x_next, y_next = sealed(p.E @ core @ p.E,
-                                            p.F @ winv_f,
-                                            p.X + p.F @ winv_xq @ p.E,
-                                            p.Y + p.E @ q11y_q12 @ winv_f)
+    e_next = p.E @ core @ p.E
+    del core
+    x_next = p.F @ winv_xq @ p.E
+    x_next += p.X
+    del winv_xq
+    y_next = p.E @ q11y_q12 @ winv_f
+    y_next += p.Y
+    del q11y_q12
+    f_next = p.F @ winv_f
+    sealed(e_next, f_next, x_next, y_next)
     nxt = replace(p, E=e_next, F=f_next, X=x_next, Y=y_next)
-    return StepOutcome(nxt, factors.condition_estimate, factors.min_pivot, kernel)
+    return StepOutcome(nxt, condition, min_pivot, kernel)
 
 
 def step_w(p: SfqPencil) -> StepOutcome:

@@ -9,10 +9,12 @@ and non-finite blow-ups as they happen.
 
 A run holds its live iterate, its history of pencils and, only while the
 safeguard runs, a few arrays of the basis's size: the safeguard checks
-against the dense ``(A, B)`` that ``run_qda`` was given, or against the
-starting pencil's own blocks, and never builds a dense copy.  Each step's
-fresh blocks are sealed (:func:`~qdoubling.linalg.sealed`) and so become the
-next pencil without a copy.
+against the dense ``(A, B)`` that ``run_qda`` was given, against the Cayley
+pair of a half-plane pencil formed a few rows at a time, or against the
+starting pencil's own blocks, and never builds a dense copy.  A half-plane
+run forms its Cayley pair only for the reduction.  Each step's fresh blocks
+are sealed (:func:`~qdoubling.linalg.sealed`) and so become the next pencil
+without a copy.
 """
 
 from __future__ import annotations
@@ -20,22 +22,26 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .doubling import (Kernel, StepOutcome, StopMode, check_stop, select_kernel, step,
                        step_sf1, step_sf2)
 from .guard import GuardConfig, GuardReport, guard
-from .linalg import Permutation, RankDeficientError, SingularMatrixError, permute_rows, sealed
+from .linalg import Permutation, RankDeficientError, SingularMatrixError, sealed
 from .reduction import Idea, InitReport, Variant, closed_form_init, reduce_with_fallback, reinit
 from .sfq import (
     BreakdownError,
+    CayleyPair,
     GeneralPencil,
     SfqPencil,
     orthonormal_residual,
     swap_perm,
 )
+
+if TYPE_CHECKING:
+    from .eig import CayleyParams
 
 
 class RunStatus(enum.Enum):
@@ -101,39 +107,26 @@ class QdaResult:
         return len(self.history)
 
 
-def sfq_basis(p: SfqPencil, x: Optional[np.ndarray] = None) -> np.ndarray:
-    """``Q1^T [I; X]`` assembled by pure entry moves."""
-    x = p.X if x is None else x
-    stacked = np.vstack([np.eye(p.m, dtype=np.complex128), x])
-    return permute_rows(p.Q1, stacked, transpose=True)
-
-
-def anti_basis(p: SfqPencil, y: Optional[np.ndarray] = None) -> np.ndarray:
-    """``Q2^T [Y; I]`` assembled by pure entry moves."""
-    y = p.Y if y is None else y
-    stacked = np.vstack([y, np.eye(p.n, dtype=np.complex128)])
-    return permute_rows(p.Q2, stacked, transpose=True)
-
-
 def _all_finite(p: SfqPencil) -> bool:
     return all(bool(np.isfinite(block).all()) for block in (p.E, p.F, p.X, p.Y))
 
 
 #: What the safeguard checks a basis against: the dense pair ``(A, B)`` a run
-#: was reduced from, or ``(p0, None)``, the pencil it started from standing
-#: for its own ``(A_0, B_0)`` without a dense copy.
-Reference = tuple[np.ndarray | SfqPencil, Optional[np.ndarray]]
+#: was reduced from, ``(CayleyPair, None)`` for the Cayley pair of a
+#: half-plane pencil, or ``(p0, None)``, the pencil it started from standing
+#: for its own ``(A_0, B_0)``; the last two form no dense copy.
+Reference = tuple[np.ndarray | SfqPencil | CayleyPair, Optional[np.ndarray]]
 
 
 def _safeguard_ok(p: SfqPencil, rtol: float, reference: Reference) -> bool:
     """Residual backstop before declaring convergence.
 
-    The check holds ``sfq_basis(p)``, its orthonormal basis and the two
-    products with it, a few N-by-m blocks, beside the run's history (see
-    :func:`orthonormal_residual`).
+    The check holds the orthonormal basis of ``sfq_basis(p)``, built in its
+    own storage, and the two products with it, a few N-by-m blocks, beside
+    the run's history (see :func:`orthonormal_residual`).
     """
     try:
-        res = orthonormal_residual(reference[0], reference[1], sfq_basis(p))
+        res = orthonormal_residual(reference[0], reference[1], p)
     except (RankDeficientError, SingularMatrixError):
         return False
     return res <= math.sqrt(rtol)
@@ -217,26 +210,40 @@ def _iterate(p0: SfqPencil, cfg: QdaConfig,
                      init_report=init_report, message=message)
 
 
-def run_sdasfq(p0: SfqPencil, cfg: QdaConfig,
-               reference: Optional[tuple[np.ndarray, np.ndarray]] = None,
+def run_sdasfq(p0: SfqPencil, cfg: QdaConfig, reference: Optional[Reference] = None,
                init_report: Optional[InitReport] = None) -> QdaResult:
     """Doubling loop on an already-reduced pencil (guard and recovery included).
 
-    The residual safeguard checks against ``reference = (A, B)`` when given,
-    and otherwise against ``p0``'s own blocks.
+    The residual safeguard checks against ``reference`` (see
+    :data:`Reference`) when given, and otherwise against ``p0``'s own blocks.
     """
     return _iterate(p0, cfg, step, cfg.guard_for(p0.m, p0.n), True,
                     (p0, None) if reference is None else reference, init_report)
 
 
-def run_qda(g: GeneralPencil, cfg: QdaConfig = QdaConfig()) -> QdaResult:
-    """Full pipeline on a disk-split pencil: reduce, iterate, guard, stop."""
+def run_qda(g: GeneralPencil, cfg: QdaConfig = QdaConfig(),
+            cayley: Optional[CayleyParams] = None) -> QdaResult:
+    """Full pipeline on a disk-split pencil: reduce, iterate, guard, stop.
+
+    With ``cayley``, ``g`` is a half-plane split and the run solves its
+    Cayley transform ``(A - gamma B, A + gamma B)``.  The transform is formed
+    here, through ``eig.cayley``, only for the reduction, and released before
+    the first step; the residual safeguard checks against the same pair, its
+    rows formed from ``g`` a few at a time (:class:`~qdoubling.sfq.CayleyPair`).
+    The run then holds no N-by-N matrix beyond the caller's ``g``.
+    """
+    if cayley is None:
+        disk, reference = g, (g.A, g.B)
+    else:
+        from . import eig   # eig imports this module
+        disk, reference = eig.cayley(g, cayley), (CayleyPair(g, cayley.gamma), None)
     try:
-        report = reduce_with_fallback(g, cfg.init_idea, cfg.init_variant)
+        report = reduce_with_fallback(disk, cfg.init_idea, cfg.init_variant)
     except BreakdownError as exc:
         return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
                          status=RunStatus.BREAKDOWN, message=f"initialization: {exc}")
-    return run_sdasfq(report.pencil, cfg, reference=(g.A, g.B), init_report=report)
+    del disk   # a Cayley pair is needed again only row by row, by the safeguard
+    return run_sdasfq(report.pencil, cfg, reference=reference, init_report=report)
 
 
 # ---------------------------------------------------------------------------

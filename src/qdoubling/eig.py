@@ -5,6 +5,8 @@ is mapped to a unit-disk split by the transform ``A' = A - gamma B``,
 ``B' = A + gamma B`` with ``gamma < 0`` (eigenvalues map to
 ``(lam - gamma) / (lam + gamma)``), solved by the Q-doubling driver, and the
 two invariant-subspace bases are read off from the converged pencil.
+:func:`solve_halfplane` lets the driver form the transform, so that it is
+held only while the pencil is reduced.
 
 Also provides the two normalized residual metrics for standard eigenproblems
 (``B = I``): the raw one scaled by the magnitude of the computed X block,
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .driver import QdaConfig, QdaResult, anti_basis, run_qda, sfq_basis
+from .driver import QdaConfig, QdaResult, run_qda
 from .linalg import (
     RankDeficientError,
     SingularMatrixError,
@@ -28,7 +30,7 @@ from .linalg import (
     thin_qr,
     two_est,
 )
-from .sfq import GeneralPencil, orthonormal_residual
+from .sfq import CayleyPair, GeneralPencil, anti_basis, orthonormal_residual, sfq_basis
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class CayleyParams:
 
 def cayley(g: GeneralPencil, params: CayleyParams) -> GeneralPencil:
     """Map a half-plane split to a disk split: ``(A - gB, A + gB)``."""
-    gm = params.gamma
-    return GeneralPencil(A=sealed(g.A - gm * g.B), B=sealed(g.A + gm * g.B), m=g.m, n=g.n)
+    a, b = sealed(*CayleyPair(g, params.gamma).rows(slice(None)))
+    return GeneralPencil(A=a, B=b, m=g.m, n=g.n)
 
 
 def cayley_map(lam: complex, gamma: float) -> complex:
@@ -124,9 +126,10 @@ def solve_halfplane(g: GeneralPencil, params: Optional[CayleyParams],
                     cfg: QdaConfig = QdaConfig()) -> EigenspaceBases:
     """Transform (unless ``params`` is None), run the doubling solver, extract.
 
-    Passing ``params=None`` declares the pencil already disk-split and skips
-    the transform.  Driver failures surface in ``source.status``.
+    The driver forms the transform for the reduction only (``run_qda(g, cfg,
+    cayley=params)``), so after the reduction the solve holds what it
+    returns plus one basis-sized working set.  Passing ``params=None``
+    declares the pencil already disk-split and skips the transform.  Driver
+    failures surface in ``source.status``.
     """
-    gp = cayley(g, params) if params is not None else g
-    result = run_qda(gp, cfg)
-    return bases_from_result(result)
+    return bases_from_result(run_qda(g, cfg, cayley=params))

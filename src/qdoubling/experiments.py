@@ -16,10 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .driver import QdaConfig, QdaResult, RunStatus, run_qda, run_sdasf1_on, sfq_basis
+from .driver import QdaConfig, QdaResult, RunStatus, run_qda, run_sdasf1_on
 from .eig import CayleyParams, cayley, nres1, nres2
 from .fileio import write_history_csv
 from .linalg import solve_transposed
+from .sfq import sfq_basis
 from .problems import CriticalSpec, gen_bse_like, gen_critical, gen_random_split
 
 #: Summary-table row labels paired with the RunRow attribute they report.

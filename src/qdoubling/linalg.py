@@ -23,7 +23,8 @@ Fresh arrays and row blocks
 array its maker marked with :func:`sealed`; only the code that computed an
 array may seal it.  Kernels that stream over a tall matrix (:func:`abs_sums`,
 :func:`two_est`, the residual safeguard) work in blocks of
-:data:`ROW_BLOCK` rows, so their temporaries do not grow with the matrix.
+:data:`ROW_BLOCK` rows, so their temporaries do not grow with the matrix;
+:class:`AbsSums` takes the blocks as a caller forms them.
 
 LU factorization
 ----------------
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.linalg.lapack import zgetrf, zgetrs
 
 
@@ -103,34 +105,57 @@ def norms(a: np.ndarray) -> MatrixNorms:
 ROW_BLOCK = 128
 
 
-def row_blocks(rows: int) -> list[slice]:
-    """Slices of :data:`ROW_BLOCK` consecutive rows covering ``range(rows)``."""
-    return [slice(i, i + ROW_BLOCK) for i in range(0, rows, ROW_BLOCK)]
+def row_blocks(rows: int, block: int = ROW_BLOCK) -> list[slice]:
+    """Slices of ``block`` consecutive rows covering ``range(rows)``."""
+    return [slice(i, i + block) for i in range(0, rows, block)]
+
+
+class AbsSums:
+    """Column and row sums of ``|a|`` for a matrix fed in blocks of rows, in order.
+
+    The sums carry the same bits as ``np.abs(a).sum(axis=0)`` and
+    ``.sum(axis=1)`` whatever the blocks, and need no ``|a|``-sized
+    temporary: numpy sums axis 0 row by row, so adding the running column
+    sums to a block's first row continues that order.
+    """
+
+    def __init__(self, cols: int):
+        self.col = np.zeros(cols)
+        self._rows: list[np.ndarray] = []
+
+    def add(self, block: np.ndarray):
+        mag = np.abs(block)
+        self._rows.append(mag.sum(axis=1))
+        mag[0] += self.col
+        self.col = mag.sum(axis=0)
+
+    @property
+    def row(self) -> np.ndarray:
+        return np.concatenate(self._rows) if self._rows else np.zeros(0)
+
+    def two_est(self) -> float:
+        """:func:`two_est` of the rows added so far."""
+        return math.sqrt(self.col.max(initial=0.0)) * math.sqrt(self.row.max(initial=0.0))
+
+
+def _abs_sums_of(a: np.ndarray) -> AbsSums:
+    a = as_complex_matrix(a)
+    sums = AbsSums(a.shape[1])
+    for rows in row_blocks(a.shape[0]):
+        sums.add(a[rows])
+    return sums
 
 
 def abs_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column and row sums of ``|a|``, taken over blocks of :data:`ROW_BLOCK` rows.
-
-    The sums carry the same bits as ``np.abs(a).sum(axis=0)`` and
-    ``.sum(axis=1)`` without an ``|a|``-sized temporary: numpy sums axis 0
-    row by row, so adding the running column sums to a block's first row
-    continues that order.
-    """
-    a = as_complex_matrix(a)
-    col = np.zeros(a.shape[1])
-    row = np.empty(a.shape[0])
-    for rows in row_blocks(a.shape[0]):
-        blk = np.abs(a[rows])
-        row[rows] = blk.sum(axis=1)
-        blk[0] += col
-        col = blk.sum(axis=0)
-    return col, row
+    """Column and row sums of ``|a|``, taken over blocks of :data:`ROW_BLOCK` rows
+    (see :class:`AbsSums`)."""
+    sums = _abs_sums_of(a)
+    return sums.col, sums.row
 
 
 def two_est(a: np.ndarray) -> float:
     """Cheap spectral-norm bound ``sqrt(norm1) * sqrt(norminf)``; never overflows."""
-    col, row = abs_sums(a)
-    return math.sqrt(col.max(initial=0.0)) * math.sqrt(row.max(initial=0.0))
+    return _abs_sums_of(a).two_est()
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +237,19 @@ def thin_qr(z: np.ndarray, tol: float = SINGULARITY_TOL) -> tuple[np.ndarray, np
     """Thin QR factorization ``z = u @ r`` with orthonormal ``u``.
 
     Raises :class:`RankDeficientError` when a diagonal entry of ``r`` falls
-    below ``tol`` times the largest one.
+    below ``tol`` times the largest one.  ``z`` is left as it is.
     """
     z = as_complex_matrix(z)
     if z.shape[0] < z.shape[1]:
         raise ValueError(f"thin_qr needs rows >= cols, got {z.shape}")
-    u, r = np.linalg.qr(z)
+    return qr_in_place(np.array(z, order="F"), tol)
+
+
+def qr_in_place(a: np.ndarray, tol: float = SINGULARITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`thin_qr` of a tall Fortran-ordered complex array that its maker
+    no longer needs: LAPACK ``zgeqrf`` and ``zungqr`` turn its storage into ``u``,
+    so the matrix and its Q factor are never held at once."""
+    u, r = qr(a, mode="economic", overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(r))
     if diag.size and diag.min() <= tol * max(diag.max(), 1e-300):
         raise RankDeficientError(

@@ -43,7 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .linalg import Permutation, as_complex_matrix, lu_solve, sealed
+from . import linalg
+from .linalg import Permutation, as_complex_matrix, sealed
 from .sfq import BreakdownError, GeneralPencil, SfqPencil, structured_a, structured_b
 
 #: Pivot-zero threshold, relative to the largest initial entry magnitude of
@@ -77,23 +78,41 @@ class InitReport:
     pivot_growth: float
 
 
+def _columns(*parts: tuple[np.ndarray, np.ndarray, bool]) -> np.ndarray:
+    """``[±M1[:, c1], ±M2[:, c2], ...]`` from ``(M, c, negate)`` parts, gathered
+    straight into one array."""
+    out = np.empty((parts[0][0].shape[0], sum(cols.size for _, cols, _ in parts)),
+                   dtype=np.complex128)
+    start = 0
+    for mat, cols, negate in parts:
+        block = out[:, start:start + cols.size]
+        np.take(mat, cols, axis=1, out=block, mode="clip")   # cols are in range
+        if negate:
+            np.negative(block, out=block)
+        start += cols.size
+    return out
+
+
 def closed_form_init(g: GeneralPencil, q1: Permutation, q2: Permutation) -> SfqPencil:
     """Reduce to Q-standard form for known permutations, in closed form.
 
     Solves one mixed linear system built from the blocks of ``A' Q1^T`` and
     ``B' Q2^T``.  A singular system means this ``(Q1, Q2)`` pair admits no
     such reduction; the :class:`SingularMatrixError` propagates.
+
+    The system is gathered and factored before its right-hand side is
+    gathered, and the blocks are returned as arrays of their own, so the
+    pencil keeps them without a copy.
     """
     m, n = g.m, g.n
-    sa = g.A[:, q1.image]
-    sb = g.B[:, q2.image]
-    mixed = np.block([[sb[:m, :m], -sa[:m, m:]],
-                      [sb[m:, :m], -sa[m:, m:]]])
-    rhs = np.block([[-sa[:m, :m], sb[:m, m:]],
-                    [-sa[m:, :m], sb[m:, m:]]])
-    sol = -lu_solve(mixed, rhs)
-    return SfqPencil(m=m, n=n, E=sol[:m, :m], F=sol[m:, m:],
-                     X=sol[m:, :m], Y=sol[:m, m:], Q1=q1, Q2=q2)
+    # looked up per call, so a tracing wrapper on linalg.lu_factor sees it
+    factors = linalg.lu_factor(_columns((g.B, q2.image[:m], False), (g.A, q1.image[m:], True)))
+    sol = factors.solve(_columns((g.A, q1.image[:m], True), (g.B, q2.image[m:], False)))
+    del factors
+    np.negative(sol, out=sol)
+    e, f, x, y = sealed(sol[:m, :m].copy(), sol[m:, m:].copy(),
+                        sol[m:, :m].copy(), sol[:m, m:].copy())
+    return SfqPencil(m=m, n=n, E=e, F=f, X=x, Y=y, Q1=q1, Q2=q2)
 
 
 class _Reducer:
@@ -302,7 +321,7 @@ def reinit(p: SfqPencil, idea: Idea = Idea.IDEA3,
     The reduction runs on ``(A_i Q1^T, B_i Q2^T)`` so the permutations it
     discovers are composed on top of the existing ones.
     """
-    g = GeneralPencil(A=structured_a(p), B=structured_b(p), m=p.m, n=p.n)
+    g = GeneralPencil(A=sealed(structured_a(p)), B=sealed(structured_b(p)), m=p.m, n=p.n)
     report = reduce_with_fallback(g, idea, variant)
     q = report.pencil
     composed = replace(q, Q1=q.Q1.compose(p.Q1), Q2=q.Q2.compose(p.Q2))

@@ -18,7 +18,9 @@ The residual safeguard (:func:`orthonormal_residual`) can check a basis
 against a pencil in this form without assembling it: ``A_i U`` is a row
 gather of ``U`` by ``Q1`` and two block products, ``B_i U`` likewise by
 ``Q2``, and the 2-norm estimates come from the blocks' row and column sums.
-It streams over blocks of rows, so it holds only a few arrays of the basis's
+It can equally check against the Cayley pair of a half-plane pencil
+(:class:`CayleyPair`), whose rows it forms a few dozen at a time.  It
+streams over blocks of rows, so it holds only a few arrays of the basis's
 size.
 """
 
@@ -30,12 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    AbsSums,
     Permutation,
     abs_sums,
     as_complex_matrix,
     frozen,
     lu_solve,
     permute_rows,
+    qr_in_place,
     row_blocks,
     thin_qr,
     two_est,
@@ -80,6 +84,24 @@ class GeneralPencil:
     @property
     def size(self) -> int:
         return self.m + self.n
+
+
+@dataclass(frozen=True)
+class CayleyPair:
+    """The disk-split pair ``(A - gamma B, A + gamma B)`` of a half-plane pencil.
+
+    :meth:`rows` forms any block of its rows from ``source``, so a solve can
+    check a basis against the pair without holding it; ``eig.cayley`` forms
+    the whole pair the same way.
+    """
+
+    source: GeneralPencil
+    gamma: float
+
+    def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        a, b = self.source.A[rows], self.source.B[rows]
+        gamma_b = self.gamma * b
+        return a - gamma_b, a + gamma_b
 
 
 @dataclass(frozen=True)
@@ -162,8 +184,38 @@ def neg_x_eye_p(p: SfqPencil, pi: np.ndarray) -> np.ndarray:
 
 def p_y_eye(pi: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rows ``pi`` of ``[y; I]``: ``P [y; I] = [Q11 y + Q12; Q21 y + Q22]``
-    for the whole of ``pi``, its top block for ``pi[:m]``."""
-    return np.vstack([y, np.eye(y.shape[1], dtype=np.complex128)])[pi]
+    for the whole of ``pi``, its top block for ``pi[:m]``; gathered without
+    stacking ``[y; I]``."""
+    m = y.shape[0]
+    out = np.zeros((pi.size, y.shape[1]), dtype=np.complex128)
+    from_y = pi < m
+    out[from_y] = y[pi[from_y]]
+    from_eye = np.flatnonzero(~from_y)
+    out[from_eye, pi[from_eye] - m] = 1.0
+    return out
+
+
+def _scatter_basis(q: Permutation, block: np.ndarray, eye_first: bool,
+                   order: str = "C") -> np.ndarray:
+    """``Q^T [I; block]``, or ``Q^T [block; I]``, scattered straight into its
+    storage: row ``i`` of the stack lands on row ``q.image[i]``."""
+    k = block.shape[1]
+    out = np.zeros((q.n, k), dtype=np.complex128, order=order)
+    eye_rows, block_rows = ((q.image[:k], q.image[k:]) if eye_first
+                            else (q.image[-k:], q.image[:-k]))
+    out[eye_rows, np.arange(k)] = 1.0
+    out[block_rows] = block
+    return out
+
+
+def sfq_basis(p: SfqPencil, x: np.ndarray | None = None) -> np.ndarray:
+    """``Q1^T [I; X]`` assembled by pure entry moves."""
+    return _scatter_basis(p.Q1, p.X if x is None else x, eye_first=True)
+
+
+def anti_basis(p: SfqPencil, y: np.ndarray | None = None) -> np.ndarray:
+    """``Q2^T [Y; I]`` assembled by pure entry moves."""
+    return _scatter_basis(p.Q2, p.Y if y is None else y, eye_first=False)
 
 
 def swap_perm(m: int, n: int) -> Permutation:
@@ -263,6 +315,36 @@ def _two_ests(p: SfqPencil) -> tuple[float, float]:
     return (math.sqrt(a_one) * math.sqrt(a_inf), math.sqrt(b_one) * math.sqrt(b_inf))
 
 
+#: Rows of a :class:`CayleyPair` the safeguard forms at a time: the formed
+#: rows and their temporaries stay well under one block of the basis's size.
+CAYLEY_ROWS = 32
+
+
+def _cayley_products(pair: CayleyPair, u: np.ndarray):
+    """``A' U``, ``B' U``, ``two_est(A')`` and ``two_est(B')`` of the Cayley
+    pair, filled from :data:`CAYLEY_ROWS` formed rows at a time; the
+    estimates carry the bits of ``two_est`` on the whole matrices."""
+    size = pair.source.size
+    au = np.empty((size, u.shape[1]), dtype=np.complex128)
+    bu = np.empty_like(au)
+    a_sums, b_sums = AbsSums(size), AbsSums(size)
+    for rows in row_blocks(size, CAYLEY_ROWS):
+        a_rows, b_rows = pair.rows(rows)
+        np.matmul(a_rows, u, out=au[rows])
+        np.matmul(b_rows, u, out=bu[rows])
+        a_sums.add(a_rows)
+        b_sums.add(b_rows)
+    return au, bu, a_sums.two_est(), b_sums.two_est()
+
+
+def _orthonormal_basis(z: np.ndarray | SfqPencil) -> np.ndarray:
+    """``U`` of ``z = U R``; a pencil stands for its ``sfq_basis``, which is
+    built in Fortran order and factored in its own storage."""
+    if isinstance(z, SfqPencil):
+        return qr_in_place(_scatter_basis(z.Q1, z.X, eye_first=True, order="F"))[0]
+    return thin_qr(z)[0]
+
+
 def _sq_norm(r: np.ndarray) -> float:
     return float(np.vdot(r, r).real)
 
@@ -278,8 +360,8 @@ def _pow2_scale(a: np.ndarray) -> float:
     return s
 
 
-def orthonormal_residual(a: np.ndarray | SfqPencil, b: np.ndarray | None,
-                         z: np.ndarray) -> float:
+def orthonormal_residual(a: np.ndarray | SfqPencil | CayleyPair, b: np.ndarray | None,
+                         z: np.ndarray | SfqPencil) -> float:
     """Normalized eigen-residual of span(z) for ``A v = lambda B v``.
 
     The basis is orthonormalized first, the block Rayleigh quotient solved in
@@ -287,10 +369,18 @@ def orthonormal_residual(a: np.ndarray | SfqPencil, b: np.ndarray | None,
     ``sqrt(p) * (two_est(A) + two_est(M) * two_est(B))``.  With ``b=None``
     (standard problem) this is the conditioning-robust normalized residual.
 
-    ``a`` may instead be an :class:`SfqPencil`, with ``b=None``, standing for
-    its own pair ``(A_i, B_i)``: ``A_i U`` and ``B_i U`` then take a row
-    gather and two block products each, and the 2-norm estimates come from
-    the blocks' row and column sums, so no dense N-by-N matrix is formed.
+    ``a`` may instead stand for a whole pair, with ``b=None``:
+
+    * an :class:`SfqPencil` for its own ``(A_i, B_i)``: ``A_i U`` and
+      ``B_i U`` take a row gather and two block products each, and the
+      2-norm estimates come from the blocks' row and column sums;
+    * a :class:`CayleyPair` for ``(A - gamma B, A + gamma B)``: its rows are
+      formed :data:`CAYLEY_ROWS` at a time, exactly as ``eig.cayley`` forms
+      them, and fill ``A' U``, ``B' U`` and both estimates block by block.
+
+    Neither forms a dense N-by-N matrix.  ``z`` may be an :class:`SfqPencil`
+    standing for its basis ``Q1^T [I; X]``, which is then built here and
+    factored in place, so the basis and its ``U`` are never held at once.
 
     Only ``U``, ``A U`` and ``B U`` are kept at the size of ``z``.  ``A U``
     and ``B U`` are rescaled in place by powers of two, so no scale of A or B
@@ -298,12 +388,14 @@ def orthonormal_residual(a: np.ndarray | SfqPencil, b: np.ndarray | None,
     right-hand side and the residual are accumulated over blocks of rows
     (:func:`~qdoubling.linalg.row_blocks`).
     """
-    u = thin_qr(as_complex_matrix(z))[0]
+    if isinstance(a, (SfqPencil, CayleyPair)) and b is not None:
+        raise ValueError(f"a {type(a).__name__} stands for both A and B; pass b=None")
+    u = _orthonormal_basis(z)
     if isinstance(a, SfqPencil):
-        if b is not None:
-            raise ValueError("a Q-standard-form pencil stands for both A and B; pass b=None")
         au, bu = _times_a(a, u), _times_b(a, u)
         a_est, b_est = _two_ests(a)
+    elif isinstance(a, CayleyPair):
+        au, bu, a_est, b_est = _cayley_products(a, u)
     else:
         a = as_complex_matrix(a)
         au, a_est = a @ u, two_est(a)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from qdoubling import (
     check_stop,
     compute_w,
     compute_wt,
+    gen_solved_sfq,
     q_blocks_of,
     select_kernel,
     step_sf1,
@@ -100,6 +104,20 @@ class TestStepW:
                       Q1=Permutation.identity(4), Q2=Permutation.identity(4))
         with pytest.raises(BreakdownError):
             step_w(p)
+
+    @pytest.mark.parametrize("kernel", [step_w, step_wt])
+    def test_peak_memory_is_a_few_blocks(self, kernel):
+        # the next pencil is 4 blocks; each temporary is dropped once used,
+        # so the step peaks near 6 (12 when all were kept to the end)
+        p = gen_solved_sfq(m=120, n=120, rho_m=0.5, rho_n=0.5, seed=3).pencil
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kernel(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * p.E.nbytes
 
 
 class TestSpecializations:

@@ -1,5 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
+
+import qdoubling.driver
+import qdoubling.eig
 
 from qdoubling import (
     CayleyParams,
@@ -15,6 +20,7 @@ from qdoubling import (
     nres1,
     nres2,
     rho_gamma,
+    run_qda,
     solve_halfplane,
     thin_qr,
 )
@@ -156,3 +162,37 @@ class TestSolveHalfplane:
         u1, _ = thin_qr(bases.stable_basis)
         u2, _ = thin_qr(inst.true_basis_stable)
         assert np.linalg.norm(u2 - u1 @ (u1.conj().T @ u2)) <= 1e-8
+
+    def test_cayley_pair_is_released_before_the_first_step(self, monkeypatch):
+        refs, alive = [], []
+        form = qdoubling.eig.cayley
+        first_step = qdoubling.driver.step
+
+        def tracked_cayley(g, params):
+            disk = form(g, params)
+            refs.extend(weakref.ref(obj) for obj in (disk, disk.A, disk.B))
+            return disk
+
+        def watched_step(p, kernel=None):
+            if not alive:
+                alive.append([ref() is not None for ref in refs])
+            return first_step(p, kernel)
+
+        monkeypatch.setattr(qdoubling.eig, "cayley", tracked_cayley)
+        monkeypatch.setattr(qdoubling.driver, "step", watched_step)
+        inst = gen_random_split(m=6, n=7, alpha=8.0, eta=1e-2, seed=3)
+        bases = solve_halfplane(inst.pencil, CayleyParams(-1.0), QdaConfig())
+        assert bases.source.status is RunStatus.CONVERGED
+        assert len(refs) == 3 and alive == [[False, False, False]]
+
+    def test_driver_transform_gives_the_same_iterates(self):
+        # only the safeguard differs: it forms the transform's rows itself
+        inst = gen_random_split(m=9, n=12, alpha=8.0, eta=1e-3, seed=6)
+        params = CayleyParams(-1.5)
+        ref = run_qda(cayley(inst.pencil, params), QdaConfig())
+        got = run_qda(inst.pencil, QdaConfig(), cayley=params)
+        assert got.status is ref.status is RunStatus.CONVERGED
+        assert got.iterations == ref.iterations
+        assert got.phi.tobytes() == ref.phi.tobytes()
+        assert got.psi.tobytes() == ref.psi.tobytes()
+        assert got.q1 == ref.q1 and got.q2 == ref.q2

@@ -16,7 +16,17 @@ from qdoubling import (
     permute_rows,
     thin_qr,
 )
-from qdoubling.linalg import ROW_BLOCK, abs_sums, frozen, sealed, solve_transposed
+from qdoubling.linalg import (
+    ROW_BLOCK,
+    AbsSums,
+    abs_sums,
+    frozen,
+    qr_in_place,
+    row_blocks,
+    sealed,
+    solve_transposed,
+    two_est,
+)
 
 from conftest import complex_normal
 
@@ -95,6 +105,20 @@ class TestThinQr:
         with pytest.raises(RankDeficientError):
             thin_qr(z)
 
+    def test_leaves_its_input_alone(self, rng):
+        z = complex_normal(rng, 8, 3)
+        kept = z.copy()
+        thin_qr(z)
+        np.testing.assert_array_equal(z, kept)
+
+    def test_in_place_factor_reuses_the_storage(self, rng):
+        # the basis and its Q factor are never held at once
+        z = complex_normal(rng, 40, 7)
+        a = np.array(z, order="F")
+        u, r = qr_in_place(a)
+        assert np.shares_memory(u, a)
+        assert np.linalg.norm(u @ r - z) <= 1e-12 * np.linalg.norm(z)
+
 
 class TestNorms:
     def test_identity(self):
@@ -128,6 +152,16 @@ class TestNorms:
         col, row = abs_sums(a)
         assert col.tobytes() == np.abs(a).sum(axis=0).tobytes()
         assert row.tobytes() == np.abs(a).sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 32, 100, 263])
+    def test_sums_fed_in_any_blocks_keep_the_bits(self, rng, block):
+        a = complex_normal(rng, 263, 9) * 10.0 ** rng.uniform(-8, 8, size=(263, 9))
+        sums = AbsSums(9)
+        for rows in row_blocks(263, block):
+            sums.add(a[rows])
+        assert sums.col.tobytes() == np.abs(a).sum(axis=0).tobytes()
+        assert sums.row.tobytes() == np.abs(a).sum(axis=1).tobytes()
+        assert sums.two_est() == two_est(a)
 
     def test_two_est_upper_bounds_power_iteration(self, rng):
         a = complex_normal(rng, 5, 5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qdoubling.reduction
+import qdoubling.sfq
 from qdoubling import (
     BreakdownError,
     CayleyParams,
@@ -27,6 +28,21 @@ from conftest import complex_normal, random_sfq
 ALL_REDUCTIONS = [(idea, variant)
                   for idea in (Idea.IDEA1, Idea.IDEA2, Idea.IDEA3)
                   for variant in (Variant.A_FIRST, Variant.B_FIRST)]
+
+
+def count_frozen_copies(monkeypatch) -> list:
+    """Shapes of the arrays ``frozen`` copies into pencils from now on."""
+    copies = []
+    keep = qdoubling.sfq.frozen
+
+    def counting(a):
+        out = keep(a)
+        if out is not a:
+            copies.append(np.shape(a))
+        return out
+
+    monkeypatch.setattr(qdoubling.sfq, "frozen", counting)
+    return copies
 
 
 def eigenpair_residual(a0, b0, pairs, gamma):
@@ -71,6 +87,14 @@ class TestClosedForm:
         g = GeneralPencil(A=[[1, 0], [0, 1]], B=[[0, 1], [1, 0]], m=1, n=1)
         with pytest.raises(SingularMatrixError):
             closed_form_init(g, Permutation.identity(2), Permutation.identity(2))
+
+    def test_blocks_are_kept_without_a_copy(self, rng, monkeypatch):
+        g = GeneralPencil(A=complex_normal(rng, 7, 7), B=complex_normal(rng, 7, 7), m=3, n=4)
+        q1, q2 = Permutation(rng.permutation(7)), Permutation(rng.permutation(7))
+        copies = count_frozen_copies(monkeypatch)
+        p = closed_form_init(g, q1, q2)
+        assert copies == []
+        assert all(getattr(p, blk).flags.owndata for blk in "EFXY")
 
 
 class TestReductions:
@@ -193,6 +217,12 @@ class TestReinit:
         for rep in (rep1, rep2):
             a0, b0 = assemble(rep.pencil)
             assert eigenpair_residual(a0, b0, pairs, gamma) <= 1e-9
+
+    def test_structured_pair_is_not_copied_again(self, rng, monkeypatch):
+        p = random_sfq(rng, 5, 7)
+        copies = count_frozen_copies(monkeypatch)
+        reinit(p)
+        assert copies == []
 
 
 def argmax_pivot(mags, from_end):

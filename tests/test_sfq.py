@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdoubling import (
+    CayleyPair,
     CayleyParams,
     GeneralPencil,
     Permutation,
     SfqPencil,
+    anti_basis,
     assemble,
     cayley,
     dual,
@@ -20,6 +22,7 @@ from qdoubling import (
     gen_random_split,
     gen_solved_sfq,
     known_eigenpairs,
+    permute_rows,
     primal_eig_residual,
     primal_nme_residual,
     q_blocks_of,
@@ -27,7 +30,8 @@ from qdoubling import (
     swap_perm,
     two_est,
 )
-from qdoubling.sfq import orthonormal_residual
+from qdoubling.linalg import row_blocks
+from qdoubling.sfq import CAYLEY_ROWS, orthonormal_residual
 
 from conftest import complex_normal, random_sfq
 
@@ -100,6 +104,24 @@ def test_q_blocks_of_indexes_the_dense_product(rng, kind):
             np.testing.assert_array_equal(dense, np.eye(m + n))
         if kind == "block_swap":
             np.testing.assert_array_equal(dense, np.roll(np.eye(6), 3, axis=1))
+
+
+class TestBases:
+    """The bases scatter ``[I; X]`` and ``[Y; I]`` straight into their rows."""
+
+    def test_match_the_permuted_stacks_bitwise(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            m, n = (int(k) for k in rng.integers(1, 9, size=2))
+            p = random_sfq(rng, m, n)
+            x, y = complex_normal(rng, n, m), complex_normal(rng, m, n)
+            for got, q, stack in (
+                    (sfq_basis(p), p.Q1, [np.eye(m), p.X]),
+                    (sfq_basis(p, x), p.Q1, [np.eye(m), x]),
+                    (anti_basis(p), p.Q2, [p.Y, np.eye(n)]),
+                    (anti_basis(p, y), p.Q2, [y, np.eye(n)])):
+                want = permute_rows(q, np.vstack(stack).astype(complex), transpose=True)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestDual:
@@ -229,6 +251,40 @@ class TestOrthonormalResidualScaling:
         assert orthonormal_residual(scale * a, None, z) == pytest.approx(
             orthonormal_residual(a, None, z), rel=1e-12)
 
+    @staticmethod
+    def half_plane_pair(scale=lambda x: x):
+        """The Cayley pair of the half-plane pencil behind ``pencil_and_basis``."""
+        g = gen_random_split(m=4, n=5, alpha=8.0, eta=1e-2, seed=4).pencil
+        return CayleyPair(GeneralPencil(A=scale(g.A), B=scale(g.B), m=4, n=5), -1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=-900, max_value=900))
+    def test_cayley_pair_invariant_under_powers_of_two(self, k):
+        _, _, z = self.pencil_and_basis()
+        ref = orthonormal_residual(self.half_plane_pair(), None, z)
+        got = orthonormal_residual(
+            self.half_plane_pair(lambda x: np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)),
+            None, z)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_cayley_pair_at_decimal_scales(self, scale):
+        _, _, z = self.pencil_and_basis()
+        ref = orthonormal_residual(self.half_plane_pair(), None, z)
+        got = orthonormal_residual(self.half_plane_pair(lambda x: scale * x), None, z)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
+def residual_peak(a, b, z) -> int:
+    """Bytes ``orthonormal_residual(a, b, z)`` allocates at its peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        orthonormal_residual(a, b, z)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def dense_residual(a, b, z):
     """The safeguard's formula on dense matrices, in one piece (unit scale only)."""
@@ -285,11 +341,72 @@ class TestStructuredResidual:
         p0 = inst.pencil
         z = sfq_basis(replace(p0, X=inst.phi))
         a, b = (p0, None) if structured else assemble(p0)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            orthonormal_residual(a, b, z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * z.nbytes
+        assert residual_peak(a, b, z) <= 5 * z.nbytes
+
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_a_pencil_basis_is_built_within_the_same_peak(self, structured):
+        # the basis of a pencil passed as z is built inside and factored in
+        # its own storage, so counting it adds nothing to the peak above
+        inst = gen_solved_sfq(m=120, n=120, rho_m=0.5, rho_n=0.5, seed=3)
+        p0 = inst.pencil
+        solved = replace(p0, X=inst.phi)
+        a, b = (p0, None) if structured else assemble(p0)
+        assert residual_peak(a, b, solved) <= 5 * sfq_basis(solved).nbytes
+
+    def test_pencil_stands_for_its_basis(self, rng):
+        for _ in range(20):
+            p = random_sfq(rng, 3, 5)
+            a, b = assemble(random_sfq(rng, 3, 5))
+            assert orthonormal_residual(a, b, p) == orthonormal_residual(a, b, sfq_basis(p))
+
+
+class TestCayleyResidual:
+    """A CayleyPair stands for the formed transform in the residual safeguard."""
+
+    #: Relative bound, fixed from the dtype and the size before the first
+    #: run: the two sides differ at most in how the products are blocked.
+    @staticmethod
+    def bound(size):
+        return 64 * size * np.finfo(np.float64).eps
+
+    @staticmethod
+    def pencil(rng, m, n):
+        return GeneralPencil(A=complex_normal(rng, m + n, m + n),
+                             B=complex_normal(rng, m + n, m + n), m=m, n=n)
+
+    def test_rows_are_the_formed_transform_bitwise(self, rng):
+        g = self.pencil(rng, 40, 57)
+        disk = cayley(g, CayleyParams(-0.75))
+        pair = CayleyPair(g, -0.75)
+        blocks = [pair.rows(rows) for rows in row_blocks(g.size, CAYLEY_ROWS)]
+        assert np.vstack([a for a, _ in blocks]).tobytes() == disk.A.tobytes()
+        assert np.vstack([b for _, b in blocks]).tobytes() == disk.B.tobytes()
+
+    def test_matches_the_formed_transform(self):
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            # sizes up to 96 rows: up to three blocks of CAYLEY_ROWS, and a partial one
+            m, n = (int(k) for k in rng.integers(1, 49, size=2))
+            g = self.pencil(rng, m, n)
+            gamma = -float(rng.uniform(0.25, 4.0))
+            z = complex_normal(rng, m + n, m)
+            disk = cayley(g, CayleyParams(gamma))
+            ref = orthonormal_residual(disk.A, disk.B, z)
+            assert ref > 1e-3   # a random basis: an O(1) residual, no cancellation
+            got = orthonormal_residual(CayleyPair(g, gamma), None, z)
+            assert abs(got - ref) <= self.bound(m + n) * ref, (m, n)
+
+    @pytest.mark.parametrize("basis_of_pencil", [False, True])
+    def test_peak_memory_is_a_few_basis_blocks(self, basis_of_pencil):
+        # U, A' U, B' U, m-by-m work and 32 formed rows: about 4.4 blocks of
+        # the basis's size here; the formed pair itself would be 8
+        inst = gen_solved_sfq(m=120, n=120, rho_m=0.5, rho_n=0.5, seed=3)
+        solved = replace(inst.pencil, X=inst.phi)
+        z = sfq_basis(solved)
+        pair = CayleyPair(gen_random_split(120, 120, 8.0, 1.0, seed=3).pencil, -1.0)
+        assert residual_peak(pair, None, solved if basis_of_pencil else z) <= 5 * z.nbytes
+
+    def test_pair_takes_no_second_matrix(self, rng):
+        g = self.pencil(rng, 2, 3)
+        with pytest.raises(ValueError, match="b=None"):
+            orthonormal_residual(CayleyPair(g, -1.0), np.eye(5), complex_normal(rng, 5, 2))
