@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .driver import (
     QdaConfig,
-    QdaResult,
     RunStatus,
     run_qda,
     run_sdasf1_on,
@@ -27,7 +26,6 @@ from .driver import (
 from .eig import CayleyParams, cayley, nres1, nres2
 from .experiments import bse_like, critical_rate, eta_sweep, pivot_table
 from .fileio import (
-    history_to_json,
     read_matrix,
     write_history_csv,
     write_manifest,
@@ -182,15 +180,18 @@ def _cmd_solve(args) -> int:
     if args.algorithm == "sdasf2" and args.m != args.n:
         print("error: sdasf2 requires m == n", file=sys.stderr)
         return 1
-    if args.gamma is not None:
-        if args.gamma >= 0:
-            print("error: gamma must be negative", file=sys.stderr)
-            return 1
-        g = cayley(g, CayleyParams(args.gamma))
+    if args.gamma is not None and args.gamma >= 0:
+        print("error: gamma must be negative", file=sys.stderr)
+        return 1
+    params = None if args.gamma is None else CayleyParams(args.gamma)
     cfg = _config_from_args(args, args.m, args.n)
-    runner = {"qda": run_qda, "sdasf1": run_sdasf1_on, "sdasf2": run_sdasf2_on}[args.algorithm]
     t0 = time.perf_counter()
-    result: QdaResult = runner(g, cfg)
+    if args.algorithm == "qda":
+        result = run_qda(g, cfg, cayley=params)
+    else:
+        # the baselines' closed-form start needs the dense disk pencil
+        runner = run_sdasf1_on if args.algorithm == "sdasf1" else run_sdasf2_on
+        result = runner(g if params is None else cayley(g, params), cfg)
     elapsed = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,11 +8,11 @@ the classical fixed-Q steps, no guard and no recovery, reporting breakdowns
 and non-finite blow-ups as they happen.
 
 A run holds its live iterate, its history of pencils and, only while the
-safeguard runs, a few arrays of the basis's size: the safeguard checks
-against the dense ``(A, B)`` that ``run_qda`` was given, against the Cayley
-pair of a half-plane pencil formed a few rows at a time, or against the
-starting pencil's own blocks, and never builds a dense copy.  A half-plane
-run forms its Cayley pair only for the reduction.  Each step's fresh blocks
+safeguard runs, a few arrays of the basis's size.  The safeguard checks
+against one pencil (:data:`Reference`): the ``GeneralPencil`` that
+``run_qda`` was given, the ``CayleyPair`` of a half-plane pencil, or the
+starting ``SfqPencil``, and never builds a dense copy.  A half-plane run
+forms its Cayley transform only for the reduction.  Each step's fresh blocks
 are sealed (:func:`~qdoubling.linalg.sealed`) and so become the next pencil
 without a copy.
 """
@@ -56,10 +56,8 @@ class QdaConfig:
     max_iter: int = 50
     stop_mode: StopMode = StopMode.KAHAN
     guard: Optional[GuardConfig] = None      # None -> sized from the pencil
-    use_guard: bool = True
     init_idea: Idea = Idea.IDEA3
     init_variant: Variant = Variant.A_FIRST
-    residual_safeguard: bool = True
 
     def __post_init__(self):
         if self.rtol <= 0:
@@ -67,9 +65,7 @@ class QdaConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
-    def guard_for(self, m: int, n: int) -> Optional[GuardConfig]:
-        if not self.use_guard:
-            return None
+    def guard_for(self, m: int, n: int) -> GuardConfig:
         return self.guard if self.guard is not None else GuardConfig.for_sizes(m, n)
 
 
@@ -111,11 +107,10 @@ def _all_finite(p: SfqPencil) -> bool:
     return all(bool(np.isfinite(block).all()) for block in (p.E, p.F, p.X, p.Y))
 
 
-#: What the safeguard checks a basis against: the dense pair ``(A, B)`` a run
-#: was reduced from, ``(CayleyPair, None)`` for the Cayley pair of a
-#: half-plane pencil, or ``(p0, None)``, the pencil it started from standing
-#: for its own ``(A_0, B_0)``; the last two form no dense copy.
-Reference = tuple[np.ndarray | SfqPencil | CayleyPair, Optional[np.ndarray]]
+#: The pencil the safeguard checks a basis against: the ``GeneralPencil`` a
+#: run was reduced from, the ``CayleyPair`` of a half-plane pencil, or the
+#: ``SfqPencil`` it started from; none is formed as a dense copy.
+Reference = GeneralPencil | CayleyPair | SfqPencil
 
 
 def _safeguard_ok(p: SfqPencil, rtol: float, reference: Reference) -> bool:
@@ -126,7 +121,7 @@ def _safeguard_ok(p: SfqPencil, rtol: float, reference: Reference) -> bool:
     the run's history (see :func:`orthonormal_residual`).
     """
     try:
-        res = orthonormal_residual(reference[0], reference[1], p)
+        res = orthonormal_residual(reference, p)
     except (RankDeficientError, SingularMatrixError):
         return False
     return res <= math.sqrt(rtol)
@@ -202,7 +197,7 @@ def _iterate(p0: SfqPencil, cfg: QdaConfig,
         if greport.acted:
             continue  # coordinates changed; the update norm is not comparable
         if check_stop(diffs, norm_x, cfg.rtol, cfg.stop_mode):
-            if not cfg.residual_safeguard or _safeguard_ok(p, cfg.rtol, reference):
+            if _safeguard_ok(p, cfg.rtol, reference):
                 status = RunStatus.CONVERGED
                 break
     return QdaResult(phi=p.X, psi=p.Y, q1=p.Q1, q2=p.Q2, history=tuple(history),
@@ -218,7 +213,7 @@ def run_sdasfq(p0: SfqPencil, cfg: QdaConfig, reference: Optional[Reference] = N
     :data:`Reference`) when given, and otherwise against ``p0``'s own blocks.
     """
     return _iterate(p0, cfg, step, cfg.guard_for(p0.m, p0.n), True,
-                    (p0, None) if reference is None else reference, init_report)
+                    p0 if reference is None else reference, init_report)
 
 
 def run_qda(g: GeneralPencil, cfg: QdaConfig = QdaConfig(),
@@ -233,10 +228,10 @@ def run_qda(g: GeneralPencil, cfg: QdaConfig = QdaConfig(),
     The run then holds no N-by-N matrix beyond the caller's ``g``.
     """
     if cayley is None:
-        disk, reference = g, (g.A, g.B)
+        disk, reference = g, g
     else:
         from . import eig   # eig imports this module
-        disk, reference = eig.cayley(g, cayley), (CayleyPair(g, cayley.gamma), None)
+        disk, reference = eig.cayley(g, cayley), CayleyPair(g, cayley.gamma)
     try:
         report = reduce_with_fallback(disk, cfg.init_idea, cfg.init_variant)
     except BreakdownError as exc:
@@ -256,7 +251,7 @@ def _run_baseline(p0: SfqPencil, cfg: QdaConfig, stepper, kernel: Kernel) -> Qda
     def advance(p: SfqPencil, _kernel: Kernel) -> StepOutcome:
         e, f, x, y = sealed(*stepper(p.E, p.F, p.X, p.Y))
         return StepOutcome(replace(p, E=e, F=f, X=x, Y=y), math.nan, math.nan, kernel)
-    return _iterate(p0, cfg, advance, None, False, (p0, None))
+    return _iterate(p0, cfg, advance, None, False, p0)
 
 
 def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,

@@ -104,7 +104,7 @@ def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
 
 def nres2(h, z: np.ndarray) -> float:
     """Conditioning-robust normalized residual: evaluated on orthonormal Z."""
-    return orthonormal_residual(_standard_matrix(h), None, z)
+    return orthonormal_residual(_standard_matrix(h), z)
 
 
 @dataclass(frozen=True)

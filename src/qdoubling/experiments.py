@@ -88,27 +88,34 @@ def _maybe_dump(out_dir: Optional[Path], result: QdaResult,
                           result.history)
 
 
+def _compare(experiment: str, cases, gamma: float, cfg: QdaConfig,
+             out_dir: Optional[str | Path]) -> list[RunRow]:
+    """QDA next to SDASF1 on each half-plane ``(label, seed, pencil)`` case."""
+    out_path = Path(out_dir) if out_dir is not None else None
+    params = CayleyParams(gamma)
+    runners = (("qda", lambda g: run_qda(g, cfg, cayley=params)),
+               # the closed-form SDASF1 start needs the dense disk pencil
+               ("sdasf1", lambda g: run_sdasf1_on(cayley(g, params), cfg)))
+    rows: list[RunRow] = []
+    for label, seed, g in cases:
+        for algorithm, runner in runners:
+            t0 = time.perf_counter()
+            result = runner(g)
+            elapsed = time.perf_counter() - t0
+            rows.append(_measure(experiment, algorithm, label, seed, g.A, result, elapsed))
+            _maybe_dump(out_path, result, algorithm, label, seed)
+    return rows
+
+
 def eta_sweep(m: int = 50, n: int = 60, alpha: float = 8.0,
               etas: Sequence[float] = (1e-4, 1e-5, 1e-6, 1e-7),
               seeds: Sequence[int] = (1, 2, 3), gamma: float = -1.0,
               cfg: QdaConfig = QdaConfig(), out_dir: Optional[str | Path] = None
               ) -> list[RunRow]:
     """Robustness sweep over shrinking basis conditioning (QDA vs SDASF1)."""
-    out_path = Path(out_dir) if out_dir is not None else None
-    rows: list[RunRow] = []
-    for eta in etas:
-        label = f"eta={eta:.0e}"
-        for seed in seeds:
-            inst = gen_random_split(m, n, alpha, eta, seed)
-            g = cayley(inst.pencil, CayleyParams(gamma))
-            for algorithm, runner in (("qda", run_qda), ("sdasf1", run_sdasf1_on)):
-                t0 = time.perf_counter()
-                result = runner(g, cfg)
-                elapsed = time.perf_counter() - t0
-                rows.append(_measure("eta_sweep", algorithm, label, seed,
-                                     inst.pencil.A, result, elapsed))
-                _maybe_dump(out_path, result, algorithm, label, seed)
-    return rows
+    cases = ((f"eta={eta:.0e}", seed, gen_random_split(m, n, alpha, eta, seed).pencil)
+             for eta in etas for seed in seeds)
+    return _compare("eta_sweep", cases, gamma, cfg, out_dir)
 
 
 def bse_like(n: int = 64, gap_scale: float = 2.0,
@@ -116,21 +123,11 @@ def bse_like(n: int = 64, gap_scale: float = 2.0,
              misscale: float = 1e-3, cfg: QdaConfig = QdaConfig(),
              out_dir: Optional[str | Path] = None) -> list[RunRow]:
     """Hamiltonian-structured comparison, plus a mis-scaled-coupling variant."""
-    out_path = Path(out_dir) if out_dir is not None else None
-    rows: list[RunRow] = []
-    for variant, coupling in (("plain", 1.0), ("misscaled", misscale)):
-        for seed in seeds:
-            inst = gen_bse_like(n, gap_scale, seed, coupling_scale=coupling)
-            g = cayley(inst.pencil, CayleyParams(gamma))
-            for algorithm, runner in (("qda", run_qda), ("sdasf1", run_sdasf1_on)):
-                label = f"variant={variant}"
-                t0 = time.perf_counter()
-                result = runner(g, cfg)
-                elapsed = time.perf_counter() - t0
-                rows.append(_measure("bse_like", algorithm, label, seed,
-                                     inst.pencil.A, result, elapsed))
-                _maybe_dump(out_path, result, algorithm, label, seed)
-    return rows
+    cases = ((f"variant={variant}", seed,
+              gen_bse_like(n, gap_scale, seed, coupling_scale=coupling).pencil)
+             for variant, coupling in (("plain", 1.0), ("misscaled", misscale))
+             for seed in seeds)
+    return _compare("bse_like", cases, gamma, cfg, out_dir)
 
 
 def critical_rate(m_prime: int = 3, n_prime: int = 3, block_size: int = 2,

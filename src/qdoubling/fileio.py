@@ -99,21 +99,3 @@ def write_history_csv(path: str | Path, history: Iterable[IterationRecord]) -> N
             ])
     os.replace(tmp, path)
 
-
-def history_to_json(history: Iterable[IterationRecord]) -> list[dict]:
-    out = []
-    for rec in history:
-        out.append({
-            "i": rec.index,
-            "absUpdateX": rec.abs_update_x,
-            "relUpdateX": rec.rel_update_x,
-            "normE": rec.norm_e, "normF": rec.norm_f,
-            "normX": rec.norm_x, "normY": rec.norm_y,
-            "wCondition": rec.w_condition, "wMinPivot": rec.w_min_pivot,
-            "guardActions": [
-                {"kind": a.kind, "pivot": list(a.pivot) if a.pivot else None,
-                 "maxBefore": a.max_before, "maxAfter": a.max_after}
-                for a in rec.guard_events.actions
-            ],
-        })
-    return out

@@ -57,7 +57,6 @@ ELIMINATION_TILE = 32
 
 
 class Idea(enum.Enum):
-    CLOSED_FORM = "closed_form"
     IDEA1 = "idea1"
     IDEA2 = "idea2"
     IDEA3 = "idea3"
@@ -276,9 +275,6 @@ def _run_alternating(red: _Reducer, variant: Variant):
 def reduce_pencil(g: GeneralPencil, idea: Idea = Idea.IDEA3,
                   variant: Variant = Variant.A_FIRST) -> InitReport:
     """Reduce ``g`` to Q-standard form with the requested idea and version."""
-    if idea is Idea.CLOSED_FORM:
-        raise ValueError("closed-form reduction needs explicit permutations; "
-                         "call closed_form_init instead")
     red = _Reducer(g.A, g.B, g.m, g.n, stage=f"{idea.value} ({variant.value})")
     if idea is Idea.IDEA1:
         _run_phased(red, variant, first_banded=True, second_banded=True)
@@ -310,7 +306,8 @@ def reduce_with_fallback(g: GeneralPencil, idea: Idea = Idea.IDEA3,
         try:
             return reduce_pencil(g, cand, var)
         except BreakdownError as exc:
-            last_error = exc
+            # without its traceback, which holds the failed attempt's frames
+            last_error = exc.with_traceback(None)
     raise BreakdownError("initialization", "all reduction attempts failed") from last_error
 
 

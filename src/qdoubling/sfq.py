@@ -14,12 +14,13 @@ classical first standard form, and ``Q1 @ Q2.T`` equal to the block swap
 ``P [Y; I]`` a row gather.  Every mirror (Y-side) formula is its primal
 applied to :func:`dual`.
 
-The residual safeguard (:func:`orthonormal_residual`) can check a basis
-against a pencil in this form without assembling it: ``A_i U`` is a row
-gather of ``U`` by ``Q1`` and two block products, ``B_i U`` likewise by
-``Q2``, and the 2-norm estimates come from the blocks' row and column sums.
-It can equally check against the Cayley pair of a half-plane pencil
-(:class:`CayleyPair`), whose rows it forms a few dozen at a time.  It
+The residual safeguard (:func:`orthonormal_residual`) checks a basis
+against one pencil argument.  A pencil in this form is never assembled:
+``A_i U`` is a row gather of ``U`` by ``Q1`` and two block products,
+``B_i U`` likewise by ``Q2``, and the 2-norm estimates come from the blocks'
+row and column sums.  A dense :class:`GeneralPencil` and the Cayley pair of
+a half-plane pencil (:class:`CayleyPair`) share one loop over a few dozen
+rows at a time; a bare matrix ``H`` stands for ``(H, I)``.  The safeguard
 streams over blocks of rows, so it holds only a few arrays of the basis's
 size.
 """
@@ -84,6 +85,9 @@ class GeneralPencil:
     @property
     def size(self) -> int:
         return self.m + self.n
+
+    def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        return self.A[rows], self.B[rows]
 
 
 @dataclass(frozen=True)
@@ -315,17 +319,17 @@ def _two_ests(p: SfqPencil) -> tuple[float, float]:
     return (math.sqrt(a_one) * math.sqrt(a_inf), math.sqrt(b_one) * math.sqrt(b_inf))
 
 
-#: Rows of a :class:`CayleyPair` the safeguard forms at a time: the formed
-#: rows and their temporaries stay well under one block of the basis's size.
+#: Rows of a dense or Cayley pair the safeguard takes at a time: the rows
+#: and their temporaries stay well under one block of the basis's size.
 CAYLEY_ROWS = 32
 
 
-def _cayley_products(pair: CayleyPair, u: np.ndarray):
-    """``A' U``, ``B' U``, ``two_est(A')`` and ``two_est(B')`` of the Cayley
-    pair, filled from :data:`CAYLEY_ROWS` formed rows at a time; the
-    estimates carry the bits of ``two_est`` on the whole matrices."""
-    size = pair.source.size
-    au = np.empty((size, u.shape[1]), dtype=np.complex128)
+def _row_products(pair: GeneralPencil | CayleyPair, u: np.ndarray):
+    """``A U``, ``B U``, ``two_est(A)`` and ``two_est(B)`` of a pair, filled
+    from :data:`CAYLEY_ROWS` of its rows at a time; the estimates carry the
+    bits of ``two_est`` on the whole matrices."""
+    size = u.shape[0]
+    au = np.empty_like(u, order="C")
     bu = np.empty_like(au)
     a_sums, b_sums = AbsSums(size), AbsSums(size)
     for rows in row_blocks(size, CAYLEY_ROWS):
@@ -360,25 +364,25 @@ def _pow2_scale(a: np.ndarray) -> float:
     return s
 
 
-def orthonormal_residual(a: np.ndarray | SfqPencil | CayleyPair, b: np.ndarray | None,
+def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPencil,
                          z: np.ndarray | SfqPencil) -> float:
-    """Normalized eigen-residual of span(z) for ``A v = lambda B v``.
+    """Normalized eigen-residual of span(z) for the pencil ``A - lambda B``.
 
     The basis is orthonormalized first, the block Rayleigh quotient solved in
     least squares against ``B U``, and the result scaled by
-    ``sqrt(p) * (two_est(A) + two_est(M) * two_est(B))``.  With ``b=None``
-    (standard problem) this is the conditioning-robust normalized residual.
+    ``sqrt(p) * (two_est(A) + two_est(M) * two_est(B))``.  ``pencil`` is one of:
 
-    ``a`` may instead stand for a whole pair, with ``b=None``:
-
-    * an :class:`SfqPencil` for its own ``(A_i, B_i)``: ``A_i U`` and
+    * an :class:`SfqPencil`, for its own ``(A_i, B_i)``: ``A_i U`` and
       ``B_i U`` take a row gather and two block products each, and the
       2-norm estimates come from the blocks' row and column sums;
-    * a :class:`CayleyPair` for ``(A - gamma B, A + gamma B)``: its rows are
-      formed :data:`CAYLEY_ROWS` at a time, exactly as ``eig.cayley`` forms
-      them, and fill ``A' U``, ``B' U`` and both estimates block by block.
+    * a :class:`GeneralPencil` ``(A, B)``, or a :class:`CayleyPair` for
+      ``(A - gamma B, A + gamma B)``: its rows are taken (for the Cayley pair,
+      formed exactly as ``eig.cayley`` forms them) :data:`CAYLEY_ROWS` at a
+      time and fill ``A U``, ``B U`` and both estimates block by block;
+    * a bare matrix ``H`` for the standard problem ``(H, I)``, where this is
+      the conditioning-robust normalized residual.
 
-    Neither forms a dense N-by-N matrix.  ``z`` may be an :class:`SfqPencil`
+    None forms a dense N-by-N matrix.  ``z`` may be an :class:`SfqPencil`
     standing for its basis ``Q1^T [I; X]``, which is then built here and
     factored in place, so the basis and its ``U`` are never held at once.
 
@@ -388,22 +392,14 @@ def orthonormal_residual(a: np.ndarray | SfqPencil | CayleyPair, b: np.ndarray |
     right-hand side and the residual are accumulated over blocks of rows
     (:func:`~qdoubling.linalg.row_blocks`).
     """
-    if isinstance(a, (SfqPencil, CayleyPair)) and b is not None:
-        raise ValueError(f"a {type(a).__name__} stands for both A and B; pass b=None")
     u = _orthonormal_basis(z)
-    if isinstance(a, SfqPencil):
-        au, bu = _times_a(a, u), _times_b(a, u)
-        a_est, b_est = _two_ests(a)
-    elif isinstance(a, CayleyPair):
-        au, bu, a_est, b_est = _cayley_products(a, u)
-    else:
-        a = as_complex_matrix(a)
-        au, a_est = a @ u, two_est(a)
-        if b is None:
-            bu, b_est = u, 1.0
-        else:
-            b = as_complex_matrix(b)
-            bu, b_est = b @ u, two_est(b)
+    if isinstance(pencil, SfqPencil):
+        au, bu, a_est, b_est = _times_a(pencil, u), _times_b(pencil, u), *_two_ests(pencil)
+    elif isinstance(pencil, (GeneralPencil, CayleyPair)):
+        au, bu, a_est, b_est = _row_products(pencil, u)
+    else:   # the standard problem (H, I): B U is U itself
+        h = as_complex_matrix(pencil)
+        au, bu, a_est, b_est = h @ u, u, two_est(h), 1.0
     sa = _pow2_scale(au)
     sb = 1.0 if bu is u else _pow2_scale(bu)
     cols = u.shape[1]

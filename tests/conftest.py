@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from qdoubling import Permutation, SfqPencil
+from qdoubling import GuardConfig, Permutation, SfqPencil
+
+#: A guard that never acts: ``guard()`` returns each pencil untouched with an
+#: empty report, exactly as a run with no guard.
+NO_GUARD = GuardConfig(tau=math.inf, max_actions_per_iteration=0)
 
 
 def complex_normal(rng, rows, cols, scale=1.0):

@@ -49,7 +49,7 @@ from qdoubling.linalg import lu_factor, lu_solve
 from qdoubling.problems import jordan_block
 from qdoubling.reduction import Idea, Variant
 
-from conftest import complex_normal, random_sfq
+from conftest import NO_GUARD, complex_normal, random_sfq
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -196,8 +196,7 @@ def test_05_duality():
     rng = np.random.default_rng(505)
     worst = 0.0
     shapes = [(3, 5), (4, 4), (2, 6), (5, 3), (4, 5)]
-    cfg = QdaConfig(max_iter=6, rtol=1e-300, use_guard=False,
-                    residual_safeguard=False)
+    cfg = QdaConfig(max_iter=6, rtol=1e-300, guard=NO_GUARD)
     for m, n in shapes:
         p0 = random_sfq(rng, m, n, scale=0.35)
         primal = run_sdasfq(p0, cfg)

@@ -1,8 +1,13 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
+
+import qdoubling.cli
+import qdoubling.driver
+import qdoubling.eig
 
 from qdoubling import Permutation, gen_random_split
 from qdoubling.cli import main
@@ -124,6 +129,32 @@ class TestSolve:
         assert code == 0
         summary = json.loads((tmp_path / "sol" / "summary.json").read_text())
         assert summary["nres2"] <= 1e-8
+
+    def test_cayley_pair_is_released_before_the_first_step(self, tmp_path, monkeypatch):
+        refs, alive = [], []
+        form = qdoubling.eig.cayley
+        first_step = qdoubling.driver.step
+
+        def tracked_cayley(g, params):
+            disk = form(g, params)
+            refs.extend(weakref.ref(obj) for obj in (disk, disk.A, disk.B))
+            return disk
+
+        def watched_step(p, kernel=None):
+            if not alive:
+                alive.append([ref() is not None for ref in refs])
+            return first_step(p, kernel)
+
+        for module in (qdoubling.eig, qdoubling.cli):
+            monkeypatch.setattr(module, "cayley", tracked_cayley)
+        monkeypatch.setattr(qdoubling.driver, "step", watched_step)
+        self.write_instance(tmp_path, m=6, n=7, eta=1e-2, seed=3)
+        code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
+                     "--matrix-b", str(tmp_path / "B.json"),
+                     "--m", "6", "--n", "7", "--gamma", "-1",
+                     "--out", str(tmp_path / "sol")])
+        assert code == 0
+        assert len(refs) == 3 and alive == [[False, False, False]]
 
     def test_sdasf2_algorithm(self, tmp_path):
         self.write_instance(tmp_path, m=5, n=5, seed=1)

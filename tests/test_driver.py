@@ -22,7 +22,7 @@ from qdoubling import (
     sfq_basis,
 )
 
-from conftest import complex_normal
+from conftest import NO_GUARD, complex_normal
 
 
 class TestRunQda:
@@ -98,8 +98,7 @@ class TestInvariants:
         # prescribed solution bases, with coefficients raised to 2^k
         from qdoubling import anti_basis, assemble
         inst = gen_solved_sfq(m=4, n=5, rho_m=0.6, rho_n=0.6, seed=21)
-        cfg = QdaConfig(max_iter=6, use_guard=False, residual_safeguard=False,
-                        rtol=1e-300)
+        cfg = QdaConfig(max_iter=6, rtol=1e-300, guard=NO_GUARD)
         res = run_sdasfq(inst.pencil, cfg)
         z1 = sfq_basis(inst.pencil, inst.phi)
         z2 = anti_basis(inst.pencil, inst.psi)
@@ -118,8 +117,7 @@ class TestDuality:
     def test_dual_run_swaps_roles(self, rng):
         inst = gen_solved_sfq(m=3, n=5, rho_m=0.6, rho_n=0.6, seed=7)
         p0 = inst.pencil
-        cfg = QdaConfig(max_iter=6, use_guard=False, residual_safeguard=False,
-                        rtol=1e-300)
+        cfg = QdaConfig(max_iter=6, rtol=1e-300, guard=NO_GUARD)
         primal = run_sdasfq(p0, cfg)
         dual_run = run_sdasfq(dual(p0), cfg)
         assert primal.iterations == dual_run.iterations == 6
@@ -136,8 +134,7 @@ class TestBaselines:
                        E=complex_normal(rng, 5, 5, 0.4), F=complex_normal(rng, 5, 5, 0.4),
                        X=complex_normal(rng, 5, 5, 0.3), Y=complex_normal(rng, 5, 5, 0.3),
                        Q1=Permutation.identity(10), Q2=Permutation.identity(10))
-        cfg = QdaConfig(max_iter=5, use_guard=False, residual_safeguard=False,
-                        rtol=1e-300)
+        cfg = QdaConfig(max_iter=5, rtol=1e-300, guard=NO_GUARD)
         qda = run_sdasfq(p0, cfg)
         sf1 = run_sdasf1(p0.E, p0.F, p0.X, p0.Y, cfg)
         for rq, rs in zip(qda.history, sf1.history):

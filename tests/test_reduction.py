@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,31 @@ class TestReductions:
         g = GeneralPencil(A=a, B=b, m=2, n=2)
         rep = reduce_with_fallback(g, Idea.IDEA1, Variant.A_FIRST)
         assert rep.pencil.m == 2
+
+    def test_failed_attempts_are_freed_on_return(self, monkeypatch):
+        # a failed attempt's traceback holds its frames, and so its reducer
+        # (two N-by-N working matrices and their moduli) and the pencil
+        refs = []
+        make = qdoubling.reduction._Reducer
+
+        def tracked(*args, **kwargs):
+            red = make(*args, **kwargs)
+            refs.append(weakref.ref(red))
+            return red
+
+        monkeypatch.setattr(qdoubling.reduction, "_Reducer", tracked)
+        a = np.zeros((4, 4), dtype=complex)   # the zero band: ideas 1 and 3 fail
+        a[:2, :] = [[1, 2, 3, 4], [5, 6, 7, 8]]
+        g = GeneralPencil(A=a, B=np.eye(4, dtype=complex), m=2, n=2)
+        gc.collect()
+        gc.disable()   # only reference counting may free them
+        try:
+            rep = reduce_with_fallback(g, Idea.IDEA1, Variant.A_FIRST)
+            alive = [ref() is not None for ref in refs]
+        finally:
+            gc.enable()
+        assert rep.idea is Idea.IDEA2 and len(refs) == 3
+        assert alive == [False, False, False]
 
     def test_idea2_tends_to_smaller_x(self):
         # adversarial leading block: full-window pivoting should not do worse

@@ -231,25 +231,28 @@ class TestOrthonormalResidualScaling:
     def pencil_and_basis():
         inst = gen_random_split(m=4, n=5, alpha=8.0, eta=1e-2, seed=4)
         g = cayley(inst.pencil, CayleyParams(-1.0))
-        return g.A, g.B, inst.true_basis_stable + 1e-6
+        return g, inst.true_basis_stable + 1e-6
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=-900, max_value=900),
            st.integers(min_value=-900, max_value=900))
     def test_invariant_under_powers_of_two(self, ka, kb):
-        a, b, z = self.pencil_and_basis()
-        ref = orthonormal_residual(a, b, z)
-        got = orthonormal_residual(np.ldexp(a.real, ka) + 1j * np.ldexp(a.imag, ka),
-                                   np.ldexp(b.real, kb) + 1j * np.ldexp(b.imag, kb), z)
+        g, z = self.pencil_and_basis()
+        a, b = g.A, g.B
+        ref = orthonormal_residual(g, z)
+        got = orthonormal_residual(replace(g, A=np.ldexp(a.real, ka) + 1j * np.ldexp(a.imag, ka),
+                                           B=np.ldexp(b.real, kb) + 1j * np.ldexp(b.imag, kb)), z)
         assert got == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_decimal_scales(self, scale):
-        a, b, z = self.pencil_and_basis()
-        ref = orthonormal_residual(a, b, z)
-        assert orthonormal_residual(scale * a, scale * b, z) == pytest.approx(ref, rel=1e-12)
-        assert orthonormal_residual(scale * a, None, z) == pytest.approx(
-            orthonormal_residual(a, None, z), rel=1e-12)
+        g, z = self.pencil_and_basis()
+        ref = orthonormal_residual(g, z)
+        scaled = replace(g, A=scale * g.A, B=scale * g.B)
+        assert orthonormal_residual(scaled, z) == pytest.approx(ref, rel=1e-12)
+        # a bare matrix stands for the standard problem (H, I)
+        assert orthonormal_residual(scale * g.A, z) == pytest.approx(
+            orthonormal_residual(g.A, z), rel=1e-12)
 
     @staticmethod
     def half_plane_pair(scale=lambda x: x):
@@ -260,27 +263,26 @@ class TestOrthonormalResidualScaling:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=-900, max_value=900))
     def test_cayley_pair_invariant_under_powers_of_two(self, k):
-        _, _, z = self.pencil_and_basis()
-        ref = orthonormal_residual(self.half_plane_pair(), None, z)
+        _, z = self.pencil_and_basis()
+        ref = orthonormal_residual(self.half_plane_pair(), z)
         got = orthonormal_residual(
-            self.half_plane_pair(lambda x: np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)),
-            None, z)
+            self.half_plane_pair(lambda x: np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)), z)
         assert got == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_cayley_pair_at_decimal_scales(self, scale):
-        _, _, z = self.pencil_and_basis()
-        ref = orthonormal_residual(self.half_plane_pair(), None, z)
-        got = orthonormal_residual(self.half_plane_pair(lambda x: scale * x), None, z)
+        _, z = self.pencil_and_basis()
+        ref = orthonormal_residual(self.half_plane_pair(), z)
+        got = orthonormal_residual(self.half_plane_pair(lambda x: scale * x), z)
         assert got == pytest.approx(ref, rel=1e-12)
 
 
-def residual_peak(a, b, z) -> int:
-    """Bytes ``orthonormal_residual(a, b, z)`` allocates at its peak."""
+def residual_peak(pencil, z) -> int:
+    """Bytes ``orthonormal_residual(pencil, z)`` allocates at its peak."""
     gc.collect()
     tracemalloc.start()
     try:
-        orthonormal_residual(a, b, z)
+        orthonormal_residual(pencil, z)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -325,13 +327,9 @@ class TestStructuredResidual:
             a, b = assemble(p)
             ref = dense_residual(a, b, z)
             assert ref > 1e-3   # a random basis: an O(1) residual, no cancellation
-            for got in (orthonormal_residual(p, None, z), orthonormal_residual(a, b, z)):
+            for pencil in (p, GeneralPencil(A=a, B=b, m=m, n=n)):
+                got = orthonormal_residual(pencil, z)
                 assert abs(got - ref) <= self.bound(m + n) * ref, (m, n)
-
-    def test_pencil_takes_no_second_matrix(self, rng):
-        p = random_sfq(rng, 2, 3)
-        with pytest.raises(ValueError, match="b=None"):
-            orthonormal_residual(p, np.eye(5), complex_normal(rng, 5, 2))
 
     @pytest.mark.parametrize("structured", [True, False])
     def test_peak_memory_is_a_few_basis_blocks(self, structured):
@@ -340,8 +338,8 @@ class TestStructuredResidual:
         inst = gen_solved_sfq(m=120, n=120, rho_m=0.5, rho_n=0.5, seed=3)
         p0 = inst.pencil
         z = sfq_basis(replace(p0, X=inst.phi))
-        a, b = (p0, None) if structured else assemble(p0)
-        assert residual_peak(a, b, z) <= 5 * z.nbytes
+        pencil = p0 if structured else GeneralPencil(*assemble(p0), m=p0.m, n=p0.n)
+        assert residual_peak(pencil, z) <= 5 * z.nbytes
 
     @pytest.mark.parametrize("structured", [True, False])
     def test_a_pencil_basis_is_built_within_the_same_peak(self, structured):
@@ -350,14 +348,14 @@ class TestStructuredResidual:
         inst = gen_solved_sfq(m=120, n=120, rho_m=0.5, rho_n=0.5, seed=3)
         p0 = inst.pencil
         solved = replace(p0, X=inst.phi)
-        a, b = (p0, None) if structured else assemble(p0)
-        assert residual_peak(a, b, solved) <= 5 * sfq_basis(solved).nbytes
+        pencil = p0 if structured else GeneralPencil(*assemble(p0), m=p0.m, n=p0.n)
+        assert residual_peak(pencil, solved) <= 5 * sfq_basis(solved).nbytes
 
     def test_pencil_stands_for_its_basis(self, rng):
         for _ in range(20):
             p = random_sfq(rng, 3, 5)
-            a, b = assemble(random_sfq(rng, 3, 5))
-            assert orthonormal_residual(a, b, p) == orthonormal_residual(a, b, sfq_basis(p))
+            g = GeneralPencil(*assemble(random_sfq(rng, 3, 5)), m=3, n=5)
+            assert orthonormal_residual(g, p) == orthonormal_residual(g, sfq_basis(p))
 
 
 class TestCayleyResidual:
@@ -391,9 +389,9 @@ class TestCayleyResidual:
             gamma = -float(rng.uniform(0.25, 4.0))
             z = complex_normal(rng, m + n, m)
             disk = cayley(g, CayleyParams(gamma))
-            ref = orthonormal_residual(disk.A, disk.B, z)
+            ref = orthonormal_residual(disk, z)
             assert ref > 1e-3   # a random basis: an O(1) residual, no cancellation
-            got = orthonormal_residual(CayleyPair(g, gamma), None, z)
+            got = orthonormal_residual(CayleyPair(g, gamma), z)
             assert abs(got - ref) <= self.bound(m + n) * ref, (m, n)
 
     @pytest.mark.parametrize("basis_of_pencil", [False, True])
@@ -404,9 +402,4 @@ class TestCayleyResidual:
         solved = replace(inst.pencil, X=inst.phi)
         z = sfq_basis(solved)
         pair = CayleyPair(gen_random_split(120, 120, 8.0, 1.0, seed=3).pencil, -1.0)
-        assert residual_peak(pair, None, solved if basis_of_pencil else z) <= 5 * z.nbytes
-
-    def test_pair_takes_no_second_matrix(self, rng):
-        g = self.pencil(rng, 2, 3)
-        with pytest.raises(ValueError, match="b=None"):
-            orthonormal_residual(CayleyPair(g, -1.0), np.eye(5), complex_normal(rng, 5, 2))
+        assert residual_peak(pair, solved if basis_of_pencil else z) <= 5 * z.nbytes
