@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .driver import (
     run_sdasf1_on,
     run_sdasf2_on,
 )
-from .eig import CayleyParams, cayley, nres1, nres2
+from .eig import nres1, nres2
 from .experiments import bse_like, critical_rate, eta_sweep, pivot_table
 from .fileio import (
     read_matrix,
@@ -32,10 +33,9 @@ from .fileio import (
     write_matrix,
     write_permutation,
 )
-from .guard import GuardConfig, default_tau
 from .problems import CriticalSpec, gen_bse_like, gen_critical, gen_random_split
 from .reduction import Idea, Variant
-from .sfq import GeneralPencil, anti_basis, sfq_basis
+from .sfq import CayleyPair, GeneralPencil, anti_basis, sfq_basis
 from .doubling import StopMode
 
 _EXIT_FOR_STATUS = {
@@ -44,6 +44,7 @@ _EXIT_FOR_STATUS = {
     RunStatus.BREAKDOWN: 3,
 }
 
+_RUNNERS = {"qda": run_qda, "sdasf1": run_sdasf1_on, "sdasf2": run_sdasf2_on}
 _IDEAS = {"1": Idea.IDEA1, "2": Idea.IDEA2, "3": Idea.IDEA3}
 _VARIANTS = {"afirst": Variant.A_FIRST, "bfirst": Variant.B_FIRST}
 
@@ -105,14 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, m: int, n: int) -> QdaConfig:
-    guard = None
-    if args.tau is not None:
-        guard = GuardConfig(tau=args.tau, max_actions_per_iteration=m + n)
+def _config_from_args(args) -> QdaConfig:
     return QdaConfig(
         rtol=args.rtol, max_iter=args.max_iter,
         stop_mode=StopMode.PLAIN if args.stop == "plain" else StopMode.KAHAN,
-        guard=guard, init_idea=_IDEAS[args.idea], init_variant=_VARIANTS[args.variant],
+        tau=args.tau, init_idea=_IDEAS[args.idea], init_variant=_VARIANTS[args.variant],
     )
 
 
@@ -174,24 +172,16 @@ def _cmd_solve(args) -> int:
         a = read_matrix(args.matrix_a)
         b = read_matrix(args.matrix_b)
         g = GeneralPencil(A=a, B=b, m=args.m, n=args.n)
+        problem = g if args.gamma is None else CayleyPair(g, args.gamma)
+        cfg = _config_from_args(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.algorithm == "sdasf2" and args.m != args.n:
         print("error: sdasf2 requires m == n", file=sys.stderr)
         return 1
-    if args.gamma is not None and args.gamma >= 0:
-        print("error: gamma must be negative", file=sys.stderr)
-        return 1
-    params = None if args.gamma is None else CayleyParams(args.gamma)
-    cfg = _config_from_args(args, args.m, args.n)
     t0 = time.perf_counter()
-    if args.algorithm == "qda":
-        result = run_qda(g, cfg, cayley=params)
-    else:
-        # the baselines' closed-form start needs the dense disk pencil
-        runner = run_sdasf1_on if args.algorithm == "sdasf1" else run_sdasf2_on
-        result = runner(g if params is None else cayley(g, params), cfg)
+    result = _RUNNERS[args.algorithm](problem, cfg)
     elapsed = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -214,7 +204,7 @@ def _cmd_solve(args) -> int:
         write_history_csv(out / "iterations.csv", result.history)
         summary["normXFro"] = float(np.linalg.norm(result.phi))
         summary["maxAbsX"] = float(np.abs(result.phi).max())
-        summary["tau"] = args.tau if args.tau is not None else default_tau(args.m, args.n)
+        summary["tau"] = cfg.tau_for(args.m, args.n)
         eye = np.eye(a.shape[0], dtype=complex)
         if np.array_equal(b, eye):
             basis = sfq_basis(result.final)
@@ -250,14 +240,14 @@ def _cmd_experiment(args) -> int:
     else:
         rows = bse_like(n=args.bse_n, seeds=seeds, gamma=args.gamma, out_dir=out)
     with open(out / "runs.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].as_dict()))
+        writer = csv.DictWriter(fh, fieldnames=list(asdict(rows[0])))
         writer.writeheader()
         for row in rows:
-            writer.writerow(row.as_dict())
+            writer.writerow(asdict(row))
     table = pivot_table(rows)
     with open(out / "table.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(table)
-    write_manifest(out / "runs.json", {"rows": [r.as_dict() for r in rows],
+    write_manifest(out / "runs.json", {"rows": [asdict(r) for r in rows],
                                        "seeds": list(seeds)})
     print(f"wrote {len(rows)} runs to {out}")
     return 0

@@ -7,14 +7,16 @@ false convergence.  ``run_sdasf1`` / ``run_sdasf2`` run the same loop with
 the classical fixed-Q steps, no guard and no recovery, reporting breakdowns
 and non-finite blow-ups as they happen.
 
+``run_qda``, ``run_sdasf1_on`` and ``run_sdasf2_on`` take a
+:data:`Problem`: a disk-split ``GeneralPencil``, or the ``CayleyPair`` of a
+half-plane pencil, whose dense transform is formed for the reduction or the
+closed-form start only and released before the first step.
+
 A run holds its live iterate, its history of pencils and, only while the
 safeguard runs, a few arrays of the basis's size.  The safeguard checks
-against one pencil (:data:`Reference`): the ``GeneralPencil`` that
-``run_qda`` was given, the ``CayleyPair`` of a half-plane pencil, or the
-starting ``SfqPencil``, and never builds a dense copy.  A half-plane run
-forms its Cayley transform only for the reduction.  Each step's fresh blocks
-are sealed (:func:`~qdoubling.linalg.sealed`) and so become the next pencil
-without a copy.
+against one pencil (:data:`Reference`) and never builds a dense copy.  Each
+step's fresh blocks are sealed (:func:`~qdoubling.linalg.sealed`) and so
+become the next pencil without a copy.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .doubling import (Kernel, StepOutcome, StopMode, check_stop, select_kernel, step,
                        step_sf1, step_sf2)
-from .guard import GuardConfig, GuardReport, guard
+from .guard import GuardReport, default_tau, guard
 from .linalg import Permutation, RankDeficientError, SingularMatrixError, sealed
 from .reduction import Idea, InitReport, Variant, closed_form_init, reduce_with_fallback, reinit
 from .sfq import (
@@ -39,10 +41,6 @@ from .sfq import (
     orthonormal_residual,
     swap_perm,
 )
-
-if TYPE_CHECKING:
-    from .eig import CayleyParams
-
 
 class RunStatus(enum.Enum):
     CONVERGED = "converged"
@@ -55,18 +53,20 @@ class QdaConfig:
     rtol: float = 1e-14
     max_iter: int = 50
     stop_mode: StopMode = StopMode.KAHAN
-    guard: Optional[GuardConfig] = None      # None -> sized from the pencil
+    tau: Optional[float] = None      # guard threshold; None -> default_tau(m, n)
     init_idea: Idea = Idea.IDEA3
     init_variant: Variant = Variant.A_FIRST
 
     def __post_init__(self):
-        if self.rtol <= 0:
+        if not self.rtol > 0:
             raise ValueError("rtol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.tau is not None and not self.tau > 1.0:
+            raise ValueError("tau must exceed 1")
 
-    def guard_for(self, m: int, n: int) -> GuardConfig:
-        return self.guard if self.guard is not None else GuardConfig.for_sizes(m, n)
+    def tau_for(self, m: int, n: int) -> float:
+        return self.tau if self.tau is not None else default_tau(m, n)
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,19 @@ def _all_finite(p: SfqPencil) -> bool:
     return all(bool(np.isfinite(block).all()) for block in (p.E, p.F, p.X, p.Y))
 
 
-#: The pencil the safeguard checks a basis against: the ``GeneralPencil`` a
-#: run was reduced from, the ``CayleyPair`` of a half-plane pencil, or the
-#: ``SfqPencil`` it started from; none is formed as a dense copy.
-Reference = GeneralPencil | CayleyPair | SfqPencil
+#: What a solver is given: a disk-split pencil, or a half-plane pencil's
+#: Cayley pair.
+Problem = GeneralPencil | CayleyPair
+
+#: The pencil the safeguard checks a basis against: the :data:`Problem` a
+#: run was reduced from, or the ``SfqPencil`` it started from; none is
+#: formed as a dense copy.
+Reference = Problem | SfqPencil
+
+
+def _disk(problem: Problem) -> GeneralPencil:
+    """The dense disk-split pencil of a problem."""
+    return problem.pencil() if isinstance(problem, CayleyPair) else problem
 
 
 def _safeguard_ok(p: SfqPencil, rtol: float, reference: Reference) -> bool:
@@ -135,20 +144,21 @@ def _relative(delta: float, norm_x: float) -> float:
 
 def _iterate(p0: SfqPencil, cfg: QdaConfig,
              advance: Callable[[SfqPencil, Kernel], StepOutcome],
-             guard_cfg: Optional[GuardConfig], recover: bool, reference: Reference,
+             tau: Optional[float], reference: Reference,
              init_report: Optional[InitReport] = None) -> QdaResult:
     """The doubling loop every algorithm runs.
 
-    ``advance(p, kernel)`` makes one step; ``guard_cfg`` None runs no guard.
-    With ``recover``, a breakdown is met by one re-reduction, then one
-    kernel switch, before it ends the run.
+    ``advance(p, kernel)`` makes one step.  With a ``tau``, the guard keeps
+    X and Y under it, and a breakdown is met by one re-reduction, then one
+    kernel switch, before it ends the run; ``tau`` None is the classical
+    loop, with neither.
     """
     p = p0
     diffs: list[float] = []
     history: list[IterationRecord] = []
     status = RunStatus.MAX_ITER
     message = ""
-    reinit_used = kernel_switched = not recover
+    reinit_used = kernel_switched = tau is None
     it = 0
     while it < cfg.max_iter:
         it += 1
@@ -179,8 +189,8 @@ def _iterate(p0: SfqPencil, cfg: QdaConfig,
             message = f"non-finite iterate at iteration {it}"
             break
         delta = float(np.linalg.norm(outcome.next.X - p.X))
-        if guard_cfg is not None:
-            accepted, greport = guard(outcome.next, guard_cfg)
+        if tau is not None:
+            accepted, greport = guard(outcome.next, tau)
         else:
             accepted, greport = outcome.next, GuardReport()
         norm_x = float(np.linalg.norm(accepted.X))
@@ -212,33 +222,26 @@ def run_sdasfq(p0: SfqPencil, cfg: QdaConfig, reference: Optional[Reference] = N
     The residual safeguard checks against ``reference`` (see
     :data:`Reference`) when given, and otherwise against ``p0``'s own blocks.
     """
-    return _iterate(p0, cfg, step, cfg.guard_for(p0.m, p0.n), True,
+    return _iterate(p0, cfg, step, cfg.tau_for(p0.m, p0.n),
                     p0 if reference is None else reference, init_report)
 
 
-def run_qda(g: GeneralPencil, cfg: QdaConfig = QdaConfig(),
-            cayley: Optional[CayleyParams] = None) -> QdaResult:
+def run_qda(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
     """Full pipeline on a disk-split pencil: reduce, iterate, guard, stop.
 
-    With ``cayley``, ``g`` is a half-plane split and the run solves its
-    Cayley transform ``(A - gamma B, A + gamma B)``.  The transform is formed
-    here, through ``eig.cayley``, only for the reduction, and released before
-    the first step; the residual safeguard checks against the same pair, its
-    rows formed from ``g`` a few at a time (:class:`~qdoubling.sfq.CayleyPair`).
-    The run then holds no N-by-N matrix beyond the caller's ``g``.
+    A :class:`~qdoubling.sfq.CayleyPair` has its transform formed only for
+    the reduction, and released before the first step; the residual
+    safeguard forms the pair's rows from its source a few at a time.  The
+    run then holds no N-by-N matrix beyond the caller's pencil.
     """
-    if cayley is None:
-        disk, reference = g, g
-    else:
-        from . import eig   # eig imports this module
-        disk, reference = eig.cayley(g, cayley), CayleyPair(g, cayley.gamma)
+    disk = _disk(problem)
     try:
         report = reduce_with_fallback(disk, cfg.init_idea, cfg.init_variant)
     except BreakdownError as exc:
         return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
                          status=RunStatus.BREAKDOWN, message=f"initialization: {exc}")
     del disk   # a Cayley pair is needed again only row by row, by the safeguard
-    return run_sdasfq(report.pencil, cfg, reference=reference, init_report=report)
+    return run_sdasfq(report.pencil, cfg, reference=problem, init_report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +254,7 @@ def _run_baseline(p0: SfqPencil, cfg: QdaConfig, stepper, kernel: Kernel) -> Qda
     def advance(p: SfqPencil, _kernel: Kernel) -> StepOutcome:
         e, f, x, y = sealed(*stepper(p.E, p.F, p.X, p.Y))
         return StepOutcome(replace(p, E=e, F=f, X=x, Y=y), math.nan, math.nan, kernel)
-    return _iterate(p0, cfg, advance, None, False, p0)
+    return _iterate(p0, cfg, advance, None, p0)
 
 
 def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
@@ -287,10 +290,12 @@ def sdasf2_init(g: GeneralPencil) -> SfqPencil:
     return closed_form_init(g, Permutation.identity(g.size), swap_perm(g.m, g.n))
 
 
-def _run_baseline_on(g: GeneralPencil, cfg: QdaConfig, init, stepper,
+def _run_baseline_on(problem: Problem, cfg: QdaConfig, init, stepper,
                      kernel: Kernel) -> QdaResult:
+    """A baseline from its closed-form start; a Cayley pair's dense transform
+    is released once the start is formed."""
     try:
-        p0 = init(g)
+        p0 = init(_disk(problem))
     except SingularMatrixError as exc:
         return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
                          status=RunStatus.BREAKDOWN,
@@ -298,12 +303,12 @@ def _run_baseline_on(g: GeneralPencil, cfg: QdaConfig, init, stepper,
     return _run_baseline(p0, cfg, stepper, kernel)
 
 
-def run_sdasf1_on(g: GeneralPencil, cfg: QdaConfig = QdaConfig()) -> QdaResult:
-    return _run_baseline_on(g, cfg, sdasf1_init, step_sf1, Kernel.SF1)
+def run_sdasf1_on(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
+    return _run_baseline_on(problem, cfg, sdasf1_init, step_sf1, Kernel.SF1)
 
 
-def run_sdasf2_on(g: GeneralPencil, cfg: QdaConfig = QdaConfig()) -> QdaResult:
-    return _run_baseline_on(g, cfg, sdasf2_init, step_sf2, Kernel.SF2)
+def run_sdasf2_on(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
+    return _run_baseline_on(problem, cfg, sdasf2_init, step_sf2, Kernel.SF2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ is mapped to a unit-disk split by the transform ``A' = A - gamma B``,
 ``B' = A + gamma B`` with ``gamma < 0`` (eigenvalues map to
 ``(lam - gamma) / (lam + gamma)``), solved by the Q-doubling driver, and the
 two invariant-subspace bases are read off from the converged pencil.
-:func:`solve_halfplane` lets the driver form the transform, so that it is
-held only while the pencil is reduced.
+:func:`cayley` and :func:`solve_halfplane` are thin wrappers that hand the
+driver the pencil's :class:`~qdoubling.sfq.CayleyPair`, which is formed
+densely only while the pencil is reduced.
 
 Also provides the two normalized residual metrics for standard eigenproblems
 (``B = I``): the raw one scaled by the magnitude of the computed X block,
@@ -26,7 +27,6 @@ from .linalg import (
     SingularMatrixError,
     as_complex_matrix,
     lu_solve,
-    sealed,
     thin_qr,
     two_est,
 )
@@ -44,8 +44,7 @@ class CayleyParams:
 
 def cayley(g: GeneralPencil, params: CayleyParams) -> GeneralPencil:
     """Map a half-plane split to a disk split: ``(A - gB, A + gB)``."""
-    a, b = sealed(*CayleyPair(g, params.gamma).rows(slice(None)))
-    return GeneralPencil(A=a, B=b, m=g.m, n=g.n)
+    return CayleyPair(g, params.gamma).pencil()
 
 
 def cayley_map(lam: complex, gamma: float) -> complex:
@@ -126,10 +125,10 @@ def solve_halfplane(g: GeneralPencil, params: Optional[CayleyParams],
                     cfg: QdaConfig = QdaConfig()) -> EigenspaceBases:
     """Transform (unless ``params`` is None), run the doubling solver, extract.
 
-    The driver forms the transform for the reduction only (``run_qda(g, cfg,
-    cayley=params)``), so after the reduction the solve holds what it
-    returns plus one basis-sized working set.  Passing ``params=None``
-    declares the pencil already disk-split and skips the transform.  Driver
-    failures surface in ``source.status``.
+    The driver forms the transform for the reduction only, so after the
+    reduction the solve holds what it returns plus one basis-sized working
+    set.  Passing ``params=None`` declares the pencil already disk-split and
+    skips the transform.  Driver failures surface in ``source.status``.
     """
-    return bases_from_result(run_qda(g, cfg, cayley=params))
+    problem = g if params is None else CayleyPair(g, params.gamma)
+    return bases_from_result(run_qda(problem, cfg))

@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .driver import QdaConfig, QdaResult, RunStatus, run_qda, run_sdasf1_on
-from .eig import CayleyParams, cayley, nres1, nres2
+from .eig import nres1, nres2
 from .fileio import write_history_csv
 from .linalg import solve_transposed
-from .sfq import sfq_basis
+from .sfq import CayleyPair, sfq_basis
 from .problems import CriticalSpec, gen_bse_like, gen_critical, gen_random_split
 
 #: Summary-table row labels paired with the RunRow attribute they report.
@@ -48,15 +48,6 @@ class RunRow:
     nres1: float
     nres2: float
     cpu_seconds: float
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment, "algorithm": self.algorithm,
-            "label": self.label, "seed": self.seed, "status": self.status,
-            "iterations": self.iterations, "norm_x_fro": self.norm_x_fro,
-            "nres1": self.nres1, "nres2": self.nres2,
-            "cpu_seconds": self.cpu_seconds,
-        }
 
 
 def _measure(experiment: str, algorithm: str, label: str, seed: int,
@@ -92,15 +83,11 @@ def _compare(experiment: str, cases, gamma: float, cfg: QdaConfig,
              out_dir: Optional[str | Path]) -> list[RunRow]:
     """QDA next to SDASF1 on each half-plane ``(label, seed, pencil)`` case."""
     out_path = Path(out_dir) if out_dir is not None else None
-    params = CayleyParams(gamma)
-    runners = (("qda", lambda g: run_qda(g, cfg, cayley=params)),
-               # the closed-form SDASF1 start needs the dense disk pencil
-               ("sdasf1", lambda g: run_sdasf1_on(cayley(g, params), cfg)))
     rows: list[RunRow] = []
     for label, seed, g in cases:
-        for algorithm, runner in runners:
+        for algorithm, runner in (("qda", run_qda), ("sdasf1", run_sdasf1_on)):
             t0 = time.perf_counter()
-            result = runner(g)
+            result = runner(CayleyPair(g, gamma), cfg)
             elapsed = time.perf_counter() - t0
             rows.append(_measure(experiment, algorithm, label, seed, g.A, result, elapsed))
             _maybe_dump(out_path, result, algorithm, label, seed)

@@ -78,10 +78,6 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
     _atomic_write_text(Path(path), json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def read_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def write_history_csv(path: str | Path, history: Iterable[IterationRecord]) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")

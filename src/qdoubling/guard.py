@@ -6,8 +6,8 @@ the pencil into an equivalent one in which that entry is replaced by its
 reciprocal.  The swap is a rank-one update of all four blocks plus a
 transposition recorded in ``Q1``.  A swap on Y is the same swap applied to
 the dual pencil (where Y is the X-block), so it records its transposition in
-``Q2``.  If repeated swaps cannot bring the iterate under control, the guard
-escalates to a full re-reduction.
+``Q2``.  If ``m + n`` swaps cannot bring the iterate under control, the
+guard escalates to a full re-reduction.
 """
 
 from __future__ import annotations
@@ -31,20 +31,6 @@ def default_tau(m: int, n: int) -> float:
     if m < 1 or n < 1:
         raise ValueError("block sizes must be at least 1")
     return max(1.0e3, 10.0 * float(np.sqrt(float(n) * float(m) + 1.0)))
-
-
-@dataclass(frozen=True)
-class GuardConfig:
-    tau: float
-    max_actions_per_iteration: int
-
-    def __post_init__(self):
-        if self.tau <= 1.0:
-            raise ValueError("tau must exceed 1")
-
-    @classmethod
-    def for_sizes(cls, m: int, n: int) -> "GuardConfig":
-        return cls(tau=default_tau(m, n), max_actions_per_iteration=m + n)
 
 
 @dataclass(frozen=True)
@@ -127,19 +113,21 @@ def action_y(p: SfqPencil, j: int, ell: int) -> SfqPencil:
     return dual(_swap_x(dual(p), j, ell, "Y"))
 
 
-def guard(p: SfqPencil, cfg: GuardConfig) -> tuple[SfqPencil, GuardReport]:
-    """Apply swap actions (then, if needed, one re-reduction) until compliant.
+def guard(p: SfqPencil, tau: float) -> tuple[SfqPencil, GuardReport]:
+    """Apply swap actions (then, if needed, one re-reduction) until no entry
+    of X or Y exceeds ``tau``.
 
-    Returns the possibly updated pencil and a report of what was done.  A
-    still-violating pencil after escalation is returned as best effort.
+    At most ``m + n`` swaps are made before the re-reduction.  Returns the
+    possibly updated pencil and a report of what was done.  A still-violating
+    pencil after escalation is returned as best effort.
     Each action's ``max_before`` is the magnitude of the violation it fixes
     and its ``max_after`` that of the next violation, so X and Y are scanned
     once per action; only a pencil left compliant needs one more max scan.
     """
     actions: list[GuardAction] = []
     current = p
-    violation = find_violation(current, cfg.tau)
-    for _ in range(cfg.max_actions_per_iteration):
+    violation = find_violation(current, tau)
+    for _ in range(p.m + p.n):
         if violation is None:
             return current, GuardReport(tuple(actions))
         fixed = violation
@@ -149,7 +137,7 @@ def guard(p: SfqPencil, cfg: GuardConfig) -> tuple[SfqPencil, GuardReport]:
         else:
             current = action_y(current, fixed.row, fixed.col)
             kind = "action_y"
-        violation = find_violation(current, cfg.tau)
+        violation = find_violation(current, tau)
         if violation is None:
             after = max(current.max_abs_x(), current.max_abs_y())
         else:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import qr
@@ -72,32 +71,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
-
-
-class MatrixNorms(NamedTuple):
-    one: float
-    inf: float
-    fro: float
-    two_est: float
-
-
-def norms(a: np.ndarray) -> MatrixNorms:
-    """One, infinity and Frobenius norms plus the 2-norm estimate.
-
-    The 2-norm is estimated as ``sqrt(norm1 * norminf)``, which always bounds
-    the true spectral norm from above.  No SVD is ever computed.
-    """
-    a = as_complex_matrix(a)
-    absa = np.abs(a)
-    one = float(absa.sum(axis=0).max(initial=0.0))
-    inf = float(absa.sum(axis=1).max(initial=0.0))
-    # squared after an exact power-of-two scaling to a largest entry in
-    # [1/2, 1): no overflow or underflow, and the same bits whenever the
-    # unscaled sum of squares would not have overflowed or underflowed
-    shift = math.frexp(float(absa.max(initial=0.0)))[1]
-    scaled = np.ldexp(absa, -shift)
-    fro = math.ldexp(float(np.sqrt((scaled * scaled).sum())), shift)
-    return MatrixNorms(one, inf, fro, math.sqrt(one) * math.sqrt(inf))
 
 
 #: Rows per block in the kernels that stream over a tall matrix, so that no

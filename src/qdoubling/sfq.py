@@ -14,6 +14,10 @@ classical first standard form, and ``Q1 @ Q2.T`` equal to the block swap
 ``P [Y; I]`` a row gather.  Every mirror (Y-side) formula is its primal
 applied to :func:`dual`.
 
+A solver takes a disk-split problem as a :class:`GeneralPencil` and a
+half-plane one as its :class:`CayleyPair`, which forms the dense transform
+only on request.
+
 The residual safeguard (:func:`orthonormal_residual`) checks a basis
 against one pencil argument.  A pencil in this form is never assembled:
 ``A_i U`` is a row gather of ``U`` by ``Q1`` and two block products,
@@ -42,6 +46,7 @@ from .linalg import (
     permute_rows,
     qr_in_place,
     row_blocks,
+    sealed,
     thin_qr,
     two_est,
 )
@@ -94,18 +99,28 @@ class GeneralPencil:
 class CayleyPair:
     """The disk-split pair ``(A - gamma B, A + gamma B)`` of a half-plane pencil.
 
-    :meth:`rows` forms any block of its rows from ``source``, so a solve can
-    check a basis against the pair without holding it; ``eig.cayley`` forms
-    the whole pair the same way.
+    With ``gamma < 0`` an eigenvalue ``lam`` maps to
+    ``(lam - gamma) / (lam + gamma)``.  :meth:`rows` forms any block of its
+    rows from ``source``, so a solve can check a basis against the pair
+    without holding it; :meth:`pencil` forms the whole pair the same way.
     """
 
     source: GeneralPencil
     gamma: float
 
+    def __post_init__(self):
+        if not self.gamma < 0:
+            raise ValueError("gamma must be negative")
+
     def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
         a, b = self.source.A[rows], self.source.B[rows]
         gamma_b = self.gamma * b
         return a - gamma_b, a + gamma_b
+
+    def pencil(self) -> GeneralPencil:
+        """The dense pair, as a disk-split :class:`GeneralPencil`."""
+        a, b = sealed(*self.rows(slice(None)))
+        return GeneralPencil(A=a, B=b, m=self.source.m, n=self.source.n)
 
 
 @dataclass(frozen=True)
@@ -377,8 +392,9 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
       2-norm estimates come from the blocks' row and column sums;
     * a :class:`GeneralPencil` ``(A, B)``, or a :class:`CayleyPair` for
       ``(A - gamma B, A + gamma B)``: its rows are taken (for the Cayley pair,
-      formed exactly as ``eig.cayley`` forms them) :data:`CAYLEY_ROWS` at a
-      time and fill ``A U``, ``B U`` and both estimates block by block;
+      formed exactly as :meth:`CayleyPair.pencil` forms them)
+      :data:`CAYLEY_ROWS` at a time and fill ``A U``, ``B U`` and both
+      estimates block by block;
     * a bare matrix ``H`` for the standard problem ``(H, I)``, where this is
       the conditioning-robust normalized residual.
 

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qdoubling import GuardConfig, Permutation, SfqPencil
+from qdoubling import Permutation, SfqPencil
 
-#: A guard that never acts: ``guard()`` returns each pencil untouched with an
-#: empty report, exactly as a run with no guard.
-NO_GUARD = GuardConfig(tau=math.inf, max_actions_per_iteration=0)
+#: A guard threshold nothing exceeds (``QdaConfig(tau=NO_GUARD)``): ``guard()``
+#: returns each pencil untouched with an empty report, exactly as a run with
+#: no guard.
+NO_GUARD = math.inf
 
 
 def complex_normal(rng, rows, cols, scale=1.0):

@@ -10,7 +10,6 @@ import pytest
 from qdoubling import (
     CayleyParams,
     CriticalSpec,
-    GuardConfig,
     Permutation,
     QdaConfig,
     RunStatus,
@@ -196,7 +195,7 @@ def test_05_duality():
     rng = np.random.default_rng(505)
     worst = 0.0
     shapes = [(3, 5), (4, 4), (2, 6), (5, 3), (4, 5)]
-    cfg = QdaConfig(max_iter=6, rtol=1e-300, guard=NO_GUARD)
+    cfg = QdaConfig(max_iter=6, rtol=1e-300, tau=NO_GUARD)
     for m, n in shapes:
         p0 = random_sfq(rng, m, n, scale=0.35)
         primal = run_sdasfq(p0, cfg)

@@ -5,11 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
-import qdoubling.cli
 import qdoubling.driver
-import qdoubling.eig
 
-from qdoubling import Permutation, gen_random_split
+from qdoubling import CayleyPair, Permutation, gen_random_split
 from qdoubling.cli import main
 from qdoubling.fileio import (
     read_matrix,
@@ -130,31 +128,55 @@ class TestSolve:
         summary = json.loads((tmp_path / "sol" / "summary.json").read_text())
         assert summary["nres2"] <= 1e-8
 
-    def test_cayley_pair_is_released_before_the_first_step(self, tmp_path, monkeypatch):
+    def solve_watching_the_dense_pair(self, tmp_path, monkeypatch, algorithm, step_name):
+        """Exit code, and which of the dense Cayley pair and its two matrices
+        were alive when the first ``driver.<step_name>`` began."""
         refs, alive = [], []
-        form = qdoubling.eig.cayley
-        first_step = qdoubling.driver.step
+        form = CayleyPair.pencil
+        first_step = getattr(qdoubling.driver, step_name)
 
-        def tracked_cayley(g, params):
-            disk = form(g, params)
+        def tracked_pencil(pair):
+            disk = form(pair)
             refs.extend(weakref.ref(obj) for obj in (disk, disk.A, disk.B))
             return disk
 
-        def watched_step(p, kernel=None):
+        def watched_step(*args):
             if not alive:
                 alive.append([ref() is not None for ref in refs])
-            return first_step(p, kernel)
+            return first_step(*args)
 
-        for module in (qdoubling.eig, qdoubling.cli):
-            monkeypatch.setattr(module, "cayley", tracked_cayley)
-        monkeypatch.setattr(qdoubling.driver, "step", watched_step)
+        monkeypatch.setattr(CayleyPair, "pencil", tracked_pencil)
+        monkeypatch.setattr(qdoubling.driver, step_name, watched_step)
         self.write_instance(tmp_path, m=6, n=7, eta=1e-2, seed=3)
         code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
                      "--matrix-b", str(tmp_path / "B.json"),
                      "--m", "6", "--n", "7", "--gamma", "-1",
-                     "--out", str(tmp_path / "sol")])
+                     "--algorithm", algorithm, "--out", str(tmp_path / "sol")])
+        assert len(refs) == 3
+        return code, alive
+
+    def test_cayley_pair_is_released_before_the_first_step(self, tmp_path, monkeypatch):
+        code, alive = self.solve_watching_the_dense_pair(tmp_path, monkeypatch, "qda", "step")
         assert code == 0
-        assert len(refs) == 3 and alive == [[False, False, False]]
+        assert alive == [[False, False, False]]
+
+    def test_baseline_releases_the_cayley_pair_after_its_start(self, tmp_path, monkeypatch):
+        _, alive = self.solve_watching_the_dense_pair(tmp_path, monkeypatch, "sdasf1",
+                                                      "step_sf1")
+        assert alive == [[False, False, False]]
+
+    @pytest.mark.parametrize("flag", [("--tau", "0.5"), ("--tau", "nan"), ("--rtol", "0"),
+                                      ("--rtol", "nan"), ("--max-iter", "0"), ("--gamma", "1")],
+                             ids=["tau", "tau-nan", "rtol", "rtol-nan", "max-iter", "gamma"])
+    def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, flag):
+        self.write_instance(tmp_path)
+        code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
+                     "--matrix-b", str(tmp_path / "B.json"),
+                     "--m", "4", "--n", "5", *flag, "--out", str(tmp_path / "sol")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_sdasf2_algorithm(self, tmp_path):
         self.write_instance(tmp_path, m=5, n=5, seed=1)

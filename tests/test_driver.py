@@ -59,7 +59,7 @@ class TestRunQda:
         cfg = QdaConfig()
         res = run_qda(g, cfg)
         assert res.status is RunStatus.CONVERGED
-        tau = cfg.guard_for(10, 12).tau
+        tau = cfg.tau_for(10, 12)
         assert np.abs(res.phi).max() <= tau
         assert np.abs(res.psi).max() <= tau
 
@@ -98,7 +98,7 @@ class TestInvariants:
         # prescribed solution bases, with coefficients raised to 2^k
         from qdoubling import anti_basis, assemble
         inst = gen_solved_sfq(m=4, n=5, rho_m=0.6, rho_n=0.6, seed=21)
-        cfg = QdaConfig(max_iter=6, rtol=1e-300, guard=NO_GUARD)
+        cfg = QdaConfig(max_iter=6, rtol=1e-300, tau=NO_GUARD)
         res = run_sdasfq(inst.pencil, cfg)
         z1 = sfq_basis(inst.pencil, inst.phi)
         z2 = anti_basis(inst.pencil, inst.psi)
@@ -117,7 +117,7 @@ class TestDuality:
     def test_dual_run_swaps_roles(self, rng):
         inst = gen_solved_sfq(m=3, n=5, rho_m=0.6, rho_n=0.6, seed=7)
         p0 = inst.pencil
-        cfg = QdaConfig(max_iter=6, rtol=1e-300, guard=NO_GUARD)
+        cfg = QdaConfig(max_iter=6, rtol=1e-300, tau=NO_GUARD)
         primal = run_sdasfq(p0, cfg)
         dual_run = run_sdasfq(dual(p0), cfg)
         assert primal.iterations == dual_run.iterations == 6
@@ -134,7 +134,7 @@ class TestBaselines:
                        E=complex_normal(rng, 5, 5, 0.4), F=complex_normal(rng, 5, 5, 0.4),
                        X=complex_normal(rng, 5, 5, 0.3), Y=complex_normal(rng, 5, 5, 0.3),
                        Q1=Permutation.identity(10), Q2=Permutation.identity(10))
-        cfg = QdaConfig(max_iter=5, rtol=1e-300, guard=NO_GUARD)
+        cfg = QdaConfig(max_iter=5, rtol=1e-300, tau=NO_GUARD)
         qda = run_sdasfq(p0, cfg)
         sf1 = run_sdasf1(p0.E, p0.F, p0.X, p0.Y, cfg)
         for rq, rs in zip(qda.history, sf1.history):

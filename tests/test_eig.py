@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import qdoubling.driver
-import qdoubling.eig
 
 from qdoubling import (
+    CayleyPair,
     CayleyParams,
     GeneralPencil,
     QdaConfig,
@@ -44,6 +44,10 @@ class TestCayley:
     def test_rejects_nonnegative_gamma(self):
         with pytest.raises(ValueError):
             CayleyParams(1.0)
+        g = GeneralPencil(A=np.eye(2), B=np.eye(2), m=1, n=1)
+        for gamma in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="gamma must be negative"):
+                CayleyPair(g, gamma)
 
     def test_spectral_correctness_on_generator(self):
         gamma = -1.0
@@ -165,11 +169,11 @@ class TestSolveHalfplane:
 
     def test_cayley_pair_is_released_before_the_first_step(self, monkeypatch):
         refs, alive = [], []
-        form = qdoubling.eig.cayley
+        form = CayleyPair.pencil
         first_step = qdoubling.driver.step
 
-        def tracked_cayley(g, params):
-            disk = form(g, params)
+        def tracked_pencil(pair):
+            disk = form(pair)
             refs.extend(weakref.ref(obj) for obj in (disk, disk.A, disk.B))
             return disk
 
@@ -178,7 +182,7 @@ class TestSolveHalfplane:
                 alive.append([ref() is not None for ref in refs])
             return first_step(p, kernel)
 
-        monkeypatch.setattr(qdoubling.eig, "cayley", tracked_cayley)
+        monkeypatch.setattr(CayleyPair, "pencil", tracked_pencil)
         monkeypatch.setattr(qdoubling.driver, "step", watched_step)
         inst = gen_random_split(m=6, n=7, alpha=8.0, eta=1e-2, seed=3)
         bases = solve_halfplane(inst.pencil, CayleyParams(-1.0), QdaConfig())
@@ -190,7 +194,7 @@ class TestSolveHalfplane:
         inst = gen_random_split(m=9, n=12, alpha=8.0, eta=1e-3, seed=6)
         params = CayleyParams(-1.5)
         ref = run_qda(cayley(inst.pencil, params), QdaConfig())
-        got = run_qda(inst.pencil, QdaConfig(), cayley=params)
+        got = run_qda(CayleyPair(inst.pencil, params.gamma), QdaConfig())
         assert got.status is ref.status is RunStatus.CONVERGED
         assert got.iterations == ref.iterations
         assert got.phi.tobytes() == ref.phi.tobytes()

@@ -3,7 +3,6 @@ import pytest
 
 from qdoubling import (
     GuardAction,
-    GuardConfig,
     Permutation,
     SfqPencil,
     ZeroPivotError,
@@ -174,7 +173,7 @@ class TestEntrywiseBounds:
             assert (np.abs(q.X) <= bound_x + slack).all()
 
 
-def rescanned_actions(p, report, cfg):
+def rescanned_actions(p, report):
     """Replay ``report`` with a full max scan of X and Y around every action."""
     def peak(pencil):
         return max(pencil.max_abs_x(), pencil.max_abs_y())
@@ -193,8 +192,7 @@ def rescanned_actions(p, report, cfg):
 class TestGuardLoop:
     def test_compliant_untouched(self, rng):
         p = random_sfq(rng, 3, 4, scale=0.3)
-        cfg = GuardConfig.for_sizes(3, 4)
-        q, report = guard(p, cfg)
+        q, report = guard(p, default_tau(3, 4))
         assert q is p
         assert not report.acted
 
@@ -202,11 +200,11 @@ class TestGuardLoop:
         p = random_sfq(rng, 3, 4, scale=0.2)
         x = p.X.copy()
         x[1, 0] = 5.0e4
-        cfg = GuardConfig.for_sizes(3, 4)
-        q, report = guard(with_block(p, "X", x), cfg)
+        tau = default_tau(3, 4)
+        q, report = guard(with_block(p, "X", x), tau)
         assert [a.kind for a in report.actions] == ["action_x"]
-        assert max(q.max_abs_x(), q.max_abs_y()) <= cfg.tau
-        assert report.actions == rescanned_actions(with_block(p, "X", x), report, cfg)
+        assert max(q.max_abs_x(), q.max_abs_y()) <= tau
+        assert report.actions == rescanned_actions(with_block(p, "X", x), report)
 
     def test_records_match_full_rescans(self, rng):
         # several planted entries on both sides: the records reuse the
@@ -216,19 +214,17 @@ class TestGuardLoop:
         x[1, 0], x[3, 2] = 5.0e4, -3.0e4j
         y[0, 4], y[2, 1] = 7.0e4, 2.5e4
         p = with_block(with_block(p, "X", x), "Y", y)
-        cfg = GuardConfig(tau=1000.0, max_actions_per_iteration=9)
-        q, report = guard(p, cfg)
+        q, report = guard(p, 1000.0)
         assert len(report.actions) >= 4
-        assert report.actions == rescanned_actions(p, report, cfg)
-        assert max(q.max_abs_x(), q.max_abs_y()) <= cfg.tau
+        assert report.actions == rescanned_actions(p, report)
+        assert max(q.max_abs_x(), q.max_abs_y()) <= 1000.0
 
-    def test_escalates_to_reinit(self, rng):
-        p = random_sfq(rng, 3, 3, scale=0.2)
-        x = 2.0e4 * (1.0 + rng.random((3, 3)))  # every entry violates
-        cfg = GuardConfig(tau=1000.0, max_actions_per_iteration=1)
-        q, report = guard(with_block(p, "X", x.astype(complex)), cfg)
+    def test_escalates_to_reinit(self):
+        # a tau this close to 1 leaves entries over it after all m + n swaps,
+        # and the re-reduction brings every entry under it
+        p = random_sfq(np.random.default_rng(4), 3, 3, scale=1.0)
+        q, report = guard(p, 1.05)
         kinds = [a.kind for a in report.actions]
-        assert kinds[-1] == "reinit"
-        assert max(q.max_abs_x(), q.max_abs_y()) <= cfg.tau
-        assert report.actions == rescanned_actions(with_block(p, "X", x.astype(complex)),
-                                                   report, cfg)
+        assert kinds[-1] == "reinit" and len(kinds) == 3 + 3 + 1
+        assert max(q.max_abs_x(), q.max_abs_y()) <= 1.05
+        assert report.actions == rescanned_actions(p, report)

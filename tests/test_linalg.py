@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from qdoubling import (
     SingularMatrixError,
     lu_factor,
     lu_solve,
-    norms,
     permute_rows,
     thin_qr,
 )
@@ -121,31 +118,6 @@ class TestThinQr:
 
 
 class TestNorms:
-    def test_identity(self):
-        got = norms(np.eye(4))
-        assert got.one == 1.0 and got.inf == 1.0
-        assert got.fro == pytest.approx(2.0)
-        assert got.two_est == 1.0
-
-    def test_diagonal(self):
-        got = norms(np.diag([3.0, -4.0]).astype(complex))
-        assert (got.one, got.inf, got.fro, got.two_est) == (4.0, 4.0, 5.0, 4.0)
-
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    def test_frobenius_at_extreme_scales(self, scale):
-        a = np.full((3, 4), scale * (0.6 + 0.8j))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = norms(a)
-        assert got.fro == pytest.approx(scale * np.sqrt(12.0), rel=1e-15, abs=0.0)
-        assert got.one == pytest.approx(3 * scale, rel=1e-15, abs=0.0)
-        assert got.inf == pytest.approx(4 * scale, rel=1e-15, abs=0.0)
-
-    def test_frobenius_bits_unchanged_at_unit_scale(self, rng):
-        a = complex_normal(rng, 6, 5)
-        absa = np.abs(a)
-        assert norms(a).fro == float(np.sqrt((absa * absa).sum()))
-
     def test_row_blocked_sums_keep_the_bits(self, rng):
         rows = 2 * ROW_BLOCK + 7
         a = complex_normal(rng, rows, 9) * 10.0 ** rng.uniform(-8, 8, size=(rows, 9))
@@ -171,7 +143,7 @@ class TestNorms:
             v = a.conj().T @ (a @ v)
             v /= np.linalg.norm(v)
         sigma = float(np.linalg.norm(a @ v))
-        assert norms(a).two_est >= sigma - 1e-10
+        assert two_est(a) >= sigma - 1e-10
 
 
 class TestPermutation:
