@@ -220,9 +220,17 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(",") if s)
+        if not seeds:
+            raise ValueError("--seeds names no seed")
+        if not args.gamma < 0:
+            raise ValueError("gamma must be negative")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s)
     if args.name == "critical_rate":
         tables = critical_rate(seeds=seeds, out_dir=out)
         write_manifest(out / "critical_rate.json", {"runs": tables, "seeds": list(seeds)})

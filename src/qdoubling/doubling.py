@@ -60,20 +60,21 @@ def _w_rule(p: SfqPencil, form_w: Callable[[np.ndarray], np.ndarray],
     """One W-rule step of ``p``; ``form_w(z)`` builds W from ``z = [-X, I] P``.
 
     Each temporary is dropped as soon as the blocks that need it are formed,
-    and X and Y are added into fresh products in place (``a + b == b + a``
+    the solve with ``X Q11 - Q21`` takes that fresh block's storage, and X
+    and Y are added into fresh products in place (``a + b == b + a``
     exactly), so one step holds little beyond ``p`` and the next pencil.
     """
     m = p.m
     pi = q_blocks_of(p)
     z = neg_x_eye_p(p, pi)
-    w, xq = form_w(z), -z[:, :m]                # xq = X Q11 - Q21
+    w, xq = form_w(z), np.negative(z[:, :m], order="F")    # xq = X Q11 - Q21
     del z
     try:
         factors = lu_factor(w)
     except SingularMatrixError as exc:
         raise BreakdownError(f"doubling step ({solve} solve)", str(exc)) from exc
     del w
-    winv_xq = factors.solve(xq)                 # W^{-1} (X Q11 - Q21)
+    winv_xq = factors.solve(xq, overwrite_b=True)   # W^{-1} (X Q11 - Q21), in xq's storage
     del xq
     winv_f = factors.solve(p.F)                 # W^{-1} F
     condition, min_pivot = factors.condition_estimate, factors.min_pivot

@@ -13,7 +13,8 @@ half-plane pencil, whose dense transform is formed for the reduction or the
 closed-form start only and released before the first step.
 
 A run holds its live iterate, its history of pencils and, only while the
-safeguard runs, a few arrays of the basis's size.  The safeguard checks
+safeguard runs, a few arrays of the basis's size; ``run_qda``'s reduced start
+is freed after the first step.  The safeguard checks
 against one pencil (:data:`Reference`) and never builds a dense copy.  Each
 step's fresh blocks are sealed (:func:`~qdoubling.linalg.sealed`) and so
 become the next pencil without a copy.
@@ -93,7 +94,6 @@ class QdaResult:
     q2: Optional[Permutation]
     history: tuple[IterationRecord, ...]
     status: RunStatus
-    initial: Optional[SfqPencil] = None
     final: Optional[SfqPencil] = None
     init_report: Optional[InitReport] = None
     message: str = ""
@@ -142,18 +142,20 @@ def _relative(delta: float, norm_x: float) -> float:
     return 0.0 if delta == 0.0 else math.inf
 
 
-def _iterate(p0: SfqPencil, cfg: QdaConfig,
+def _iterate(start: list[SfqPencil], cfg: QdaConfig,
              advance: Callable[[SfqPencil, Kernel], StepOutcome],
-             tau: Optional[float], reference: Reference,
-             init_report: Optional[InitReport] = None) -> QdaResult:
+             tau: Optional[float], reference: Reference) -> QdaResult:
     """The doubling loop every algorithm runs.
 
+    ``start`` holds the first pencil, and the loop takes it out, so a start
+    that no caller keeps is freed once the first step has replaced it.
     ``advance(p, kernel)`` makes one step.  With a ``tau``, the guard keeps
     X and Y under it, and a breakdown is met by one re-reduction, then one
     kernel switch, before it ends the run; ``tau`` None is the classical
-    loop, with neither.
+    loop, with neither.  A non-finite block or norm ends the run as a
+    breakdown.
     """
-    p = p0
+    p = start.pop()
     diffs: list[float] = []
     history: list[IterationRecord] = []
     status = RunStatus.MAX_ITER
@@ -188,17 +190,22 @@ def _iterate(p0: SfqPencil, cfg: QdaConfig,
             status = RunStatus.BREAKDOWN
             message = f"non-finite iterate at iteration {it}"
             break
-        delta = float(np.linalg.norm(outcome.next.X - p.X))
         if tau is not None:
             accepted, greport = guard(outcome.next, tau)
         else:
             accepted, greport = outcome.next, GuardReport()
-        norm_x = float(np.linalg.norm(accepted.X))
+        with np.errstate(over="ignore"):    # an overflowing norm ends the run below
+            delta = float(np.linalg.norm(outcome.next.X - p.X))
+            norm_e, norm_f, norm_x, norm_y = (float(np.linalg.norm(block)) for block in
+                                              (accepted.E, accepted.F, accepted.X, accepted.Y))
+        if not all(map(math.isfinite, (delta, norm_e, norm_f, norm_x, norm_y))):
+            # the blocks are finite but a norm is not: no stopping test holds
+            status = RunStatus.BREAKDOWN
+            message = f"non-finite norm at iteration {it}"
+            break
         history.append(IterationRecord(
             index=it, abs_update_x=delta, rel_update_x=_relative(delta, norm_x),
-            norm_e=float(np.linalg.norm(accepted.E)),
-            norm_f=float(np.linalg.norm(accepted.F)),
-            norm_x=norm_x, norm_y=float(np.linalg.norm(accepted.Y)),
+            norm_e=norm_e, norm_f=norm_f, norm_x=norm_x, norm_y=norm_y,
             w_condition=outcome.w_condition, w_min_pivot=outcome.w_min_pivot,
             kernel=outcome.kernel, guard_events=greport, pencil=accepted,
         ))
@@ -211,19 +218,24 @@ def _iterate(p0: SfqPencil, cfg: QdaConfig,
                 status = RunStatus.CONVERGED
                 break
     return QdaResult(phi=p.X, psi=p.Y, q1=p.Q1, q2=p.Q2, history=tuple(history),
-                     status=status, initial=p0, final=p,
-                     init_report=init_report, message=message)
+                     status=status, final=p, message=message)
 
 
-def run_sdasfq(p0: SfqPencil, cfg: QdaConfig, reference: Optional[Reference] = None,
-               init_report: Optional[InitReport] = None) -> QdaResult:
+def run_sdasfq(p0: SfqPencil | list[SfqPencil], cfg: QdaConfig,
+               reference: Optional[Reference] = None) -> QdaResult:
     """Doubling loop on an already-reduced pencil (guard and recovery included).
 
     The residual safeguard checks against ``reference`` (see
     :data:`Reference`) when given, and otherwise against ``p0``'s own blocks.
+    ``p0`` may come in a one-element list, which the loop empties, so that a
+    start the caller keeps no other reference to is freed once the first
+    step has replaced it; a plain argument stays referenced by the caller
+    until the call returns.
     """
-    return _iterate(p0, cfg, step, cfg.tau_for(p0.m, p0.n),
-                    p0 if reference is None else reference, init_report)
+    start = p0 if isinstance(p0, list) else [p0]
+    m, n = start[0].m, start[0].n
+    return _iterate(start, cfg, step, cfg.tau_for(m, n),
+                    start[0] if reference is None else reference)
 
 
 def run_qda(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
@@ -233,6 +245,12 @@ def run_qda(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
     the reduction, and released before the first step; the residual
     safeguard forms the pair's rows from its source a few at a time.  The
     run then holds no N-by-N matrix beyond the caller's pencil.
+
+    The reduced start is handed to the loop and freed once the first step
+    has replaced it: the result's ``init_report`` keeps the reduction's idea,
+    variant and sizes with ``pencil=None``, and
+    ``reduce_with_fallback(g, report.idea, report.variant)``, with ``g`` the
+    problem's disk pencil, forms the start again bit for bit.
     """
     disk = _disk(problem)
     try:
@@ -241,7 +259,9 @@ def run_qda(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
         return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
                          status=RunStatus.BREAKDOWN, message=f"initialization: {exc}")
     del disk   # a Cayley pair is needed again only row by row, by the safeguard
-    return run_sdasfq(report.pencil, cfg, reference=problem, init_report=report)
+    start = [report.pencil]
+    report = replace(report, pencil=None)
+    return replace(run_sdasfq(start, cfg, reference=problem), init_report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +274,7 @@ def _run_baseline(p0: SfqPencil, cfg: QdaConfig, stepper, kernel: Kernel) -> Qda
     def advance(p: SfqPencil, _kernel: Kernel) -> StepOutcome:
         e, f, x, y = sealed(*stepper(p.E, p.F, p.X, p.Y))
         return StepOutcome(replace(p, E=e, F=f, X=x, Y=y), math.nan, math.nan, kernel)
-    return _iterate(p0, cfg, advance, None, p0)
+    return _iterate([p0], cfg, advance, None, p0)
 
 
 def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,

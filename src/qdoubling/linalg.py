@@ -166,12 +166,17 @@ class LUFactors:
             return np.inf
         return float(self.pivot_mags.max() / small)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``a @ x = b`` for one or more right-hand-side columns."""
+    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+        """Solve ``a @ x = b`` for one or more right-hand-side columns.
+
+        With ``overwrite_b``, a Fortran-ordered complex ``b`` that its maker
+        no longer needs becomes ``x``, so the two are never held at once; any
+        other ``b`` is copied as without it.
+        """
         b = as_complex_matrix(b)
         if b.shape[0] != self.n:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
-        return zgetrs(self.lu, self.piv, b)[0]
+        return zgetrs(self.lu, self.piv, b, overwrite_b=overwrite_b)[0]
 
 
 def lu_factor(a: np.ndarray, tol: float = SINGULARITY_TOL) -> LUFactors:

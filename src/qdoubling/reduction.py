@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -69,7 +70,7 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class InitReport:
-    pencil: SfqPencil
+    pencil: Optional[SfqPencil]     # None once a solve has handed it to its loop
     idea: Idea
     variant: Variant
     max_abs_x: float
@@ -77,11 +78,11 @@ class InitReport:
     pivot_growth: float
 
 
-def _columns(*parts: tuple[np.ndarray, np.ndarray, bool]) -> np.ndarray:
+def _columns(*parts: tuple[np.ndarray, np.ndarray, bool], order: str = "C") -> np.ndarray:
     """``[±M1[:, c1], ±M2[:, c2], ...]`` from ``(M, c, negate)`` parts, gathered
-    straight into one array."""
+    straight into one array of the given memory order."""
     out = np.empty((parts[0][0].shape[0], sum(cols.size for _, cols, _ in parts)),
-                   dtype=np.complex128)
+                   dtype=np.complex128, order=order)
     start = 0
     for mat, cols, negate in parts:
         block = out[:, start:start + cols.size]
@@ -100,13 +101,15 @@ def closed_form_init(g: GeneralPencil, q1: Permutation, q2: Permutation) -> SfqP
     such reduction; the :class:`SingularMatrixError` propagates.
 
     The system is gathered and factored before its right-hand side is
-    gathered, and the blocks are returned as arrays of their own, so the
-    pencil keeps them without a copy.
+    gathered, in Fortran order so that the solution takes its storage, and
+    the blocks are returned as arrays of their own, so the pencil keeps them
+    without a copy.
     """
     m, n = g.m, g.n
     # looked up per call, so a tracing wrapper on linalg.lu_factor sees it
     factors = linalg.lu_factor(_columns((g.B, q2.image[:m], False), (g.A, q1.image[m:], True)))
-    sol = factors.solve(_columns((g.A, q1.image[:m], True), (g.B, q2.image[m:], False)))
+    sol = factors.solve(_columns((g.A, q1.image[:m], True), (g.B, q2.image[m:], False),
+                                 order="F"), overwrite_b=True)
     del factors
     np.negative(sol, out=sol)
     e, f, x, y = sealed(sol[:m, :m].copy(), sol[m:, m:].copy(),

@@ -42,6 +42,7 @@ from .linalg import (
     abs_sums,
     as_complex_matrix,
     frozen,
+    lu_factor,
     lu_solve,
     permute_rows,
     qr_in_place,
@@ -301,20 +302,20 @@ def dual_nme_residual(p0: SfqPencil, y: np.ndarray) -> float:
 
 
 def _times_a(p: SfqPencil, u: np.ndarray) -> np.ndarray:
-    """``A_i u = [E ua_top; ua_bot - X ua_top]`` with ``ua = Q1 u``, a row gather."""
+    """``A_i u = [E ua_top; ua_bot - X ua_top]`` with ``ua = Q1 u``, a row gather;
+    the bottom is updated first, so one product temporary is held at a time."""
     out = u[p.Q1.image]
-    top = p.E @ out[:p.m]
     out[p.m:] -= p.X @ out[:p.m]
-    out[:p.m] = top
+    out[:p.m] = p.E @ out[:p.m]
     return out
 
 
 def _times_b(p: SfqPencil, u: np.ndarray) -> np.ndarray:
-    """``B_i u = [ub_top - Y ub_bot; F ub_bot]`` with ``ub = Q2 u``, a row gather."""
+    """``B_i u = [ub_top - Y ub_bot; F ub_bot]`` with ``ub = Q2 u``, a row gather;
+    the top is updated first, so one product temporary is held at a time."""
     out = u[p.Q2.image]
-    bottom = p.F @ out[p.m:]
     out[:p.m] -= p.Y @ out[p.m:]
-    out[p.m:] = bottom
+    out[p.m:] = p.F @ out[p.m:]
     return out
 
 
@@ -364,6 +365,16 @@ def _orthonormal_basis(z: np.ndarray | SfqPencil) -> np.ndarray:
     return thin_qr(z)[0]
 
 
+def _products_h(x: np.ndarray, y: np.ndarray, blocks: list[slice],
+                order: str = "C") -> np.ndarray:
+    """``x^H y`` summed over ``blocks`` of rows into one array of the given
+    memory order, with the bits of ``sum(x[b].conj().T @ y[b] for b in blocks)``."""
+    out = np.zeros((x.shape[1], y.shape[1]), dtype=np.complex128, order=order)
+    for blk in blocks:
+        out += x[blk].conj().T @ y[blk]
+    return out
+
+
 def _sq_norm(r: np.ndarray) -> float:
     return float(np.vdot(r, r).real)
 
@@ -406,7 +417,9 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     and ``B U`` are rescaled in place by powers of two, so no scale of A or B
     makes the Gram matrix overflow or underflow; the Gram matrix, the
     right-hand side and the residual are accumulated over blocks of rows
-    (:func:`~qdoubling.linalg.row_blocks`).
+    (:func:`~qdoubling.linalg.row_blocks`).  The Gram matrix is factored
+    before the right-hand side is formed, and the solution takes the
+    right-hand side's storage, so at most three m-by-m arrays are held.
     """
     u = _orthonormal_basis(z)
     if isinstance(pencil, SfqPencil):
@@ -421,8 +434,9 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     cols = u.shape[1]
     del u   # from here on only A U and B U are needed
     blocks = row_blocks(au.shape[0])
-    gram = sum(bu[blk].conj().T @ bu[blk] for blk in blocks)
-    mray = lu_solve(gram, sum(bu[blk].conj().T @ au[blk] for blk in blocks))
+    gram_lu = lu_factor(_products_h(bu, bu, blocks))
+    mray = gram_lu.solve(_products_h(bu, au, blocks, order="F"), overwrite_b=True)
+    del gram_lu
     num = math.sqrt(sum(_sq_norm(au[blk] - bu[blk] @ mray) for blk in blocks))
     den = np.sqrt(cols) * (a_est * sa + two_est(mray) * b_est * sb)
     return num / den

@@ -33,6 +33,7 @@ from qdoubling import (
     nres2,
     primal_eig_residual,
     reduce_pencil,
+    reduce_with_fallback,
     run_qda,
     run_sdasf1_on,
     run_sdasfq,
@@ -147,7 +148,8 @@ def test_03_doubling_invariant():
         res = run_qda(g, QdaConfig())
         eye = np.eye(20, dtype=complex)
         mprime = lu_solve(inst.true_m + gamma * eye, inst.true_m - gamma * eye)
-        pencils = [(0, res.initial)] + [(r.index, r.pencil) for r in res.history]
+        start = reduce_with_fallback(g).pencil
+        pencils = [(0, start)] + [(r.index, r.pencil) for r in res.history]
         mpow = mprime
         at = 0
         for i, p in pencils:

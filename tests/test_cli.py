@@ -244,3 +244,15 @@ class TestExperimentCommand:
         per_iter = data["runs"][0]["perIteration"]
         ratios = [row["errRatio"] for row in per_iter[4:-4]]
         assert any(0.35 <= r <= 0.65 for r in ratios)
+
+    @pytest.mark.parametrize("flag", [("--gamma", "1"), ("--seeds", ""), ("--seeds", "1,x")],
+                             ids=["gamma", "no-seeds", "bad-seed"])
+    def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, flag):
+        out = tmp_path / "exp"
+        code = main(["experiment", "--name", "eta_sweep", "--m", "4", "--n", "5",
+                     *flag, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()

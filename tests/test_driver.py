@@ -1,7 +1,15 @@
+import gc
+import math
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+import qdoubling.driver
+
 from qdoubling import (
+    CayleyPair,
     CayleyParams,
     GeneralPencil,
     QdaConfig,
@@ -13,6 +21,7 @@ from qdoubling import (
     gen_random_split,
     gen_solved_sfq,
     primal_nme_residual,
+    reduce_with_fallback,
     run_qda,
     run_sdasf1,
     run_sdasf1_on,
@@ -23,6 +32,10 @@ from qdoubling import (
 )
 
 from conftest import NO_GUARD, complex_normal
+
+
+def pencil_bytes(p):
+    return [blk.tobytes() for blk in (p.E, p.F, p.X, p.Y, p.Q1.image, p.Q2.image)]
 
 
 class TestRunQda:
@@ -81,7 +94,7 @@ class TestRunQda:
         res = run_qda(g, QdaConfig())
         assert res.status is RunStatus.CONVERGED
         assert not any(rec.guard_events.acted for rec in res.history)
-        assert primal_nme_residual(res.initial, res.phi) <= 1e-10
+        assert primal_nme_residual(reduce_with_fallback(g).pencil, res.phi) <= 1e-10
 
     def test_init_breakdown_reported(self):
         # a pencil whose A is entirely zero cannot be reduced by any idea
@@ -90,6 +103,74 @@ class TestRunQda:
         assert res.status is RunStatus.BREAKDOWN
         assert res.phi is None
         assert "initialization" in res.message
+
+    @pytest.mark.parametrize("half_plane", [False, True], ids=["disk", "cayley-pair"])
+    def test_start_pencil_is_released_by_the_second_step(self, monkeypatch, half_plane):
+        # weakrefs to the reduced start and its four blocks, read as each step
+        # begins; with the cyclic collector off only references keep them
+        refs, alive = [], []
+        reduce_ = qdoubling.driver.reduce_with_fallback
+        step_ = qdoubling.driver.step
+
+        def tracked_reduce(*args):
+            report = reduce_(*args)
+            p = report.pencil
+            refs.extend(weakref.ref(obj) for obj in (p, p.E, p.F, p.X, p.Y))
+            return report
+
+        def watched_step(p, kernel=None):
+            alive.append([ref() is not None for ref in refs])
+            return step_(p, kernel)
+
+        monkeypatch.setattr(qdoubling.driver, "reduce_with_fallback", tracked_reduce)
+        monkeypatch.setattr(qdoubling.driver, "step", watched_step)
+        g = gen_random_split(m=6, n=7, alpha=8.0, eta=1e-2, seed=3).pencil
+        problem = CayleyPair(g, -1.0) if half_plane else cayley(g, CayleyParams(-1.0))
+        gc.disable()
+        try:
+            res = run_qda(problem, QdaConfig())
+        finally:
+            gc.enable()
+        assert res.status is RunStatus.CONVERGED and res.iterations >= 2
+        assert alive[0] == [True] * 5
+        assert alive[1] == [False] * 5
+        assert res.init_report.pencil is None
+
+    def test_start_is_recovered_from_the_init_report(self, monkeypatch):
+        seen = []
+        reduce_ = qdoubling.driver.reduce_with_fallback
+
+        def keep_bytes(*args):
+            report = reduce_(*args)
+            seen.append(pencil_bytes(report.pencil))
+            return report
+
+        monkeypatch.setattr(qdoubling.driver, "reduce_with_fallback", keep_bytes)
+        problem = CayleyPair(gen_random_split(m=8, n=9, alpha=8.0, eta=1e-3, seed=5).pencil,
+                             -1.0)
+        report = run_qda(problem, QdaConfig()).init_report
+        again = reduce_(problem.pencil(), report.idea, report.variant)
+        assert seen == [pencil_bytes(again.pencil)]
+        assert again.pivot_growth == report.pivot_growth
+
+    @pytest.mark.parametrize("m, n", [(4, 2), (2, 4)])
+    def test_overflowing_norm_is_a_breakdown(self, m, n):
+        # a mis-declared split: the block that should contract diverges, and
+        # its norm overflows at iteration 11 while its entries stay finite
+        g = cayley(gen_random_split(3, 3, 8.0, 1e-2, seed=1).pencil, CayleyParams(-1.0))
+        res = run_qda(GeneralPencil(A=g.A, B=g.B, m=m, n=n), QdaConfig())
+        assert res.status is RunStatus.BREAKDOWN
+        assert res.message == "non-finite norm at iteration 11"
+        assert res.iterations == 10
+        assert all(math.isfinite(value) for rec in res.history
+                   for value in (rec.abs_update_x, rec.norm_e, rec.norm_f,
+                                 rec.norm_x, rec.norm_y))
+
+    def test_declared_split_of_the_overflow_instance_converges(self):
+        g = cayley(gen_random_split(3, 3, 8.0, 1e-2, seed=1).pencil, CayleyParams(-1.0))
+        res = run_qda(g, QdaConfig())
+        assert res.status is RunStatus.CONVERGED
+        assert res.iterations == 7
 
 
 class TestInvariants:
@@ -142,6 +223,20 @@ class TestBaselines:
                 a = getattr(rq.pencil, blk)
                 b = getattr(rs.pencil, blk)
                 assert np.linalg.norm(a - b) <= 1e-13 * max(1.0, np.linalg.norm(a))
+
+    def test_sdasf1_init_peak_memory(self):
+        # the gathered system and its LU (2 arrays of the pencil's size) and the
+        # moduli of the singularity test (0.5); the solution takes the storage
+        # of the right-hand side, which a copying solve would hold beside it (3)
+        g = cayley(gen_random_split(120, 130, 8.0, 1e-2, seed=1).pencil, CayleyParams(-1.0))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sdasf1_init(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 16 * g.size ** 2
 
     def test_sf1_zero_xy_diagonal_converges(self):
         e = np.diag([0.5, 0.3]).astype(complex)

@@ -68,6 +68,18 @@ class TestLuSolve:
         x = solve_transposed(a, c)
         assert np.linalg.norm(x @ a - c) <= 1e-12 * np.linalg.norm(c)
 
+    def test_overwriting_solve_takes_a_fortran_rhs_storage(self, rng):
+        factors = lu_factor(complex_normal(rng, 6, 6))
+        b = complex_normal(rng, 6, 4)
+        want = factors.solve(b)
+        fortran = np.array(b, order="F")
+        got = factors.solve(fortran, overwrite_b=True)
+        assert np.shares_memory(got, fortran)
+        assert got.tobytes() == want.tobytes()
+        kept = b.copy()     # a C-ordered right-hand side is copied and left alone
+        assert factors.solve(b, overwrite_b=True).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(b, kept)
+
     def test_condition_estimate_finite(self, rng):
         factors = lu_factor(complex_normal(rng, 6, 6))
         assert 1.0 <= factors.condition_estimate < np.inf

@@ -341,6 +341,19 @@ class TestStructuredResidual:
         pencil = p0 if structured else GeneralPencil(*assemble(p0), m=p0.m, n=p0.n)
         assert residual_peak(pencil, z) <= 5 * z.nbytes
 
+    @pytest.mark.parametrize("kind", ["structured", "dense", "cayley"])
+    def test_least_squares_stage_holds_three_square_arrays(self, kind):
+        # at m = n an m-by-m array is half a basis block: A U and B U (2
+        # blocks), the Gram factors, the right-hand side and one product
+        # (1.5) and one conjugated block of ROW_BLOCK rows (0.25) make 3.75;
+        # a right-hand side formed beside the Gram matrix makes 4
+        inst = gen_solved_sfq(m=256, n=256, rho_m=0.5, rho_n=0.5, seed=3)
+        p0 = inst.pencil
+        z = sfq_basis(replace(p0, X=inst.phi))
+        dense = GeneralPencil(*assemble(p0), m=p0.m, n=p0.n)
+        pencil = {"structured": p0, "dense": dense, "cayley": CayleyPair(dense, -1.0)}[kind]
+        assert residual_peak(pencil, z) <= 3.875 * z.nbytes
+
     @pytest.mark.parametrize("structured", [True, False])
     def test_a_pencil_basis_is_built_within_the_same_peak(self, structured):
         # the basis of a pencil passed as z is built inside and factored in
