@@ -22,7 +22,7 @@ Fresh arrays and row blocks
 :func:`frozen` copies what it is given into a read-only array, except an
 array its maker marked with :func:`sealed`; only the code that computed an
 array may seal it.  Kernels that stream over a tall matrix (:func:`abs_sums`,
-:func:`two_est`, the residual safeguard) work in blocks of
+:func:`norm_inf`, :func:`two_est`, the residual safeguard) work in blocks of
 :data:`ROW_BLOCK` rows, so their temporaries do not grow with the matrix;
 :class:`AbsSums` takes the blocks as a caller forms them.
 
@@ -126,6 +126,21 @@ def abs_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums.col, sums.row
 
 
+def norm_inf(a: np.ndarray) -> float:
+    """``np.abs(a).sum(axis=1).max(initial=0.0)`` with the same bits, taken over
+    blocks of :data:`ROW_BLOCK` rows.
+
+    numpy sums each row of a C-ordered ``|a|`` on its own, but the rows of an
+    F-ordered one column by column, as :class:`AbsSums` sums the columns of
+    ``a.T`` (a block of one row would be summed on its own instead).
+    """
+    a = as_complex_matrix(a)
+    if a.flags.f_contiguous and not a.flags.c_contiguous:
+        return float(_abs_sums_of(a.T).col.max(initial=0.0))
+    return float(np.array([np.abs(a[rows]).sum(axis=1).max()
+                           for rows in row_blocks(a.shape[0])]).max(initial=0.0))
+
+
 def two_est(a: np.ndarray) -> float:
     """Cheap spectral-norm bound ``sqrt(norm1) * sqrt(norminf)``; never overflows."""
     return _abs_sums_of(a).two_est()
@@ -188,9 +203,10 @@ def lu_factor(a: np.ndarray, tol: float = SINGULARITY_TOL) -> LUFactors:
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"lu_factor needs a square matrix, got {a.shape}")
+    scale = norm_inf(a)     # before zgetrf's copy, so the two are never held at once
     lu, piv, _ = zgetrf(a)
     pivot_mags = np.abs(np.diagonal(lu))
-    small = np.flatnonzero(pivot_mags <= tol * np.abs(a).sum(axis=1).max(initial=0.0))
+    small = np.flatnonzero(pivot_mags <= tol * scale)
     if small.size:
         raise SingularMatrixError(int(small[0]), float(pivot_mags[small[0]]))
     return LUFactors(lu, piv, pivot_mags)

@@ -33,11 +33,38 @@ Where two pivot candidates tie to within an ulp (the late steps of
 Cayley-transformed pencils with ``B = I``, whose candidates are all near 2),
 which one wins, and so ``Q1`` / ``Q2``, is a rounding-level choice: any
 change to the order or fusing of the update's arithmetic can flip it.
+
+A step whose update has at least ``LANE_MIN_ENTRIES`` entries (rows times
+N) runs on two lanes, the calling thread and one helper thread, which take
+the (matrix, tile) pieces of the update from one shared queue; numpy
+releases the GIL inside each piece's update and rescan.  A piece reads
+only the multipliers and the pivot row, fixed before the step, and writes
+only its own tile, so every entry gets the same arithmetic whichever lane
+takes it: the output and ``pivot_growth`` (the maximum of the lanes'
+peaks) are bit-identical at any schedule.  Claiming is dynamic, so a lane
+the OS deschedules on a shared host does not stall the step.  The helper
+belongs to one :func:`reduce_pencil` call and is joined when it returns
+or raises; it starts at the first large step only.
+
+The threshold was measured by timing one step serially and on two lanes,
+medians of nine alternating repetitions, on split Cayley pencils of
+N = 110 ... 650, on a 2-vCPU host with one OpenBLAS thread (numpy 2.4,
+Python 3.11).  With both vCPUs free, two lanes lost up to 50 000 entries
+(0.4-0.9x at N <= 220: the helper's wake-up and the GIL hand-offs outweigh
+tiles this small), gained 1.1-1.25x from 80 000 to 140 000 and 1.3-1.6x
+from 200 000 up.  With one vCPU taken by other work they lose instead: a
+whole N = 650 reduction beside one busy-looping process ran at 0.86-0.89x
+its serial speed, as a lane preempted while it holds the GIL stalls the
+other.  At 2**17 = 131 072 every step of N <= 362 stays serial, and
+every step of an N = 650, m = 300 reduction (at least 300 rows) runs on
+two lanes.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -55,6 +82,10 @@ PIVOT_TOL = 1e-13
 #: Rows per tile of an elimination step: the tiles of both working matrices
 #: and of their magnitudes stay in L2 between the update and the rescan.
 ELIMINATION_TILE = 32
+
+#: Entries (rows times N) from which an elimination step's update runs on
+#: two threads; see the module docstring for how it was measured.
+LANE_MIN_ENTRIES = 1 << 17
 
 
 class Idea(enum.Enum):
@@ -132,8 +163,10 @@ class _Reducer:
     take a magnitude twice.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, m: int, n: int, stage: str):
+    def __init__(self, a: np.ndarray, b: np.ndarray, m: int, n: int, stage: str,
+                 helper: Optional[Executor] = None):
         self.m, self.n, self.size = m, n, m + n
+        self.helper = helper
         self.aw = as_complex_matrix(a).copy()   # C order: updated rows are contiguous
         self.bw = as_complex_matrix(b).copy()
         self.mag_a = np.abs(self.aw)
@@ -188,27 +221,50 @@ class _Reducer:
     def _eliminate(self, rows: slice, t: int, pivot: np.ndarray, other: np.ndarray):
         """``w[rows] -= outer(pivot[rows, t] / pivot[t, t], w[t])`` for both matrices.
 
-        The update runs over tiles of ``ELIMINATION_TILE`` rows, and each
-        tile's magnitudes are recomputed and folded into the growth while
-        the tile is still in cache; every entry gets the same one multiply
-        and subtract as in a single update.  Entries outside ``rows`` were
-        counted when they were last written, so the growth stays the maximum
-        over all entries and all steps.  (Columns that are zero in the pivot
-        row do not change, but whole contiguous rows run through ``np.abs``
-        faster than the strided rest.)
+        The update runs over tiles of ``ELIMINATION_TILE`` rows of each
+        matrix, and each tile's magnitudes are recomputed and folded into the
+        growth while the tile is still in cache; every entry gets the same
+        one multiply and subtract as in a single update.  Entries outside
+        ``rows`` were counted when they were last written, so the growth
+        stays the maximum over all entries and all steps.  (Columns that are
+        zero in the pivot row do not change, but whole contiguous rows run
+        through ``np.abs`` faster than the strided rest.)
+
+        A tile reads only ``mult`` and row ``t``, which no tile writes, and
+        writes only itself, so the tiles can go in any order: on a step of
+        at least ``LANE_MIN_ENTRIES`` entries the caller and the helper
+        thread each take tiles from one shared queue until none is left.
         """
         mult = pivot[rows, t] / pivot[t, t]
         if not mult.size:
             return
-        peak = 0.0
-        for lo in range(0, mult.size, ELIMINATION_TILE):
-            mult_tile = mult[lo:lo + ELIMINATION_TILE]
-            tile = slice(rows.start + lo, rows.start + lo + mult_tile.size)
-            for w in (pivot, other):
+        # deque pops are thread-safe, so each tile is taken exactly once
+        tiles = deque((w, mag, lo) for lo in range(0, mult.size, ELIMINATION_TILE)
+                      for w, mag in ((self.aw, self.mag_a), (self.bw, self.mag_b)))
+
+        def lane() -> float:
+            peak = 0.0
+            while True:
+                try:
+                    w, mag, lo = tiles.popleft()
+                except IndexError:
+                    return peak
+                mult_tile = mult[lo:lo + ELIMINATION_TILE]
+                tile = slice(rows.start + lo, rows.start + lo + mult_tile.size)
                 w[tile] -= np.outer(mult_tile, w[t])
-            pivot[tile, t] = 0.0
-            for w, mag in ((self.aw, self.mag_a), (self.bw, self.mag_b)):
+                if w is pivot:
+                    w[tile, t] = 0.0
                 peak = max(peak, float(np.abs(w[tile], out=mag[tile]).max()))
+
+        if self.helper is not None and mult.size * self.size >= LANE_MIN_ENTRIES:
+            helped = self.helper.submit(lane)
+            try:
+                peak = lane()
+            finally:
+                helper_peak = helped.result()   # the step is whole before anything moves on
+            peak = max(peak, helper_peak)
+        else:
+            peak = lane()
         self.growth = max(self.growth, peak / self.scale0)
 
     def a_step(self, band_limited: bool):
@@ -278,13 +334,16 @@ def _run_alternating(red: _Reducer, variant: Variant):
 def reduce_pencil(g: GeneralPencil, idea: Idea = Idea.IDEA3,
                   variant: Variant = Variant.A_FIRST) -> InitReport:
     """Reduce ``g`` to Q-standard form with the requested idea and version."""
-    red = _Reducer(g.A, g.B, g.m, g.n, stage=f"{idea.value} ({variant.value})")
-    if idea is Idea.IDEA1:
-        _run_phased(red, variant, first_banded=True, second_banded=True)
-    elif idea is Idea.IDEA2:
-        _run_phased(red, variant, first_banded=False, second_banded=True)
-    else:
-        _run_alternating(red, variant)
+    # the helper thread starts at the first large step and is joined on the way out
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="qdoubling-reduction") as helper:
+        red = _Reducer(g.A, g.B, g.m, g.n, stage=f"{idea.value} ({variant.value})",
+                       helper=helper)
+        if idea is Idea.IDEA1:
+            _run_phased(red, variant, first_banded=True, second_banded=True)
+        elif idea is Idea.IDEA2:
+            _run_phased(red, variant, first_banded=False, second_banded=True)
+        else:
+            _run_alternating(red, variant)
     pencil, growth = red.finish()
     return InitReport(pencil=pencil, idea=idea, variant=variant,
                       max_abs_x=pencil.max_abs_x(), max_abs_y=pencil.max_abs_y(),

@@ -18,7 +18,7 @@ from qdoubling.sfq import BreakdownError, SfqPencil
 class OuterReducer:
     """Complete-pivoting elimination with ``np.outer`` updates and rescans."""
 
-    def __init__(self, a, b, m, n, stage):
+    def __init__(self, a, b, m, n, stage, helper=None):
         self.m, self.n, self.size = m, n, m + n
         self.aw = np.array(a, dtype=np.complex128)
         self.bw = np.array(b, dtype=np.complex128)

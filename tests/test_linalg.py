@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from qdoubling.linalg import (
     AbsSums,
     abs_sums,
     frozen,
+    norm_inf,
     qr_in_place,
     row_blocks,
     sealed,
@@ -79,6 +83,19 @@ class TestLuSolve:
         kept = b.copy()     # a C-ordered right-hand side is copied and left alone
         assert factors.solve(b, overwrite_b=True).tobytes() == want.tobytes()
         np.testing.assert_array_equal(b, kept)
+
+    def test_factor_holds_only_its_lu_copy(self, rng):
+        # the singularity threshold's row sums of |a| are taken over blocks
+        # of rows before zgetrf copies a, so only the LU copy is held
+        a = complex_normal(rng, 250, 250)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            lu_factor(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * a.nbytes
 
     def test_condition_estimate_finite(self, rng):
         factors = lu_factor(complex_normal(rng, 6, 6))
@@ -146,6 +163,14 @@ class TestNorms:
         assert sums.col.tobytes() == np.abs(a).sum(axis=0).tobytes()
         assert sums.row.tobytes() == np.abs(a).sum(axis=1).tobytes()
         assert sums.two_est() == two_est(a)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_norm_inf_keeps_the_bits(self, rng, order):
+        # 2 * ROW_BLOCK + 1 rows leave a last block of one row
+        for n in (1, 5, ROW_BLOCK, 2 * ROW_BLOCK + 1):
+            a = complex_normal(rng, n, n) * 10.0 ** rng.uniform(-8, 8, size=(n, n))
+            a = np.array(a, order=order)
+            assert norm_inf(a) == np.abs(a).sum(axis=1).max()
 
     def test_two_est_upper_bounds_power_iteration(self, rng):
         a = complex_normal(rng, 5, 5)

@@ -1,5 +1,8 @@
 import gc
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -56,6 +59,37 @@ def eigenpair_residual(a0, b0, pairs, gamma):
         den = (np.linalg.norm(a0) + abs(mu) * np.linalg.norm(b0)) * np.linalg.norm(z)
         worst = max(worst, num / den)
     return worst
+
+
+def zero_band() -> GeneralPencil:
+    """A with zero last-n rows: ideas 1 and 3 break down, idea 2 does not."""
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :] = [[1, 2, 3, 4], [5, 6, 7, 8]]
+    return GeneralPencil(A=a, B=np.eye(4, dtype=complex), m=2, n=2)
+
+
+def assert_failed_attempts_are_freed(monkeypatch):
+    # a failed attempt's traceback holds its frames, and so its reducer
+    # (two N-by-N working matrices and their moduli) and the pencil
+    refs = []
+    make = qdoubling.reduction._Reducer
+
+    def tracked(*args, **kwargs):
+        red = make(*args, **kwargs)
+        refs.append(weakref.ref(red))
+        return red
+
+    monkeypatch.setattr(qdoubling.reduction, "_Reducer", tracked)
+    g = zero_band()
+    gc.collect()
+    gc.disable()   # only reference counting may free them
+    try:
+        rep = reduce_with_fallback(g, Idea.IDEA1, Variant.A_FIRST)
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert rep.idea is Idea.IDEA2 and len(refs) == 3
+    assert alive == [False, False, False]
 
 
 class TestClosedForm:
@@ -145,13 +179,8 @@ class TestReductions:
         assert np.isfinite(rep.pivot_growth) and rep.pivot_growth >= 1.0
 
     def test_idea1_breakdown_on_zero_band(self):
-        # A with zero last-n rows leaves idea 1 no admissible pivot
-        a = np.zeros((4, 4), dtype=complex)
-        a[:2, :] = [[1, 2, 3, 4], [5, 6, 7, 8]]
-        b = np.eye(4, dtype=complex)
-        g = GeneralPencil(A=a, B=b, m=2, n=2)
         with pytest.raises(BreakdownError):
-            reduce_pencil(g, Idea.IDEA1, Variant.A_FIRST)
+            reduce_pencil(zero_band(), Idea.IDEA1, Variant.A_FIRST)
 
     def test_fallback_recovers_from_idea_failure(self):
         a = np.zeros((4, 4), dtype=complex)
@@ -164,29 +193,7 @@ class TestReductions:
         assert rep.pencil.m == 2
 
     def test_failed_attempts_are_freed_on_return(self, monkeypatch):
-        # a failed attempt's traceback holds its frames, and so its reducer
-        # (two N-by-N working matrices and their moduli) and the pencil
-        refs = []
-        make = qdoubling.reduction._Reducer
-
-        def tracked(*args, **kwargs):
-            red = make(*args, **kwargs)
-            refs.append(weakref.ref(red))
-            return red
-
-        monkeypatch.setattr(qdoubling.reduction, "_Reducer", tracked)
-        a = np.zeros((4, 4), dtype=complex)   # the zero band: ideas 1 and 3 fail
-        a[:2, :] = [[1, 2, 3, 4], [5, 6, 7, 8]]
-        g = GeneralPencil(A=a, B=np.eye(4, dtype=complex), m=2, n=2)
-        gc.collect()
-        gc.disable()   # only reference counting may free them
-        try:
-            rep = reduce_with_fallback(g, Idea.IDEA1, Variant.A_FIRST)
-            alive = [ref() is not None for ref in refs]
-        finally:
-            gc.enable()
-        assert rep.idea is Idea.IDEA2 and len(refs) == 3
-        assert alive == [False, False, False]
+        assert_failed_attempts_are_freed(monkeypatch)
 
     def test_idea2_tends_to_smaller_x(self):
         # adversarial leading block: full-window pivoting should not do worse
@@ -291,20 +298,74 @@ class TestPivotSearch:
             assert np.array_equal(mag, mags[r, c], equal_nan=True)
 
 
+def tile_pencils() -> list[GeneralPencil]:
+    rng = np.random.default_rng(9)
+    return [GeneralPencil(A=complex_normal(rng, 70, 70), B=complex_normal(rng, 70, 70),
+                          m=30, n=40),
+            cayley(gen_random_split(40, 33, 8.0, 1e-6, 2).pencil, CayleyParams(-1.0))]
+
+
+def assert_same_bits(got, want):
+    assert got.pivot_growth == want.pivot_growth
+    p, q = got.pencil, want.pencil
+    assert p.Q1 == q.Q1 and p.Q2 == q.Q2
+    for name in "EFXY":
+        assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name
+
+
+def force_lanes(monkeypatch) -> list:
+    """Run every elimination step on two lanes; the list grows by one per step."""
+    steps = []
+
+    class Counting(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            steps.append(None)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(qdoubling.reduction, "LANE_MIN_ENTRIES", 0)
+    monkeypatch.setattr(qdoubling.reduction, "ThreadPoolExecutor", Counting)
+    return steps
+
+
 class TestEliminationTiles:
     def test_tiles_update_every_entry_as_one_update(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        pencils = [GeneralPencil(A=complex_normal(rng, 70, 70), B=complex_normal(rng, 70, 70),
-                                 m=30, n=40),
-                   cayley(gen_random_split(40, 33, 8.0, 1e-6, 2).pencil, CayleyParams(-1.0))]
-        for g in pencils:
+        for g in tile_pencils():
             for idea, variant in ALL_REDUCTIONS:
                 tiled = reduce_pencil(g, idea, variant)
                 monkeypatch.setattr(qdoubling.reduction, "ELIMINATION_TILE", g.size)
                 whole = reduce_pencil(g, idea, variant)
                 monkeypatch.undo()
-                assert tiled.pivot_growth == whole.pivot_growth
-                p, q = tiled.pencil, whole.pencil
-                assert p.Q1 == q.Q1 and p.Q2 == q.Q2
-                for name in "EFXY":
-                    assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name
+                assert_same_bits(tiled, whole)
+
+
+class TestLanes:
+    def test_lanes_give_the_serial_bits(self, monkeypatch):
+        interval = sys.getswitchinterval()
+        for g in tile_pencils():
+            for idea, variant in ALL_REDUCTIONS:
+                serial = reduce_pencil(g, idea, variant)   # every step is below the threshold
+                steps = force_lanes(monkeypatch)
+                sys.setswitchinterval(1e-6)   # the lanes hand the GIL over as often as they can
+                try:
+                    laned = reduce_pencil(g, idea, variant)
+                finally:
+                    sys.setswitchinterval(interval)
+                monkeypatch.undo()
+                assert steps
+                assert_same_bits(laned, serial)
+
+    def test_helper_is_joined_on_return_and_on_breakdown(self, monkeypatch):
+        steps = force_lanes(monkeypatch)
+        before = threading.active_count()
+        g = cayley(gen_random_split(10, 12, 8.0, 1e-3, seed=1).pencil, CayleyParams(-1.0))
+        reduce_pencil(g)
+        assert steps and threading.active_count() == before
+        steps.clear()
+        with pytest.raises(BreakdownError):
+            reduce_pencil(zero_band(), Idea.IDEA3, Variant.A_FIRST)
+        assert steps and threading.active_count() == before
+
+    def test_failed_attempts_are_freed_with_lanes(self, monkeypatch):
+        steps = force_lanes(monkeypatch)
+        assert_failed_attempts_are_freed(monkeypatch)
+        assert steps
