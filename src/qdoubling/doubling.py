@@ -8,7 +8,8 @@ so either is nonsingular exactly when the other is and both produce the
 same next pencil.  ``P`` enters as its index vector (:func:`q_blocks_of`),
 so its blocks are applied by scatters and gathers, never multiplied.  With
 ``Q1 = Q2 = I`` the W-rule collapses to the classical SDASF1 update, and
-with ``Q1 @ Q2.T`` equal to the block swap (m = n) to SDASF2.
+with ``Q1 @ Q2.T`` equal to the block swap (m = n) to SDASF2, so
+:func:`step_sf1` and :func:`step_sf2` are the W-rule with Q frozen.
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lu_factor, sealed
-from .sfq import BreakdownError, SfqPencil, dual, neg_x_eye_p, p_y_eye, q_blocks_of
+from .linalg import Permutation, SingularMatrixError, lu_factor, sealed
+from .sfq import BreakdownError, SfqPencil, dual, neg_x_eye_p, p_y_eye, q_blocks_of, swap_perm
 
 
 class Kernel(enum.Enum):
     W = "w"
     WTILDE = "wtilde"
-    SF1 = "sf1"
-    SF2 = "sf2"
 
 
 @dataclass(frozen=True)
@@ -115,11 +114,7 @@ def select_kernel(m: int, n: int) -> Kernel:
 
 def step(p: SfqPencil, kernel: Kernel | None = None) -> StepOutcome:
     kernel = kernel or select_kernel(p.m, p.n)
-    if kernel is Kernel.W:
-        return step_w(p)
-    if kernel is Kernel.WTILDE:
-        return step_wt(p)
-    raise ValueError(f"not a pencil-level kernel: {kernel}")
+    return step_w(p) if kernel is Kernel.W else step_wt(p)
 
 
 # ---------------------------------------------------------------------------
@@ -127,39 +122,21 @@ def step(p: SfqPencil, kernel: Kernel | None = None) -> StepOutcome:
 # ---------------------------------------------------------------------------
 
 
-def step_sf1(e: np.ndarray, f: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """One SDASF1 step: the Q1 = Q2 = I specialization.
-
-    Returns ``(e_next, f_next, x_next, y_next)``; raises
-    :class:`BreakdownError` when ``I - XY`` or ``I - YX`` is singular.
-    """
-    n = x.shape[0]
-    m = y.shape[0]
-    try:
-        w = lu_factor(np.eye(n, dtype=np.complex128) - x @ y)
-        wt = lu_factor(np.eye(m, dtype=np.complex128) - y @ x)
-    except SingularMatrixError as exc:
-        raise BreakdownError("SF1 step", str(exc)) from exc
-    e_next = e @ wt.solve(e)
-    f_next = f @ w.solve(f)
-    x_next = x + f @ w.solve(x @ e)
-    y_next = y + e @ (y @ w.solve(f))
-    return e_next, f_next, x_next, y_next
+def step_sf1(e: np.ndarray, f: np.ndarray, x: np.ndarray, y: np.ndarray) -> StepOutcome:
+    """One SDASF1 step: the W-rule with ``Q1 = Q2 = I``, where ``W = I - XY``."""
+    ident = Permutation.identity(e.shape[0] + f.shape[0])
+    return step_w(SfqPencil(m=e.shape[0], n=f.shape[0], E=e, F=f, X=x, Y=y,
+                            Q1=ident, Q2=ident))
 
 
-def step_sf2(e: np.ndarray, f: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """One SDASF2 step: the block-swap specialization (requires m = n)."""
+def step_sf2(e: np.ndarray, f: np.ndarray, x: np.ndarray, y: np.ndarray) -> StepOutcome:
+    """One SDASF2 step: the W-rule with ``Q1 = I`` and ``Q2`` the block swap
+    (requires m = n), where ``W = Y - X``."""
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise ValueError("SF2 requires square X and Y of equal size")
-    try:
-        d = lu_factor(x - y)
-    except SingularMatrixError as exc:
-        raise BreakdownError("SF2 step", str(exc)) from exc
-    e_next = e @ d.solve(e)
-    f_next = -(f @ d.solve(f))
-    x_next = x + f @ d.solve(e)
-    y_next = y - e @ d.solve(f)
-    return e_next, f_next, x_next, y_next
+    n = x.shape[0]
+    return step_w(SfqPencil(m=n, n=n, E=e, F=f, X=x, Y=y,
+                            Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n)))
 
 
 # ---------------------------------------------------------------------------

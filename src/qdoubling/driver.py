@@ -3,9 +3,9 @@
 ``run_qda`` reduces a general pencil to Q-standard form, iterates the
 doubling kernel with the magnitude guard after every step, and terminates on
 a Kahan (or plain) update criterion backed by a residual safeguard against
-false convergence.  ``run_sdasf1`` / ``run_sdasf2`` run the same loop with
-the classical fixed-Q steps, no guard and no recovery, reporting breakdowns
-and non-finite blow-ups as they happen.
+false convergence.  ``run_sdasf1`` / ``run_sdasf2`` run the same loop on the
+W-rule with Q frozen (``step_sf1`` / ``step_sf2``), no guard and no recovery,
+reporting breakdowns and non-finite blow-ups as they happen.
 
 ``run_qda``, ``run_sdasf1_on`` and ``run_sdasf2_on`` take a
 :data:`Problem`: a disk-split ``GeneralPencil``, or the ``CayleyPair`` of a
@@ -32,7 +32,7 @@ import numpy as np
 from .doubling import (Kernel, StepOutcome, StopMode, check_stop, select_kernel, step,
                        step_sf1, step_sf2)
 from .guard import GuardReport, default_tau, guard
-from .linalg import Permutation, RankDeficientError, SingularMatrixError, sealed
+from .linalg import Permutation, RankDeficientError, SingularMatrixError
 from .reduction import Idea, InitReport, Variant, closed_form_init, reduce_with_fallback, reinit
 from .sfq import (
     BreakdownError,
@@ -160,7 +160,8 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
     history: list[IterationRecord] = []
     status = RunStatus.MAX_ITER
     message = ""
-    reinit_used = kernel_switched = tau is None
+    recover = tau is not None
+    reinit_used = kernel_switched = False
     it = 0
     while it < cfg.max_iter:
         it += 1
@@ -171,7 +172,7 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
             outcome = advance(p, kernel)
         except BreakdownError as exc:
             # Recovery policy: one re-reduction, then one kernel switch.
-            if not reinit_used:
+            if recover and not reinit_used:
                 reinit_used = True
                 try:
                     p = reinit(p, cfg.init_idea, cfg.init_variant).pencil
@@ -179,7 +180,7 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
                     continue
                 except BreakdownError:
                     pass
-            if not kernel_switched:
+            if recover and not kernel_switched:
                 kernel_switched = True
                 it -= 1
                 continue
@@ -269,12 +270,9 @@ def run_qda(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_baseline(p0: SfqPencil, cfg: QdaConfig, stepper, kernel: Kernel) -> QdaResult:
-    """The shared loop with a classical fixed-Q ``stepper``, no guard and no recovery."""
-    def advance(p: SfqPencil, _kernel: Kernel) -> StepOutcome:
-        e, f, x, y = sealed(*stepper(p.E, p.F, p.X, p.Y))
-        return StepOutcome(replace(p, E=e, F=f, X=x, Y=y), math.nan, math.nan, kernel)
-    return _iterate([p0], cfg, advance, None, p0)
+def _run_baseline(p0: SfqPencil, cfg: QdaConfig, stepper) -> QdaResult:
+    """The shared loop with a fixed-Q ``stepper``, no guard and no recovery."""
+    return _iterate([p0], cfg, lambda p, _k: stepper(p.E, p.F, p.X, p.Y), None, p0)
 
 
 def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
@@ -283,7 +281,7 @@ def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
     m, n = e0.shape[0], f0.shape[0]
     ident = Permutation.identity(m + n)
     p0 = SfqPencil(m=m, n=n, E=e0, F=f0, X=x0, Y=y0, Q1=ident, Q2=ident)
-    return _run_baseline(p0, cfg, step_sf1, Kernel.SF1)
+    return _run_baseline(p0, cfg, step_sf1)
 
 
 def run_sdasf2(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
@@ -294,7 +292,7 @@ def run_sdasf2(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
         raise ValueError("the second standard form requires m = n")
     p0 = SfqPencil(m=n, n=n, E=e0, F=f0, X=x0, Y=y0,
                    Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n))
-    return _run_baseline(p0, cfg, step_sf2, Kernel.SF2)
+    return _run_baseline(p0, cfg, step_sf2)
 
 
 def sdasf1_init(g: GeneralPencil) -> SfqPencil:
@@ -311,7 +309,7 @@ def sdasf2_init(g: GeneralPencil) -> SfqPencil:
 
 
 def _run_baseline_on(problem: Problem, cfg: QdaConfig, init, stepper,
-                     kernel: Kernel) -> QdaResult:
+                     label: str) -> QdaResult:
     """A baseline from its closed-form start; a Cayley pair's dense transform
     is released once the start is formed."""
     try:
@@ -319,16 +317,16 @@ def _run_baseline_on(problem: Problem, cfg: QdaConfig, init, stepper,
     except SingularMatrixError as exc:
         return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
                          status=RunStatus.BREAKDOWN,
-                         message=f"{kernel.name} initialization: {exc}")
-    return _run_baseline(p0, cfg, stepper, kernel)
+                         message=f"{label} initialization: {exc}")
+    return _run_baseline(p0, cfg, stepper)
 
 
 def run_sdasf1_on(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
-    return _run_baseline_on(problem, cfg, sdasf1_init, step_sf1, Kernel.SF1)
+    return _run_baseline_on(problem, cfg, sdasf1_init, step_sf1, "SF1")
 
 
 def run_sdasf2_on(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
-    return _run_baseline_on(problem, cfg, sdasf2_init, step_sf2, Kernel.SF2)
+    return _run_baseline_on(problem, cfg, sdasf2_init, step_sf2, "SF2")
 
 
 # ---------------------------------------------------------------------------

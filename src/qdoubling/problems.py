@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lu_factor, lu_solve, solve_transposed
-from .sfq import GeneralPencil
+from .linalg import Permutation, SingularMatrixError, lu_factor, lu_solve, solve_transposed
+from .sfq import GeneralPencil, SfqPencil, p_y_eye
 
 
 class JordanOverflowError(Exception):
@@ -185,14 +185,9 @@ def jordan_power(p: int, omega: complex, i: int) -> np.ndarray:
     if p < 1 or i < 0:
         raise ValueError("need p >= 1 and i >= 0")
     power = 2 ** i
-    gammas = np.empty(p, dtype=np.complex128)
-    for j in range(1, p + 1):
-        coeff = math.comb(power, j - 1)
-        exponent = power - j + 1
-        if omega == 0:
-            term = complex(coeff) * (0.0 if exponent != 0 else 1.0)
-        else:
-            term = complex(coeff) * omega ** exponent
+    gammas = np.zeros(p, dtype=np.complex128)
+    for j in range(1, min(p, power + 1) + 1):      # binom(2^i, j-1) = 0 beyond
+        term = complex(math.comb(power, j - 1)) * omega ** (power - j + 1)
         if not np.isfinite(term) or abs(term) > 1e300:
             raise JordanOverflowError(
                 f"entry {j} of J_{p}({omega})^{power} exceeds 1e300")
@@ -288,7 +283,7 @@ def gen_critical(spec: CriticalSpec, seed: int) -> ProblemInstance:
 class SolvedSfqInstance:
     """A Q-standard-form pencil with a prescribed exact solution pair."""
 
-    pencil: "object"              # SfqPencil; typed loosely to avoid a cycle
+    pencil: SfqPencil
     phi: np.ndarray
     psi: np.ndarray
     m_mat: np.ndarray
@@ -309,9 +304,6 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int,
     with O(1) constants, which makes the instance suitable for measuring
     asymptotic convergence rates.
     """
-    from .linalg import Permutation
-    from .sfq import SfqPencil, p_y_eye
-
     if not (0 < rho_m and 0 < rho_n and rho_m * rho_n < 1):
         raise ValueError("need rho_m * rho_n < 1")
     rng = np.random.default_rng([seed])

@@ -111,13 +111,20 @@ class InitReport:
 
 def _columns(*parts: tuple[np.ndarray, np.ndarray, bool], order: str = "C") -> np.ndarray:
     """``[±M1[:, c1], ±M2[:, c2], ...]`` from ``(M, c, negate)`` parts, gathered
-    straight into one array of the given memory order."""
-    out = np.empty((parts[0][0].shape[0], sum(cols.size for _, cols, _ in parts)),
+    into one array of the given memory order.
+
+    A column block of ``out`` is not C-contiguous, so ``np.take`` fills it
+    through a temporary of the target's size; the gather goes over
+    :data:`~qdoubling.linalg.ROW_BLOCK` rows at a time to keep that small.
+    """
+    rows = parts[0][0].shape[0]
+    out = np.empty((rows, sum(cols.size for _, cols, _ in parts)),
                    dtype=np.complex128, order=order)
     start = 0
     for mat, cols, negate in parts:
         block = out[:, start:start + cols.size]
-        np.take(mat, cols, axis=1, out=block, mode="clip")   # cols are in range
+        for band in linalg.row_blocks(rows):
+            np.take(mat[band], cols, axis=1, out=block[band], mode="clip")  # cols are in range
         if negate:
             np.negative(block, out=block)
         start += cols.size
@@ -384,6 +391,4 @@ def reinit(p: SfqPencil, idea: Idea = Idea.IDEA3,
     report = reduce_with_fallback(g, idea, variant)
     q = report.pencil
     composed = replace(q, Q1=q.Q1.compose(p.Q1), Q2=q.Q2.compose(p.Q2))
-    return InitReport(pencil=composed, idea=report.idea, variant=report.variant,
-                      max_abs_x=report.max_abs_x, max_abs_y=report.max_abs_y,
-                      pivot_growth=report.pivot_growth)
+    return replace(report, pencil=composed)

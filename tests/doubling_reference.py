@@ -5,6 +5,10 @@ write the Wt-rule and the Y-side swap out in full.  The library forms the
 W-rule with index gathers and derives each mirror from ``dual``; the oracle
 tests require both to agree bit for bit, so acceptance tests 01 and 05
 still compare two independent derivations when m != n.
+
+The classical SDASF1 and SDASF2 updates are kept here too, in the form the
+literature writes them: the library runs both as the W-rule with Q frozen,
+and acceptance test 02 checks that against these formulas.
 """
 
 import numpy as np
@@ -91,3 +95,36 @@ def action_y(p, j, ell):
     x_new = p.X - np.outer(h / d, erow)
     return SfqPencil(m=p.m, n=p.n, E=e_new, F=f_new, X=x_new, Y=y_new,
                      Q1=p.Q1, Q2=p.Q2.swapped(j, p.m + ell))
+
+
+def step_sf1(e, f, x, y):
+    """One SDASF1 step with LUs of ``I - XY`` and ``I - YX``.
+
+    Returns ``(e_next, f_next, x_next, y_next)``; raises
+    :class:`BreakdownError` when either matrix is singular.
+    """
+    n = x.shape[0]
+    m = y.shape[0]
+    try:
+        w = lu_factor(np.eye(n, dtype=np.complex128) - x @ y)
+        wt = lu_factor(np.eye(m, dtype=np.complex128) - y @ x)
+    except SingularMatrixError as exc:
+        raise BreakdownError("SF1 step", str(exc)) from exc
+    e_next = e @ wt.solve(e)
+    f_next = f @ w.solve(f)
+    x_next = x + f @ w.solve(x @ e)
+    y_next = y + e @ (y @ w.solve(f))
+    return e_next, f_next, x_next, y_next
+
+
+def step_sf2(e, f, x, y):
+    """One SDASF2 step with an LU of ``X - Y`` (requires m = n)."""
+    try:
+        d = lu_factor(x - y)
+    except SingularMatrixError as exc:
+        raise BreakdownError("SF2 step", str(exc)) from exc
+    e_next = e @ d.solve(e)
+    f_next = -(f @ d.solve(f))
+    x_next = x + f @ d.solve(e)
+    y_next = y - e @ d.solve(f)
+    return e_next, f_next, x_next, y_next

@@ -38,8 +38,6 @@ from qdoubling import (
     run_sdasf1_on,
     run_sdasfq,
     sfq_basis,
-    step_sf1,
-    step_sf2,
     step_w,
     step_wt,
     swap_perm,
@@ -49,6 +47,7 @@ from qdoubling.linalg import lu_factor, lu_solve
 from qdoubling.problems import jordan_block
 from qdoubling.reduction import Idea, Variant
 
+import doubling_reference as ref
 from conftest import NO_GUARD, complex_normal, random_sfq
 
 EPS = float(np.finfo(np.float64).eps)
@@ -93,9 +92,11 @@ def test_01_kernel_equivalence():
 
 
 def test_02_specialization():
-    # states scaled so block norms stay ~0.4 regardless of size: the two
-    # code paths are compared at the 1e-13 level, which requires the shared
-    # solves to remain well conditioned through all five iterates
+    # the W-rule against the classical SDASF1/SDASF2 formulas of
+    # doubling_reference; states scaled so block norms stay ~0.4 regardless
+    # of size: the two derivations are compared at the 1e-13 level, which
+    # requires the shared solves to remain well conditioned through all
+    # five iterates
     rng = np.random.default_rng(202)
     worst_sf1 = 0.0
     worst_sf2 = 0.0
@@ -108,7 +109,7 @@ def test_02_specialization():
         q = p
         for _ in range(5):
             q = step_w(q).next
-            e, f, x, y = step_sf1(e, f, x, y)
+            e, f, x, y = ref.step_sf1(e, f, x, y)
             for got, want in ((q.E, e), (q.F, f), (q.X, x), (q.Y, y)):
                 norm = max(np.linalg.norm(want), 1.0)
                 worst_sf1 = max(worst_sf1, np.linalg.norm(got - want) / norm)
@@ -121,7 +122,7 @@ def test_02_specialization():
         q2 = p2
         for _ in range(5):
             q2 = step_w(q2).next
-            e, f, x, y = step_sf2(e, f, x, y)
+            e, f, x, y = ref.step_sf2(e, f, x, y)
             for got, want in ((q2.E, e), (q2.F, f), (q2.X, x), (q2.Y, y)):
                 norm = max(np.linalg.norm(want), 1.0)
                 worst_sf2 = max(worst_sf2, np.linalg.norm(got - want) / norm)

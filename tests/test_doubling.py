@@ -23,6 +23,7 @@ from qdoubling import (
     swap_perm,
 )
 
+import doubling_reference as ref
 from conftest import complex_normal, random_sfq
 
 
@@ -120,12 +121,19 @@ class TestStepW:
         assert peak <= 8 * p.E.nbytes
 
 
+def assert_same_pencil(got, want):
+    assert got.Q1 == want.Q1 and got.Q2 == want.Q2
+    for blk in "EFXY":
+        np.testing.assert_array_equal(getattr(got, blk), getattr(want, blk))
+
+
 class TestSpecializations:
     def test_sf1_zero_xy(self, rng):
         e = complex_normal(rng, 3, 3)
         f = complex_normal(rng, 3, 3)
         z = np.zeros((3, 3), dtype=complex)
-        en, fn, xn, yn = step_sf1(e, f, z, z)
+        nxt = step_sf1(e, f, z, z).next
+        en, fn, xn, yn = nxt.E, nxt.F, nxt.X, nxt.Y
         np.testing.assert_allclose(en, e @ e, atol=0)
         np.testing.assert_allclose(fn, f @ f, atol=0)
         np.testing.assert_array_equal(xn, z)
@@ -133,7 +141,8 @@ class TestSpecializations:
 
     def test_sf1_half_identity(self):
         eye = np.eye(2, dtype=complex)
-        en, fn, xn, yn = step_sf1(eye, eye, 0.5 * eye, 0.5 * eye)
+        nxt = step_sf1(eye, eye, 0.5 * eye, 0.5 * eye).next
+        en, fn, xn, yn = nxt.E, nxt.F, nxt.X, nxt.Y
         np.testing.assert_allclose(en, (4.0 / 3.0) * eye, rtol=1e-14)
         np.testing.assert_allclose(fn, (4.0 / 3.0) * eye, rtol=1e-14)
         np.testing.assert_allclose(xn, (7.0 / 6.0) * eye, rtol=1e-14)
@@ -142,15 +151,17 @@ class TestSpecializations:
     def test_sf1_matches_step_w_identity_qs(self, rng):
         p = random_sfq(rng, 3, 3, scale=0.4, random_q=False)
         out = step_w(p).next
-        en, fn, xn, yn = step_sf1(p.E, p.F, p.X, p.Y)
+        assert_same_pencil(step_sf1(p.E, p.F, p.X, p.Y).next, out)
+        en, fn, xn, yn = ref.step_sf1(p.E, p.F, p.X, p.Y)
         for got, expected in ((out.E, en), (out.F, fn), (out.X, xn), (out.Y, yn)):
             assert np.linalg.norm(got - expected) <= 1e-13 * max(1.0, np.linalg.norm(expected))
 
     def test_sf2_scalar_example(self):
         p = scalar_pencil(1.0, 1.0, 2.0, 0.0, q2=swap_perm(1, 1))
         out = step_wt(p).next
-        en, fn, xn, yn = step_sf2(np.eye(1, dtype=complex), np.eye(1, dtype=complex),
-                                  2.0 * np.eye(1), np.zeros((1, 1)))
+        nxt = step_sf2(np.eye(1, dtype=complex), np.eye(1, dtype=complex),
+                       2.0 * np.eye(1), np.zeros((1, 1))).next
+        en, fn, xn, yn = nxt.E, nxt.F, nxt.X, nxt.Y
         assert out.E[0, 0] == pytest.approx(0.5) and en[0, 0] == pytest.approx(0.5)
         assert out.F[0, 0] == pytest.approx(-0.5) and fn[0, 0] == pytest.approx(-0.5)
         assert out.X[0, 0] == pytest.approx(2.5) and xn[0, 0] == pytest.approx(2.5)
@@ -164,7 +175,8 @@ class TestSpecializations:
                       Y=complex_normal(rng, n, n, 0.4) - np.eye(n),
                       Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n))
         out = step_w(p).next
-        en, fn, xn, yn = step_sf2(p.E, p.F, p.X, p.Y)
+        assert_same_pencil(step_sf2(p.E, p.F, p.X, p.Y).next, out)
+        en, fn, xn, yn = ref.step_sf2(p.E, p.F, p.X, p.Y)
         for got, expected in ((out.E, en), (out.F, fn), (out.X, xn), (out.Y, yn)):
             assert np.linalg.norm(got - expected) <= 1e-13 * max(1.0, np.linalg.norm(expected))
 

@@ -12,6 +12,7 @@ from qdoubling import (
     CayleyPair,
     CayleyParams,
     GeneralPencil,
+    Kernel,
     QdaConfig,
     RunStatus,
     StopMode,
@@ -28,7 +29,9 @@ from qdoubling import (
     run_sdasf2,
     run_sdasfq,
     sdasf1_init,
+    select_kernel,
     sfq_basis,
+    step,
 )
 
 from conftest import NO_GUARD, complex_normal
@@ -225,9 +228,10 @@ class TestBaselines:
                 assert np.linalg.norm(a - b) <= 1e-13 * max(1.0, np.linalg.norm(a))
 
     def test_sdasf1_init_peak_memory(self):
-        # the gathered system and its LU (2 arrays of the pencil's size) and the
-        # moduli of the singularity test (0.5); the solution takes the storage
-        # of the right-hand side, which a copying solve would hold beside it (3)
+        # the gathered system and its LU (2 arrays of the pencil's size); the
+        # gathers and the singularity test go a block of rows at a time, and the
+        # solution takes the storage of the right-hand side, which a copying
+        # solve would hold beside it (3)
         g = cayley(gen_random_split(120, 130, 8.0, 1e-2, seed=1).pencil, CayleyParams(-1.0))
         gc.collect()
         tracemalloc.start()
@@ -236,7 +240,7 @@ class TestBaselines:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * 16 * g.size ** 2
+        assert peak <= 2.4 * 16 * g.size ** 2
 
     def test_sf1_zero_xy_diagonal_converges(self):
         e = np.diag([0.5, 0.3]).astype(complex)
@@ -259,7 +263,32 @@ class TestBaselines:
         res = run_sdasf1(e, e, np.eye(2), np.eye(2), QdaConfig())
         assert res.status is RunStatus.BREAKDOWN
         assert res.history == ()
-        assert res.message.startswith("iteration 1: breakdown in SF1 step")
+        assert res.message.startswith("iteration 1: breakdown in doubling step (W solve)")
+
+    def test_sf1_records_the_w_telemetry(self):
+        # the baseline steps through the W-rule, so its records carry W's
+        # condition estimate and smallest pivot
+        e = np.diag([0.5, 0.3]).astype(complex)
+        f = np.diag([0.4, 0.2]).astype(complex)
+        x = np.array([[0.1, 0.2], [0.0, 0.3]], dtype=complex)
+        res = run_sdasf1(e, f, x, x.T.copy(), QdaConfig())
+        assert res.status is RunStatus.CONVERGED
+        for rec in res.history:
+            assert rec.kernel is Kernel.W
+            assert math.isfinite(rec.w_condition) and rec.w_condition >= 1.0
+            assert math.isfinite(rec.w_min_pivot) and rec.w_min_pivot > 0.0
+
+    def test_classical_loop_asks_for_the_selected_kernel(self):
+        # without tau there is no recovery, so no kernel switch either
+        p0 = gen_solved_sfq(m=3, n=4, rho_m=0.5, rho_n=0.5, seed=2).pencil
+        seen = []
+
+        def advance(p, kernel):
+            seen.append(kernel)
+            return step(p, kernel)
+
+        qdoubling.driver._iterate([p0], QdaConfig(max_iter=3, rtol=1e-300), advance, None, p0)
+        assert seen == [select_kernel(3, 4)] * 3
 
     def test_sf1_blowup_reported_not_raised(self):
         inst = gen_random_split(m=10, n=12, alpha=8.0, eta=1e-7, seed=1)
@@ -300,7 +329,6 @@ class TestAsymptoticWindow:
     def test_no_window_when_not_converging(self):
         from qdoubling.driver import IterationRecord
         from qdoubling.guard import GuardReport
-        from qdoubling import Kernel
         recs = [IterationRecord(index=i, abs_update_x=1.0, rel_update_x=0.5,
                                 norm_e=1, norm_f=1, norm_x=2.0, norm_y=1,
                                 w_condition=1, w_min_pivot=1, kernel=Kernel.W,

@@ -106,6 +106,15 @@ class TestJordanPower:
         got = jordan_power(p, omega, i)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("omega", [0.0, 0j])
+    def test_nilpotent_block(self, omega):
+        # binom(2^i, j-1) vanishes past j = 2^i + 1, so no negative power of
+        # omega = 0 is taken
+        for p in (1, 2, 3, 6):
+            for i in (0, 1, 2, 3):
+                expected = np.linalg.matrix_power(jordan_block(p, omega), 2 ** i)
+                np.testing.assert_array_equal(jordan_power(p, omega, i), expected)
+
     def test_overflow_guard(self):
         with pytest.raises(JordanOverflowError):
             jordan_power(6, 1.0, 1000)
