@@ -45,8 +45,6 @@ _EXIT_FOR_STATUS = {
 }
 
 _RUNNERS = {"qda": run_qda, "sdasf1": run_sdasf1_on, "sdasf2": run_sdasf2_on}
-_IDEAS = {"1": Idea.IDEA1, "2": Idea.IDEA2, "3": Idea.IDEA3}
-_VARIANTS = {"afirst": Variant.A_FIRST, "bfirst": Variant.B_FIRST}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,10 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--gamma", type=float, default=None,
                        help="negative Cayley parameter; omit if already disk-split")
     solve.add_argument("--rtol", type=float, default=1e-14)
-    solve.add_argument("--stop", default="kahan", choices=["plain", "kahan"])
+    solve.add_argument("--stop", default="kahan", choices=[s.value for s in StopMode])
     solve.add_argument("--tau", type=float, default=None)
-    solve.add_argument("--idea", default="3", choices=sorted(_IDEAS))
-    solve.add_argument("--variant", default="afirst", choices=sorted(_VARIANTS))
+    solve.add_argument("--idea", default="3", choices=["1", "2", "3"])
+    solve.add_argument("--variant", default="afirst", choices=[v.value for v in Variant])
     solve.add_argument("--max-iter", type=int, default=50)
 
     exp = sub.add_parser("experiment", help="run a canned comparison")
@@ -108,9 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> QdaConfig:
     return QdaConfig(
-        rtol=args.rtol, max_iter=args.max_iter,
-        stop_mode=StopMode.PLAIN if args.stop == "plain" else StopMode.KAHAN,
-        tau=args.tau, init_idea=_IDEAS[args.idea], init_variant=_VARIANTS[args.variant],
+        rtol=args.rtol, max_iter=args.max_iter, stop_mode=StopMode(args.stop),
+        tau=args.tau, init_idea=Idea(f"idea{args.idea}"), init_variant=Variant(args.variant),
     )
 
 

@@ -334,19 +334,18 @@ def run_sdasf2_on(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
 # ---------------------------------------------------------------------------
 
 
-def asymptotic_window(history: tuple[IterationRecord, ...] | list[IterationRecord],
-                      start_rel: float = 1e-2,
-                      floor_factor: float = 1e2) -> tuple[int, int] | None:
+def asymptotic_window(history: tuple[IterationRecord, ...] | list[IterationRecord]
+                      ) -> tuple[int, int] | None:
     """Index range (inclusive) of records inside the asymptotic regime.
 
     Starts at the first record whose absolute update falls below
-    ``start_rel * ||X||`` and ends before updates sink under
-    ``floor_factor * eps * ||X||`` (roundoff stagnation).
+    ``1e-2 * ||X||`` and ends before updates sink under ``1e2 * eps * ||X||``
+    (roundoff stagnation).
     """
     eps = float(np.finfo(np.float64).eps)
     lo = None
     for idx, rec in enumerate(history):
-        if rec.abs_update_x < start_rel * max(rec.norm_x, 1e-300):
+        if rec.abs_update_x < 1e-2 * max(rec.norm_x, 1e-300):
             lo = idx
             break
     if lo is None:
@@ -354,7 +353,7 @@ def asymptotic_window(history: tuple[IterationRecord, ...] | list[IterationRecor
     hi = lo
     for idx in range(lo, len(history)):
         rec = history[idx]
-        if rec.abs_update_x < floor_factor * eps * max(rec.norm_x, 1e-300):
+        if rec.abs_update_x < 1e2 * eps * max(rec.norm_x, 1e-300):
             break
         hi = idx
     return lo, hi

@@ -47,13 +47,10 @@ from scipy.linalg.lapack import zgetrf, zgetrs
 class SingularMatrixError(Exception):
     """A pivot fell below the singularity tolerance during a factorization."""
 
-    def __init__(self, pivot_index: int, pivot_magnitude: float, message: str | None = None):
+    def __init__(self, pivot_index: int, pivot_magnitude: float):
         self.pivot_index = pivot_index
         self.pivot_magnitude = pivot_magnitude
-        super().__init__(
-            message
-            or f"singular matrix: pivot {pivot_index} has magnitude {pivot_magnitude:.3e}"
-        )
+        super().__init__(f"singular matrix: pivot {pivot_index} has magnitude {pivot_magnitude:.3e}")
 
 
 class RankDeficientError(Exception):
@@ -194,11 +191,11 @@ class LUFactors:
         return zgetrs(self.lu, self.piv, b, overwrite_b=overwrite_b)[0]
 
 
-def lu_factor(a: np.ndarray, tol: float = SINGULARITY_TOL) -> LUFactors:
+def lu_factor(a: np.ndarray) -> LUFactors:
     """Row-pivoted LU factorization of a square matrix.
 
     Raises :class:`SingularMatrixError` carrying the index of the first pivot
-    with ``|U[k, k]| <= tol * norm_inf(a)``.
+    with ``|U[k, k]| <= SINGULARITY_TOL * norm_inf(a)``.
     """
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -206,15 +203,15 @@ def lu_factor(a: np.ndarray, tol: float = SINGULARITY_TOL) -> LUFactors:
     scale = norm_inf(a)     # before zgetrf's copy, so the two are never held at once
     lu, piv, _ = zgetrf(a)
     pivot_mags = np.abs(np.diagonal(lu))
-    small = np.flatnonzero(pivot_mags <= tol * scale)
+    small = np.flatnonzero(pivot_mags <= SINGULARITY_TOL * scale)
     if small.size:
         raise SingularMatrixError(int(small[0]), float(pivot_mags[small[0]]))
     return LUFactors(lu, piv, pivot_mags)
 
 
-def lu_solve(a: np.ndarray, b: np.ndarray, tol: float = SINGULARITY_TOL) -> np.ndarray:
+def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` by row-pivoted elimination (no explicit inverse)."""
-    return lu_factor(a, tol=tol).solve(b)
+    return lu_factor(a).solve(b)
 
 
 def solve_transposed(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -227,25 +224,25 @@ def solve_transposed(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def thin_qr(z: np.ndarray, tol: float = SINGULARITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def thin_qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization ``z = u @ r`` with orthonormal ``u``.
 
     Raises :class:`RankDeficientError` when a diagonal entry of ``r`` falls
-    below ``tol`` times the largest one.  ``z`` is left as it is.
+    below ``SINGULARITY_TOL`` times the largest one.  ``z`` is left as it is.
     """
     z = as_complex_matrix(z)
     if z.shape[0] < z.shape[1]:
         raise ValueError(f"thin_qr needs rows >= cols, got {z.shape}")
-    return qr_in_place(np.array(z, order="F"), tol)
+    return qr_in_place(np.array(z, order="F"))
 
 
-def qr_in_place(a: np.ndarray, tol: float = SINGULARITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def qr_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`thin_qr` of a tall Fortran-ordered complex array that its maker
     no longer needs: LAPACK ``zgeqrf`` and ``zungqr`` turn its storage into ``u``,
     so the matrix and its Q factor are never held at once."""
     u, r = qr(a, mode="economic", overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(r))
-    if diag.size and diag.min() <= tol * max(diag.max(), 1e-300):
+    if diag.size and diag.min() <= SINGULARITY_TOL * max(diag.max(), 1e-300):
         raise RankDeficientError(
             f"rank-deficient matrix: |R| diagonal range [{diag.min():.3e}, {diag.max():.3e}]"
         )

@@ -215,11 +215,11 @@ def _random_triangular_with_radius(rng: np.random.Generator, size: int,
     return t + np.diag(moduli * phases)
 
 
-def _well_conditioned(rng: np.random.Generator, size: int, cap: float = 1e3) -> np.ndarray:
+def _well_conditioned(rng: np.random.Generator, size: int) -> np.ndarray:
     for _ in range(50):
         cand = _complex_normal(rng, size, size)
         try:
-            if lu_factor(cand).condition_estimate <= cap:
+            if lu_factor(cand).condition_estimate <= 1e3:
                 return cand
         except SingularMatrixError:
             continue
@@ -293,8 +293,7 @@ class SolvedSfqInstance:
     seed: int
 
 
-def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int,
-                   solution_scale: float = 0.3) -> SolvedSfqInstance:
+def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> SolvedSfqInstance:
     """Pencil in Q-standard form whose solution pair is prescribed exactly.
 
     Draw small random ``Phi``, ``Psi`` and diagonal coefficient matrices with
@@ -307,8 +306,8 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int,
     if not (0 < rho_m and 0 < rho_n and rho_m * rho_n < 1):
         raise ValueError("need rho_m * rho_n < 1")
     rng = np.random.default_rng([seed])
-    phi = solution_scale * _complex_normal(rng, n, m) / np.sqrt(m)
-    psi = solution_scale * _complex_normal(rng, m, n) / np.sqrt(n)
+    phi = 0.3 * _complex_normal(rng, n, m) / np.sqrt(m)
+    psi = 0.3 * _complex_normal(rng, m, n) / np.sqrt(n)
 
     def _diagonal_radius(size: int, radius: float) -> np.ndarray:
         moduli = radius * (0.4 + 0.6 * rng.random(size))
@@ -350,7 +349,7 @@ def ground_truth_residual(inst: ProblemInstance) -> float:
     return float(np.linalg.norm(res) / (np.linalg.norm(a) * np.linalg.norm(z)))
 
 
-def known_eigenpairs(inst: ProblemInstance, count: Optional[int] = None):
+def known_eigenpairs(inst: ProblemInstance, count: int):
     """Eigenpairs ``(lam, z)`` recovered from the stored triangular factor.
 
     Only available for the random split family.  Pairs are sorted by
@@ -383,6 +382,4 @@ def known_eigenpairs(inst: ProblemInstance, count: Optional[int] = None):
         z = z / np.linalg.norm(z)
         pairs.append((gap, lam, z))
     pairs.sort(key=lambda item: -item[0])
-    if count is not None:
-        pairs = pairs[:count]
-    return [(lam, z) for _, lam, z in pairs]
+    return [(lam, z) for _, lam, z in pairs[:count]]

@@ -5,16 +5,22 @@ pencil ``[[E0, 0], [-X0, I]] Q1 - lambda [[I, -Y0], [0, F0]] Q2`` where the
 permutations collect the column moves made while pivoting.  The left factor
 itself is never materialized.
 
-Three discovery strategies are provided:
+Three discovery strategies are provided, all one schedule of elimination
+steps:
 
-* Idea 1 - eliminate one matrix completely, then the other, with the pivot
-  search confined to the band of rows being triangularized;
-* Idea 2 - like Idea 1 but the first matrix is pivoted over its entire
-  active window, which tends to yield smaller ``X0`` and ``Y0``;
-* Idea 3 - alternate single elimination steps between the two matrices,
-  pivoting over the shrinking active window of each.
+* Idea 1 - phased and banded: eliminate one matrix completely, then the
+  other, with every pivot search confined to the band of rows being
+  triangularized;
+* Idea 2 - phased without a band: like Idea 1, but each matrix is pivoted
+  over its entire active window, which tends to yield smaller ``X0`` and
+  ``Y0``;
+* Idea 3 - interleaved: alternate single elimination steps between the two
+  matrices until the longer side is done, pivoting over the shrinking
+  active window of each.
 
 Each idea comes in two versions depending on which matrix is reduced first.
+The band only narrows the first phase: once one side is done, the other
+side's band is its whole active window.
 The A-side is triangularized bottom-up (its trailing n-by-n block becomes
 lower triangular), the B-side top-down (leading m-by-m upper triangular);
 a final scaling by the two triangular inverses produces the exact identity
@@ -66,6 +72,7 @@ import enum
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -170,9 +177,10 @@ class _Reducer:
     take a magnitude twice.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, m: int, n: int, stage: str,
+    def __init__(self, a: np.ndarray, b: np.ndarray, m: int, n: int, banded: bool, stage: str,
                  helper: Optional[Executor] = None):
         self.m, self.n, self.size = m, n, m + n
+        self.banded = banded
         self.helper = helper
         self.aw = as_complex_matrix(a).copy()   # C order: updated rows are contiguous
         self.bw = as_complex_matrix(b).copy()
@@ -195,15 +203,12 @@ class _Reducer:
             self.aw[[i, j], :] = self.aw[[j, i], :]
             self.bw[[i, j], :] = self.bw[[j, i], :]
 
-    def _swap_cols_a(self, i: int, j: int):
+    @staticmethod
+    def _swap_cols(w: np.ndarray, cols: np.ndarray, i: int, j: int):
+        """Swap columns ``i`` and ``j`` of one working matrix and of its record."""
         if i != j:
-            self.aw[:, [i, j]] = self.aw[:, [j, i]]
-            self.col_a[[i, j]] = self.col_a[[j, i]]
-
-    def _swap_cols_b(self, i: int, j: int):
-        if i != j:
-            self.bw[:, [i, j]] = self.bw[:, [j, i]]
-            self.col_b[[i, j]] = self.col_b[[j, i]]
+            w[:, [i, j]] = w[:, [j, i]]
+            cols[[i, j]] = cols[[j, i]]
 
     @staticmethod
     def _pivot(mags: np.ndarray, from_end: bool) -> tuple[int, int, float]:
@@ -274,29 +279,29 @@ class _Reducer:
             peak = lane()
         self.growth = max(self.growth, peak / self.scale0)
 
-    def a_step(self, band_limited: bool):
+    def a_step(self):
         """One bottom-up elimination step on the A side."""
         t = self.size - 1 - self.a_done
-        r0 = max(self.b_done, self.m) if band_limited else self.b_done
+        r0 = max(self.b_done, self.m) if self.banded else self.b_done
         r, c, mag = self._pivot(self.mag_a[r0:t + 1, :t + 1], from_end=True)
         if mag <= self.tol_a:
             raise BreakdownError(self.stage, f"A-side pivot {mag:.3e} at step {self.a_done + 1}")
         self._swap_rows(r0 + r, t)
-        self._swap_cols_a(c, t)
+        self._swap_cols(self.aw, self.col_a, c, t)
         self._eliminate(slice(0, t), t, self.aw, self.bw)
         self.a_done += 1
 
-    def b_step(self, band_limited: bool):
+    def b_step(self):
         """One top-down elimination step on the B side."""
         t = self.b_done
         r1 = self.size - 1 - self.a_done
-        if band_limited:
+        if self.banded:
             r1 = min(r1, self.m - 1)
         r, c, mag = self._pivot(self.mag_b[t:r1 + 1, t:], from_end=False)
         if mag <= self.tol_b:
             raise BreakdownError(self.stage, f"B-side pivot {mag:.3e} at step {self.b_done + 1}")
         self._swap_rows(t + r, t)
-        self._swap_cols_b(t + c, t)
+        self._swap_cols(self.bw, self.col_b, t + c, t)
         self._eliminate(slice(t + 1, self.size), t, self.bw, self.aw)
         self.b_done += 1
 
@@ -315,27 +320,13 @@ class _Reducer:
         return pencil, self.growth
 
 
-def _run_phased(red: _Reducer, variant: Variant, first_banded: bool, second_banded: bool):
-    """Ideas 1 and 2: reduce one side completely, then the other."""
-    phases = ["a", "b"] if variant is Variant.A_FIRST else ["b", "a"]
-    for which, banded in zip(phases, (first_banded, second_banded)):
-        if which == "a":
-            for _ in range(red.n):
-                red.a_step(band_limited=banded)
-        else:
-            for _ in range(red.m):
-                red.b_step(band_limited=banded)
-
-
-def _run_alternating(red: _Reducer, variant: Variant):
-    """Idea 3: interleave single steps, finishing whichever side remains."""
-    turn_a = variant is Variant.A_FIRST
-    while red.a_done < red.n or red.b_done < red.m:
-        if turn_a and red.a_done < red.n:
-            red.a_step(band_limited=False)
-        elif not turn_a and red.b_done < red.m:
-            red.b_step(band_limited=False)
-        turn_a = not turn_a
+def _schedule(idea: Idea, variant: Variant, a_steps: list, b_steps: list) -> list:
+    """The steps in their order: the first side's, then the second's (Ideas 1
+    and 2), or the two interleaved until the longer side is done (Idea 3)."""
+    first, second = (a_steps, b_steps) if variant is Variant.A_FIRST else (b_steps, a_steps)
+    if idea is not Idea.IDEA3:
+        return first + second
+    return [step for pair in zip_longest(first, second) for step in pair if step is not None]
 
 
 def reduce_pencil(g: GeneralPencil, idea: Idea = Idea.IDEA3,
@@ -343,14 +334,10 @@ def reduce_pencil(g: GeneralPencil, idea: Idea = Idea.IDEA3,
     """Reduce ``g`` to Q-standard form with the requested idea and version."""
     # the helper thread starts at the first large step and is joined on the way out
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="qdoubling-reduction") as helper:
-        red = _Reducer(g.A, g.B, g.m, g.n, stage=f"{idea.value} ({variant.value})",
-                       helper=helper)
-        if idea is Idea.IDEA1:
-            _run_phased(red, variant, first_banded=True, second_banded=True)
-        elif idea is Idea.IDEA2:
-            _run_phased(red, variant, first_banded=False, second_banded=True)
-        else:
-            _run_alternating(red, variant)
+        red = _Reducer(g.A, g.B, g.m, g.n, banded=idea is Idea.IDEA1,
+                       stage=f"{idea.value} ({variant.value})", helper=helper)
+        for step in _schedule(idea, variant, [red.a_step] * g.n, [red.b_step] * g.m):
+            step()
     pencil, growth = red.finish()
     return InitReport(pencil=pencil, idea=idea, variant=variant,
                       max_abs_x=pencil.max_abs_x(), max_abs_y=pencil.max_abs_y(),

@@ -56,13 +56,8 @@ from .linalg import (
 class BreakdownError(Exception):
     """An algorithmic stage hit a singular or near-singular system."""
 
-    def __init__(self, stage: str, detail: str = "", condition_estimate: float | None = None):
-        self.stage = stage
-        self.condition_estimate = condition_estimate
-        message = f"breakdown in {stage}"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
+    def __init__(self, stage: str, detail: str):
+        super().__init__(f"breakdown in {stage}: {detail}")
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ from qdoubling.sfq import BreakdownError, SfqPencil
 class OuterReducer:
     """Complete-pivoting elimination with ``np.outer`` updates and rescans."""
 
-    def __init__(self, a, b, m, n, stage, helper=None):
+    def __init__(self, a, b, m, n, banded, stage, helper=None):
         self.m, self.n, self.size = m, n, m + n
+        self.banded = banded
         self.aw = np.array(a, dtype=np.complex128)
         self.bw = np.array(b, dtype=np.complex128)
         self.col_a = np.arange(self.size)
@@ -41,15 +42,11 @@ class OuterReducer:
             self.aw[[i, j], :] = self.aw[[j, i], :]
             self.bw[[i, j], :] = self.bw[[j, i], :]
 
-    def _swap_cols_a(self, i, j):
+    @staticmethod
+    def _swap_cols(w, cols, i, j):
         if i != j:
-            self.aw[:, [i, j]] = self.aw[:, [j, i]]
-            self.col_a[[i, j]] = self.col_a[[j, i]]
-
-    def _swap_cols_b(self, i, j):
-        if i != j:
-            self.bw[:, [i, j]] = self.bw[:, [j, i]]
-            self.col_b[[i, j]] = self.col_b[[j, i]]
+            w[:, [i, j]] = w[:, [j, i]]
+            cols[[i, j]] = cols[[j, i]]
 
     @staticmethod
     def _pivot(window, from_end):
@@ -61,14 +58,14 @@ class OuterReducer:
             c = view.shape[1] - 1 - c
         return int(r), int(c), float(mags[r, c])
 
-    def a_step(self, band_limited):
+    def a_step(self):
         t = self.size - 1 - self.a_done
-        r0 = max(self.b_done, self.m) if band_limited else self.b_done
+        r0 = max(self.b_done, self.m) if self.banded else self.b_done
         r, c, mag = self._pivot(self.aw[r0:t + 1, :t + 1], from_end=True)
         if mag <= self.tol_a:
             raise BreakdownError(self.stage, f"A-side pivot {mag:.3e} at step {self.a_done + 1}")
         self._swap_rows(r0 + r, t)
-        self._swap_cols_a(c, t)
+        self._swap_cols(self.aw, self.col_a, c, t)
         mult = self.aw[:t, t] / self.aw[t, t]
         self.aw[:t, :] -= np.outer(mult, self.aw[t, :])
         self.bw[:t, :] -= np.outer(mult, self.bw[t, :])
@@ -76,16 +73,16 @@ class OuterReducer:
         self.a_done += 1
         self._track_growth()
 
-    def b_step(self, band_limited):
+    def b_step(self):
         t = self.b_done
         r1 = self.size - 1 - self.a_done
-        if band_limited:
+        if self.banded:
             r1 = min(r1, self.m - 1)
         r, c, mag = self._pivot(self.bw[t:r1 + 1, t:], from_end=False)
         if mag <= self.tol_b:
             raise BreakdownError(self.stage, f"B-side pivot {mag:.3e} at step {self.b_done + 1}")
         self._swap_rows(t + r, t)
-        self._swap_cols_b(t + c, t)
+        self._swap_cols(self.bw, self.col_b, t + c, t)
         mult = self.bw[t + 1:, t] / self.bw[t, t]
         self.bw[t + 1:, :] -= np.outer(mult, self.bw[t, :])
         self.aw[t + 1:, :] -= np.outer(mult, self.aw[t, :])

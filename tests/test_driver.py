@@ -9,6 +9,7 @@ import pytest
 import qdoubling.driver
 
 from qdoubling import (
+    BreakdownError,
     CayleyPair,
     CayleyParams,
     GeneralPencil,
@@ -174,6 +175,56 @@ class TestRunQda:
         res = run_qda(g, QdaConfig())
         assert res.status is RunStatus.CONVERGED
         assert res.iterations == 7
+
+
+class TestRecovery:
+    """QDA meets a breakdown by one re-reduction, then one kernel switch.
+
+    A natural breakdown sits at a rounding-level pivot, so ``driver.step``
+    is made to raise at its third call instead.
+    """
+
+    M, N = 6, 7
+
+    def forced_breakdown(self, monkeypatch, reinit_fails):
+        kernels, reinits = [], []
+        step_, reinit_ = qdoubling.driver.step, qdoubling.driver.reinit
+
+        def failing_step(p, kernel=None):
+            kernels.append(kernel)
+            if len(kernels) == 3:
+                raise BreakdownError("doubling step (W solve)", "forced")
+            return step_(p, kernel)
+
+        def counted_reinit(*args):
+            reinits.append(args)
+            if reinit_fails:
+                raise BreakdownError("initialization", "forced")
+            return reinit_(*args)
+
+        monkeypatch.setattr(qdoubling.driver, "step", failing_step)
+        monkeypatch.setattr(qdoubling.driver, "reinit", counted_reinit)
+        g = gen_random_split(m=self.M, n=self.N, alpha=8.0, eta=1e-2, seed=3).pencil
+        res = run_qda(CayleyPair(g, -1.0), QdaConfig())
+        return res, kernels, len(reinits)
+
+    def test_breakdown_is_met_by_one_reinit(self, monkeypatch):
+        res, kernels, reinits = self.forced_breakdown(monkeypatch, reinit_fails=False)
+        assert reinits == 1
+        assert kernels == [select_kernel(self.M, self.N)] * len(kernels)
+        assert res.status is RunStatus.CONVERGED
+        # the failed step leaves no record and no gap in the numbering
+        assert [rec.index for rec in res.history] == list(range(1, len(kernels)))
+
+    def test_failed_reinit_switches_the_kernel(self, monkeypatch):
+        res, kernels, reinits = self.forced_breakdown(monkeypatch, reinit_fails=True)
+        selected = select_kernel(self.M, self.N)
+        switched = Kernel.W if selected is Kernel.WTILDE else Kernel.WTILDE
+        assert reinits == 1
+        assert kernels[:3] == [selected] * 3
+        assert len(kernels) > 3 and kernels[3:] == [switched] * (len(kernels) - 3)
+        assert res.status is RunStatus.CONVERGED
+        assert [rec.kernel for rec in res.history[2:]] == [switched] * (res.iterations - 2)
 
 
 class TestInvariants:

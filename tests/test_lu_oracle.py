@@ -12,6 +12,7 @@ import pytest
 
 from qdoubling import (
     CayleyParams,
+    Idea,
     SingularMatrixError,
     Variant,
     cayley,
@@ -21,7 +22,7 @@ from qdoubling import (
     thin_qr,
 )
 from qdoubling.linalg import solve_transposed
-from qdoubling.reduction import _Reducer, _run_alternating
+from qdoubling.reduction import _Reducer, _schedule
 
 from conftest import complex_normal
 from lu_reference import (
@@ -96,8 +97,9 @@ class TestAgainstLoops:
 
     def test_reduction_triangular_solves(self):
         g = cayley(gen_random_split(12, 15, 8.0, 1e-3, seed=3).pencil, CayleyParams(-1.0))
-        red = _Reducer(g.A, g.B, g.m, g.n, stage="test")
-        _run_alternating(red, Variant.A_FIRST)
+        red = _Reducer(g.A, g.B, g.m, g.n, banded=False, stage="test")
+        for step in _schedule(Idea.IDEA3, Variant.A_FIRST, [red.a_step] * g.n, [red.b_step] * g.m):
+            step()
         p, _ = red.finish()
         m = g.m
         lower, upper = red.aw[m:, m:], red.bw[:m, :m]

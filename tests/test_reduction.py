@@ -260,6 +260,40 @@ class TestReinit:
         assert copies == []
 
 
+class TestSchedule:
+    # m = 2, n = 3: the A side takes n steps, the B side m
+    ORDERS = {
+        (Idea.IDEA1, Variant.A_FIRST): "aaabb",
+        (Idea.IDEA1, Variant.B_FIRST): "bbaaa",
+        (Idea.IDEA2, Variant.A_FIRST): "aaabb",
+        (Idea.IDEA2, Variant.B_FIRST): "bbaaa",
+        (Idea.IDEA3, Variant.A_FIRST): "ababa",
+        (Idea.IDEA3, Variant.B_FIRST): "babaa",
+    }
+
+    @pytest.mark.parametrize("idea,variant", ALL_REDUCTIONS)
+    def test_step_order_and_band(self, monkeypatch, idea, variant):
+        steps, banded = [], []
+        make = qdoubling.reduction._Reducer
+
+        def recorded(*args, **kwargs):
+            red = make(*args, **kwargs)
+            banded.append(red.banded)
+            for side in "ab":
+                def record(side=side, take=getattr(red, f"{side}_step")):
+                    steps.append(side)
+                    take()
+                setattr(red, f"{side}_step", record)
+            return red
+
+        monkeypatch.setattr(qdoubling.reduction, "_Reducer", recorded)
+        rng = np.random.default_rng(4)
+        reduce_pencil(GeneralPencil(A=complex_normal(rng, 5, 5), B=complex_normal(rng, 5, 5),
+                                    m=2, n=3), idea, variant)
+        assert "".join(steps) == self.ORDERS[idea, variant]
+        assert banded == [idea is Idea.IDEA1]
+
+
 def argmax_pivot(mags, from_end):
     """The pivot rule as ``np.argmax`` states it, on the reversed window for ``from_end``."""
     view = mags[::-1, ::-1] if from_end else mags
