@@ -57,7 +57,6 @@ from .linalg import (
     SingularMatrixError,
     lu_factor,
     lu_solve,
-    permute_rows,
     thin_qr,
     two_est,
 )
@@ -90,10 +89,8 @@ from .sfq import (
     GeneralPencil,
     SfqPencil,
     anti_basis,
-    assemble,
     dual,
     dual_nme_residual,
-    extract_blocks,
     orthonormal_residual,
     primal_eig_residual,
     primal_nme_residual,

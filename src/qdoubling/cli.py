@@ -111,30 +111,38 @@ def _config_from_args(args) -> QdaConfig:
     )
 
 
+def _parse_block(item: str) -> tuple[int, complex]:
+    """One ``size:omega`` item of ``--blocks``."""
+    try:
+        size, omega = item.split(":")
+        return int(size), complex(omega)
+    except ValueError:
+        raise ValueError(f"--blocks item {item!r} is not of the form size:omega") from None
+
+
 def _cmd_gen(args) -> int:
+    try:    # the instance is built before anything is written
+        if args.family == "split":
+            inst = gen_random_split(args.m, args.n, args.alpha, args.eta, args.seed)
+            params = {"m": args.m, "n": args.n, "alpha": args.alpha, "eta": args.eta}
+        elif args.family == "bse":
+            inst = gen_bse_like(args.n, args.gap_scale, args.seed,
+                                coupling_scale=args.coupling_scale)
+            params = {"n": args.n, "gapScale": args.gap_scale,
+                      "couplingScale": args.coupling_scale}
+        else:
+            spec = CriticalSpec(m_prime=args.m_prime, n_prime=args.n_prime,
+                                blocks=tuple(map(_parse_block, args.blocks.split(";"))),
+                                rho_stable=args.rho_stable, rho_anti=args.rho_anti)
+            inst = gen_critical(spec, args.seed)
+            params = {"mPrime": args.m_prime, "nPrime": args.n_prime,
+                      "blocks": args.blocks, "rhoStable": args.rho_stable,
+                      "rhoAnti": args.rho_anti}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params: dict
-    if args.family == "split":
-        inst = gen_random_split(args.m, args.n, args.alpha, args.eta, args.seed)
-        params = {"m": args.m, "n": args.n, "alpha": args.alpha, "eta": args.eta}
-    elif args.family == "bse":
-        inst = gen_bse_like(args.n, args.gap_scale, args.seed,
-                            coupling_scale=args.coupling_scale)
-        params = {"n": args.n, "gapScale": args.gap_scale,
-                  "couplingScale": args.coupling_scale}
-    else:
-        blocks = []
-        for item in args.blocks.split(";"):
-            size, omega = item.split(":")
-            blocks.append((int(size), complex(omega)))
-        spec = CriticalSpec(m_prime=args.m_prime, n_prime=args.n_prime,
-                            blocks=tuple(blocks), rho_stable=args.rho_stable,
-                            rho_anti=args.rho_anti)
-        inst = gen_critical(spec, args.seed)
-        params = {"mPrime": args.m_prime, "nPrime": args.n_prime,
-                  "blocks": args.blocks, "rhoStable": args.rho_stable,
-                  "rhoAnti": args.rho_anti}
     write_matrix(out / "A.json", inst.pencil.A)
     write_matrix(out / "B.json", inst.pencil.B)
     truth_files = {}

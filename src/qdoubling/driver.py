@@ -107,6 +107,12 @@ def _all_finite(p: SfqPencil) -> bool:
     return all(bool(np.isfinite(block).all()) for block in (p.E, p.F, p.X, p.Y))
 
 
+def _no_start(message: str) -> QdaResult:
+    """A run that ended before its first step."""
+    return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
+                     status=RunStatus.BREAKDOWN, message=message)
+
+
 #: What a solver is given: a disk-split pencil, or a half-plane pencil's
 #: Cayley pair.
 Problem = GeneralPencil | CayleyPair
@@ -152,10 +158,12 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
     ``advance(p, kernel)`` makes one step.  With a ``tau``, the guard keeps
     X and Y under it, and a breakdown is met by one re-reduction, then one
     kernel switch, before it ends the run; ``tau`` None is the classical
-    loop, with neither.  A non-finite block or norm ends the run as a
-    breakdown.
+    loop, with neither.  A non-finite start ends the run before any step,
+    and a non-finite block or norm later ends it as a breakdown.
     """
     p = start.pop()
+    if not _all_finite(p):
+        return _no_start("non-finite start pencil")
     diffs: list[float] = []
     history: list[IterationRecord] = []
     status = RunStatus.MAX_ITER
@@ -257,8 +265,7 @@ def run_qda(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
     try:
         report = reduce_with_fallback(disk, cfg.init_idea, cfg.init_variant)
     except BreakdownError as exc:
-        return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
-                         status=RunStatus.BREAKDOWN, message=f"initialization: {exc}")
+        return _no_start(f"initialization: {exc}")
     del disk   # a Cayley pair is needed again only row by row, by the safeguard
     start = [report.pencil]
     report = replace(report, pencil=None)
@@ -315,9 +322,7 @@ def _run_baseline_on(problem: Problem, cfg: QdaConfig, init, stepper,
     try:
         p0 = init(_disk(problem))
     except SingularMatrixError as exc:
-        return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
-                         status=RunStatus.BREAKDOWN,
-                         message=f"{label} initialization: {exc}")
+        return _no_start(f"{label} initialization: {exc}")
     return _run_baseline(p0, cfg, stepper)
 
 

@@ -35,6 +35,14 @@ METRIC_ROWS = [
 #: Value written into summary tables for runs that did not produce a result.
 FAILED = "--"
 
+#: The fixed settings of the three experiments.
+ETA_SWEEP_ALPHA = 8.0
+ETA_SWEEP_ETAS = (1e-4, 1e-5, 1e-6, 1e-7)
+BSE_GAP_SCALE = 2.0
+BSE_MISSCALE = 1e-3
+CRITICAL_SPEC = CriticalSpec(m_prime=3, n_prime=3, blocks=((2, 1.0 + 0j),),
+                             rho_stable=0.3, rho_anti=0.3)
+
 
 @dataclass(frozen=True)
 class RunRow:
@@ -67,19 +75,15 @@ def _measure(experiment: str, algorithm: str, label: str, seed: int,
                   result.iterations, xnorm, r1, r2, elapsed)
 
 
-def _history_name(algorithm: str, label: str, seed: int) -> str:
-    safe = label.replace("=", "").replace(".", "p")
-    return f"history_{algorithm}_{safe}_seed{seed}.csv"
-
-
 def _maybe_dump(out_dir: Optional[Path], result: QdaResult,
                 algorithm: str, label: str, seed: int) -> None:
     if out_dir is not None and result.history:
-        write_history_csv(out_dir / _history_name(algorithm, label, seed),
+        safe = label.replace("=", "").replace(".", "p")
+        write_history_csv(out_dir / f"history_{algorithm}_{safe}_seed{seed}.csv",
                           result.history)
 
 
-def _compare(experiment: str, cases, gamma: float, cfg: QdaConfig,
+def _compare(experiment: str, cases, gamma: float,
              out_dir: Optional[str | Path]) -> list[RunRow]:
     """QDA next to SDASF1 on each half-plane ``(label, seed, pencil)`` case."""
     out_path = Path(out_dir) if out_dir is not None else None
@@ -87,49 +91,41 @@ def _compare(experiment: str, cases, gamma: float, cfg: QdaConfig,
     for label, seed, g in cases:
         for algorithm, runner in (("qda", run_qda), ("sdasf1", run_sdasf1_on)):
             t0 = time.perf_counter()
-            result = runner(CayleyPair(g, gamma), cfg)
+            result = runner(CayleyPair(g, gamma), QdaConfig())
             elapsed = time.perf_counter() - t0
             rows.append(_measure(experiment, algorithm, label, seed, g.A, result, elapsed))
             _maybe_dump(out_path, result, algorithm, label, seed)
     return rows
 
 
-def eta_sweep(m: int = 50, n: int = 60, alpha: float = 8.0,
-              etas: Sequence[float] = (1e-4, 1e-5, 1e-6, 1e-7),
-              seeds: Sequence[int] = (1, 2, 3), gamma: float = -1.0,
-              cfg: QdaConfig = QdaConfig(), out_dir: Optional[str | Path] = None
-              ) -> list[RunRow]:
+def eta_sweep(m: int = 50, n: int = 60, seeds: Sequence[int] = (1, 2, 3),
+              gamma: float = -1.0, out_dir: Optional[str | Path] = None) -> list[RunRow]:
     """Robustness sweep over shrinking basis conditioning (QDA vs SDASF1)."""
-    cases = ((f"eta={eta:.0e}", seed, gen_random_split(m, n, alpha, eta, seed).pencil)
-             for eta in etas for seed in seeds)
-    return _compare("eta_sweep", cases, gamma, cfg, out_dir)
+    cases = ((f"eta={eta:.0e}", seed,
+              gen_random_split(m, n, ETA_SWEEP_ALPHA, eta, seed).pencil)
+             for eta in ETA_SWEEP_ETAS for seed in seeds)
+    return _compare("eta_sweep", cases, gamma, out_dir)
 
 
-def bse_like(n: int = 64, gap_scale: float = 2.0,
-             seeds: Sequence[int] = (1, 2, 3), gamma: float = -1.0,
-             misscale: float = 1e-3, cfg: QdaConfig = QdaConfig(),
+def bse_like(n: int = 64, seeds: Sequence[int] = (1, 2, 3), gamma: float = -1.0,
              out_dir: Optional[str | Path] = None) -> list[RunRow]:
     """Hamiltonian-structured comparison, plus a mis-scaled-coupling variant."""
     cases = ((f"variant={variant}", seed,
-              gen_bse_like(n, gap_scale, seed, coupling_scale=coupling).pencil)
-             for variant, coupling in (("plain", 1.0), ("misscaled", misscale))
+              gen_bse_like(n, BSE_GAP_SCALE, seed, coupling_scale=coupling).pencil)
+             for variant, coupling in (("plain", 1.0), ("misscaled", BSE_MISSCALE))
              for seed in seeds)
-    return _compare("bse_like", cases, gamma, cfg, out_dir)
+    return _compare("bse_like", cases, gamma, out_dir)
 
 
-def critical_rate(m_prime: int = 3, n_prime: int = 3, block_size: int = 2,
-                  omega: complex = 1.0 + 0j, rho: float = 0.3,
-                  seeds: Sequence[int] = (2,), cfg: QdaConfig = QdaConfig(),
+def critical_rate(seeds: Sequence[int] = (2,),
                   out_dir: Optional[str | Path] = None) -> list[dict]:
     """Per-iteration error ratios on critical instances (linear rate 1/2)."""
     out_path = Path(out_dir) if out_dir is not None else None
-    spec = CriticalSpec(m_prime=m_prime, n_prime=n_prime,
-                        blocks=((block_size, omega),), rho_stable=rho, rho_anti=rho)
     tables: list[dict] = []
     for seed in seeds:
-        inst = gen_critical(spec, seed)
+        inst = gen_critical(CRITICAL_SPEC, seed)
         t0 = time.perf_counter()
-        result = run_qda(inst.pencil, cfg)
+        result = run_qda(inst.pencil, QdaConfig())
         elapsed = time.perf_counter() - t0
         errs = []
         z = inst.true_basis_stable

@@ -1,9 +1,9 @@
 """Dense complex linear-algebra kernels shared by the whole package.
 
 Everything operates on 2-D ``numpy`` arrays of ``complex128`` in row-major
-order.  Permutation matrices are never stored densely; a :class:`Permutation`
-keeps an index vector and all products with permutation matrices are pure
-entry moves.
+order.  No dense permutation matrix exists in the package: a
+:class:`Permutation` keeps an index vector, and every product with a
+permutation matrix is a pure entry move.
 
 Permutation convention
 ----------------------
@@ -299,21 +299,6 @@ class Permutation:
         img = self.image.copy()
         img[i], img[j] = img[j], img[i]
         return Permutation(img)
-
-    def matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix, for oracle checks only."""
-        q = np.zeros((self.n, self.n), dtype=np.complex128)
-        q[np.arange(self.n), self.image] = 1.0
-        return q
-
-
-def permute_rows(p: Permutation, a: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """``Q @ a`` (or ``Q.T @ a`` with ``transpose=True``) by entry moves."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != p.n:
-        raise ValueError(f"permutation size {p.n} does not match {a.shape[0]} rows")
-    idx = p.inverse().image if transpose else p.image
-    return a[idx, :]
 
 
 def sealed(*arrays: np.ndarray):

@@ -248,8 +248,6 @@ class _Reducer:
         thread each take tiles from one shared queue until none is left.
         """
         mult = pivot[rows, t] / pivot[t, t]
-        if not mult.size:
-            return
         # deque pops are thread-safe, so each tile is taken exactly once
         tiles = deque((w, mag, lo) for lo in range(0, mult.size, ELIMINATION_TILE)
                       for w, mag in ((self.aw, self.mag_a), (self.bw, self.mag_b)))

@@ -44,7 +44,6 @@ from .linalg import (
     frozen,
     lu_factor,
     lu_solve,
-    permute_rows,
     qr_in_place,
     row_blocks,
     sealed,
@@ -168,22 +167,6 @@ def structured_b(p: SfqPencil) -> np.ndarray:
     return np.block([[np.eye(p.m), -p.Y], [np.zeros((p.n, p.m)), p.F]])
 
 
-def assemble(p: SfqPencil) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ``(A_i, B_i)`` with the structured zero/identity blocks exact."""
-    a = structured_a(p)[:, p.Q1.inverse().image]
-    b = structured_b(p)[:, p.Q2.inverse().image]
-    return a, b
-
-
-def extract_blocks(a: np.ndarray, b: np.ndarray, q1: Permutation, q2: Permutation,
-                   m: int, n: int) -> SfqPencil:
-    """Inverse of :func:`assemble`: recover ``(E, F, X, Y)`` from dense A, B."""
-    sa = as_complex_matrix(a)[:, q1.image]
-    sb = as_complex_matrix(b)[:, q2.image]
-    return SfqPencil(m=m, n=n, E=sa[:m, :m], F=sb[m:, m:],
-                     X=-sa[m:, :m], Y=-sb[:m, m:], Q1=q1, Q2=q2)
-
-
 def q_blocks_of(p: SfqPencil) -> np.ndarray:
     """The index vector ``pi`` of ``P = Q1 @ Q2.T``: ``P[i, pi[i]] = 1``."""
     return p.Q1.compose(p.Q2.inverse()).image
@@ -260,15 +243,12 @@ def dual(p: SfqPencil) -> SfqPencil:
 def primal_eig_residual(p: SfqPencil, x: np.ndarray, mpow: np.ndarray) -> float:
     """Residual of ``A_i Q1^T [I; X] = B_i Q1^T [I; X] M`` for a supplied M.
 
-    Normalized by ``max(1, ||[I; X]||_F)``.
+    Normalized by ``max(1, ||[I; X]||_F)``.  ``A_i`` and ``B_i`` act through
+    their blocks, so only arrays of the basis's size are formed.
     """
-    x = as_complex_matrix(x)
-    a, b = assemble(p)
-    zs = np.vstack([np.eye(p.m, dtype=np.complex128), x])
-    z = permute_rows(p.Q1, zs, transpose=True)
-    res = a @ z - (b @ z) @ as_complex_matrix(mpow)
-    znorm = float(np.linalg.norm(zs))
-    return float(np.linalg.norm(res)) / max(1.0, znorm)
+    z = sfq_basis(p, as_complex_matrix(x))
+    res = _times_a(p, z) - _times_b(p, z) @ as_complex_matrix(mpow)
+    return float(np.linalg.norm(res)) / max(1.0, float(np.linalg.norm(z)))
 
 
 def primal_nme_residual(p0: SfqPencil, x: np.ndarray) -> float:

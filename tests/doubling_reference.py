@@ -6,6 +6,10 @@ W-rule with index gathers and derives each mirror from ``dual``; the oracle
 tests require both to agree bit for bit, so acceptance tests 01 and 05
 still compare two independent derivations when m != n.
 
+The dense pencil itself is built here from its definition as well
+(:func:`perm_matrix`, :func:`assemble`): the library forms no dense
+permutation and no dense Q-standard pencil.
+
 The classical SDASF1 and SDASF2 updates are kept here too, in the form the
 literature writes them: the library runs both as the W-rule with Q frozen,
 and acceptance test 02 checks that against these formulas.
@@ -19,10 +23,25 @@ from qdoubling.linalg import SINGULARITY_TOL, SingularMatrixError, lu_factor
 from qdoubling.sfq import BreakdownError, SfqPencil
 
 
+def perm_matrix(q):
+    """The dense 0/1 matrix of ``q``: ``Q[i, q.image[i]] = 1``."""
+    dense = np.zeros((q.n, q.n), dtype=np.complex128)
+    dense[np.arange(q.n), q.image] = 1.0
+    return dense
+
+
+def assemble(p):
+    """Dense ``(A_i, B_i) = ([[E, 0], [-X, I]] Q1, [[I, -Y], [0, F]] Q2)``."""
+    m, n = p.m, p.n
+    a = np.block([[p.E, np.zeros((m, n))], [-p.X, np.eye(n)]]) @ perm_matrix(p.Q1)
+    b = np.block([[np.eye(m), -p.Y], [np.zeros((n, m)), p.F]]) @ perm_matrix(p.Q2)
+    return a, b
+
+
 def dense_q_blocks(p):
     """``(Q11, Q12, Q21, Q22)`` of ``Q1 @ Q2.T`` as dense 0/1 matrices."""
     m = p.m
-    dense = p.Q1.matrix() @ p.Q2.matrix().T
+    dense = perm_matrix(p.Q1) @ perm_matrix(p.Q2).T
     return dense[:m, :m], dense[:m, m:], dense[m:, :m], dense[m:, m:]
 
 

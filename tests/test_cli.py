@@ -69,6 +69,27 @@ class TestGen:
         manifest = json.loads((tmp_path / "crit" / "manifest.json").read_text())
         assert len(manifest["spectra"]["circle"]) == 2
 
+    @pytest.mark.parametrize("flags", [("split", "--eta", "0"), ("split", "--alpha", "1"),
+                                       ("critical", "--blocks", "bad"),
+                                       ("critical", "--rho-stable", "2"),
+                                       ("bse", "--gap-scale", "-1")],
+                             ids=["eta", "alpha", "blocks", "rho-stable", "gap-scale"])
+    def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, flags):
+        family, *flag = flags
+        out = tmp_path / "inst"
+        code = main(["gen", "--family", family, *flag, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_malformed_block_names_the_item_and_the_form(self, tmp_path, capsys):
+        assert main(["gen", "--family", "critical", "--blocks", "2:1+0j;3",
+                     "--out", str(tmp_path / "inst")]) == 1
+        err = capsys.readouterr().err
+        assert "'3'" in err and "size:omega" in err
+
 
 class TestSolve:
     def write_instance(self, tmp_path, **kwargs):

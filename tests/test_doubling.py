@@ -51,7 +51,7 @@ class TestW:
 
     def test_matches_bracket_product(self, rng):
         p = random_sfq(rng, 3, 5)
-        qprod = p.Q1.matrix() @ p.Q2.matrix().T
+        qprod = ref.perm_matrix(p.Q1) @ ref.perm_matrix(p.Q2).T
         left = np.hstack([-p.X, np.eye(5)])
         right = np.vstack([p.Y, np.eye(5)])
         expected = left @ qprod @ right

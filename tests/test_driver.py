@@ -1,10 +1,14 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdoubling.driver
 
@@ -20,6 +24,7 @@ from qdoubling import (
     asymptotic_window,
     cayley,
     dual,
+    gen_bse_like,
     gen_random_split,
     gen_solved_sfq,
     primal_nme_residual,
@@ -28,6 +33,7 @@ from qdoubling import (
     run_sdasf1,
     run_sdasf1_on,
     run_sdasf2,
+    run_sdasf2_on,
     run_sdasfq,
     sdasf1_init,
     select_kernel,
@@ -36,6 +42,7 @@ from qdoubling import (
 )
 
 from conftest import NO_GUARD, complex_normal
+from doubling_reference import assemble
 
 
 def pencil_bytes(p):
@@ -176,6 +183,48 @@ class TestRunQda:
         assert res.status is RunStatus.CONVERGED
         assert res.iterations == 7
 
+    @settings(max_examples=20, deadline=None)
+    @given(family=st.sampled_from(["split", "bse"]), m=st.integers(1, 8), n=st.integers(1, 8),
+           eta=st.sampled_from([1.0, 1e-3, 1e-6]), seed=st.integers(0, 2**16),
+           k=st.sampled_from([1, -1, 40, -40, 600, -600]))
+    def test_power_of_two_scaling_changes_nothing(self, family, m, n, eta, seed, k):
+        # (A, B) -> 2^k (A, B) scales every quantity the solver compares
+        # by the same power of two, so the run takes the same path bit for bit
+        if family == "split":
+            g = gen_random_split(m, n, 8.0, eta, seed).pencil
+        else:
+            g = gen_bse_like(n, 2.0, seed, 1e-3).pencil
+        scaled = GeneralPencil(A=g.A * 2.0**k, B=g.B * 2.0**k, m=g.m, n=g.n)
+        base, res = (run_qda(CayleyPair(h, -1.0), QdaConfig()) for h in (g, scaled))
+        assert (res.status, res.iterations, res.message) == (base.status, base.iterations,
+                                                             base.message)
+        assert res.q1 == base.q1 and res.q2 == base.q2
+        assert res.phi.tobytes() == base.phi.tobytes()
+        assert res.psi.tobytes() == base.psi.tobytes()
+        assert [r.norm_x for r in res.history] == [r.norm_x for r in base.history]
+
+
+class TestNonFiniteStart:
+    @pytest.mark.parametrize("runner", ["sdasfq", "sdasf1"])
+    def test_is_turned_away_before_any_step(self, monkeypatch, runner):
+        def no_step(*args):
+            raise AssertionError("a non-finite start was stepped")
+
+        monkeypatch.setattr(qdoubling.driver, "step", no_step)
+        monkeypatch.setattr(qdoubling.driver, "step_sf1", no_step)
+        p = gen_solved_sfq(6, 5, 0.5, 0.5, 1).pencil
+        x = np.array(p.X)
+        x[2, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if runner == "sdasfq":
+                res = run_sdasfq(replace(p, X=x), QdaConfig())
+            else:
+                res = run_sdasf1(p.E, p.F, x, p.Y, QdaConfig())
+        assert res.status is RunStatus.BREAKDOWN
+        assert res.iterations == 0
+        assert res.message == "non-finite start pencil"
+
 
 class TestRecovery:
     """QDA meets a breakdown by one re-reduction, then one kernel switch.
@@ -231,7 +280,7 @@ class TestInvariants:
     def test_primal_and_dual_eigen_invariants_under_iteration(self):
         # after k unguarded steps the pencil still annihilates both
         # prescribed solution bases, with coefficients raised to 2^k
-        from qdoubling import anti_basis, assemble
+        from qdoubling import anti_basis
         inst = gen_solved_sfq(m=4, n=5, rho_m=0.6, rho_n=0.6, seed=21)
         cfg = QdaConfig(max_iter=6, rtol=1e-300, tau=NO_GUARD)
         res = run_sdasfq(inst.pencil, cfg)
@@ -341,6 +390,21 @@ class TestBaselines:
         qdoubling.driver._iterate([p0], QdaConfig(max_iter=3, rtol=1e-300), advance, None, p0)
         assert seen == [select_kernel(3, 4)] * 3
 
+    @pytest.mark.parametrize("runner, label, cols", [(run_sdasf1_on, "SF1", slice(None, 3)),
+                                                     (run_sdasf2_on, "SF2", slice(3, None))],
+                             ids=["sf1", "sf2"])
+    def test_singular_closed_form_start_is_a_breakdown(self, rng, runner, label, cols):
+        # the closed-form start solves with B's first m columns (SF1) or its
+        # last m (SF2); zeroing them makes that system singular
+        a, b = complex_normal(rng, 6, 6), complex_normal(rng, 6, 6)
+        b[:, cols] = 0.0
+        res = runner(GeneralPencil(A=a, B=b, m=3, n=3), QdaConfig())
+        assert res.status is RunStatus.BREAKDOWN
+        assert res.iterations == 0 and res.final is None
+        assert res.message.startswith(f"{label} initialization: singular matrix: ")
+        # a bare "initialization" would read as a failed reduction of QDA
+        assert not res.message.startswith("initialization")
+
     def test_sf1_blowup_reported_not_raised(self):
         inst = gen_random_split(m=10, n=12, alpha=8.0, eta=1e-7, seed=1)
         g = cayley(inst.pencil, CayleyParams(-1.0))
@@ -352,7 +416,7 @@ class TestBaselines:
     def test_sf2_runs_on_solved_instance(self):
         # SF2 on a pencil built with the block-swap Q2 reproduces step_sf2
         inst = gen_solved_sfq(m=4, n=4, rho_m=0.5, rho_n=0.5, seed=5)
-        from qdoubling import assemble, swap_perm, closed_form_init, Permutation
+        from qdoubling import swap_perm, closed_form_init, Permutation
         a0, b0 = assemble(inst.pencil)
         g = GeneralPencil(A=a0, B=b0, m=4, n=4)
         p0 = closed_form_init(g, Permutation.identity(8), swap_perm(4, 4))

@@ -8,7 +8,6 @@ from qdoubling import (
     ZeroPivotError,
     action_x,
     action_y,
-    assemble,
     default_tau,
     find_violation,
     guard,

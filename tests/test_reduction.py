@@ -17,7 +17,6 @@ from qdoubling import (
     Permutation,
     SfqPencil,
     Variant,
-    assemble,
     cayley,
     cayley_map,
     closed_form_init,
@@ -30,6 +29,7 @@ from qdoubling import (
 from qdoubling.linalg import SingularMatrixError, solve_transposed
 
 from conftest import complex_normal, random_sfq
+from doubling_reference import assemble
 
 ALL_REDUCTIONS = [(idea, variant)
                   for idea in (Idea.IDEA1, Idea.IDEA2, Idea.IDEA3)

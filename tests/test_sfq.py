@@ -14,15 +14,12 @@ from qdoubling import (
     Permutation,
     SfqPencil,
     anti_basis,
-    assemble,
     cayley,
     dual,
     dual_nme_residual,
-    extract_blocks,
     gen_random_split,
     gen_solved_sfq,
     known_eigenpairs,
-    permute_rows,
     primal_eig_residual,
     primal_nme_residual,
     q_blocks_of,
@@ -34,6 +31,7 @@ from qdoubling.linalg import row_blocks
 from qdoubling.sfq import CAYLEY_ROWS, orthonormal_residual
 
 from conftest import complex_normal, random_sfq
+from doubling_reference import assemble, perm_matrix
 
 
 class TestAssemble:
@@ -52,14 +50,6 @@ class TestAssemble:
         np.testing.assert_array_equal(a, np.eye(4))
         np.testing.assert_array_equal(b, np.eye(4))
 
-    def test_assemble_extract_roundtrip_bit_exact(self, rng):
-        for _ in range(10):
-            p = random_sfq(rng, 3, 4)
-            a, b = assemble(p)
-            q = extract_blocks(a, b, p.Q1, p.Q2, p.m, p.n)
-            for blk in "EFXY":
-                np.testing.assert_array_equal(getattr(p, blk), getattr(q, blk))
-
     def test_structured_blocks_exact(self, rng):
         p = random_sfq(rng, 2, 3)
         a, _ = assemble(p)
@@ -72,10 +62,6 @@ class TestAssemble:
     def test_model_identities_hold_for_any_shape(self, m, n, seed):
         rng = np.random.default_rng(seed)
         p = random_sfq(rng, m, n)
-        a, b = assemble(p)
-        q = extract_blocks(a, b, p.Q1, p.Q2, m, n)
-        for blk in "EFXY":
-            np.testing.assert_array_equal(getattr(p, blk), getattr(q, blk))
         dd = dual(dual(p))
         assert dd.Q1 == p.Q1 and dd.Q2 == p.Q2
         np.testing.assert_array_equal(dd.X, p.X)
@@ -99,7 +85,7 @@ def test_q_blocks_of_indexes_the_dense_product(rng, kind):
         p = replace(random_sfq(rng, m, n), Q1=q1, Q2=q2)
         dense = np.zeros((m + n, m + n), dtype=complex)
         dense[np.arange(m + n), q_blocks_of(p)] = 1.0
-        np.testing.assert_array_equal(dense, q1.matrix() @ q2.matrix().T)
+        np.testing.assert_array_equal(dense, perm_matrix(q1) @ perm_matrix(q2).T)
         if kind == "equal":
             np.testing.assert_array_equal(dense, np.eye(m + n))
         if kind == "block_swap":
@@ -120,7 +106,7 @@ class TestBases:
                     (sfq_basis(p, x), p.Q1, [np.eye(m), x]),
                     (anti_basis(p), p.Q2, [p.Y, np.eye(n)]),
                     (anti_basis(p, y), p.Q2, [y, np.eye(n)])):
-                want = permute_rows(q, np.vstack(stack).astype(complex), transpose=True)
+                want = np.vstack(stack).astype(complex)[q.inverse().image]
                 assert got.tobytes() == want.tobytes()
 
 
@@ -145,7 +131,7 @@ class TestDual:
         p = random_sfq(rng, 3, 4)
         a0, b0 = assemble(p)
         ad, bd = assemble(dual(p))
-        pi = swap_perm(p.m, p.n).matrix()
+        pi = perm_matrix(swap_perm(p.m, p.n))
         np.testing.assert_array_equal(pi @ ad, b0 @ pi)
         np.testing.assert_array_equal(pi @ bd, a0 @ pi)
 
@@ -158,7 +144,7 @@ class TestDual:
         p = closed_form_init(inst.pencil, Perm.identity(6), Perm.identity(6))
         a0, b0 = assemble(p)
         ad, bd = assemble(dual(p))
-        pi = swap_perm(p.m, p.n).matrix()
+        pi = perm_matrix(swap_perm(p.m, p.n))
         for lam, z in known_eigenpairs(inst, count=4):
             zd = (pi.T @ z).reshape(-1, 1)
             res = np.linalg.norm(ad @ zd - (1.0 / lam) * (bd @ zd))
