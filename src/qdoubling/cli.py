@@ -210,15 +210,14 @@ def _cmd_solve(args) -> int:
         summary["normXFro"] = float(np.linalg.norm(result.phi))
         summary["maxAbsX"] = float(np.abs(result.phi).max())
         summary["tau"] = cfg.tau_for(args.m, args.n)
-        eye = np.eye(a.shape[0], dtype=complex)
-        if np.array_equal(b, eye):
-            basis = sfq_basis(result.final)
+        basis = sfq_basis(result.final)
+        if np.array_equal(b, np.eye(a.shape[0])):
             try:
                 summary["nres1"] = nres1(a, basis, x_norm=float(np.linalg.norm(result.phi)))
                 summary["nres2"] = nres2(a, basis)
             except Exception as exc:  # metrics are advisory in the summary
                 summary["residualError"] = str(exc)
-        write_matrix(out / "stable_basis.json", sfq_basis(result.final))
+        write_matrix(out / "stable_basis.json", basis)
         write_matrix(out / "anti_stable_basis.json", anti_basis(result.final))
     write_manifest(out / "summary.json", summary)
     return _EXIT_FOR_STATUS[result.status]

@@ -13,11 +13,11 @@ half-plane pencil, whose dense transform is formed for the reduction or the
 closed-form start only and released before the first step.
 
 A run holds its live iterate, its history of pencils and, only while the
-safeguard runs, a few arrays of the basis's size; ``run_qda``'s reduced start
-is freed after the first step.  The safeguard checks
-against one pencil (:data:`Reference`) and never builds a dense copy.  Each
-step's fresh blocks are sealed (:func:`~qdoubling.linalg.sealed`) and so
-become the next pencil without a copy.
+safeguard runs, a few arrays of the basis's size.  The safeguard checks
+against one pencil (:data:`Reference`) and never builds a dense copy.  A run
+from a :data:`Problem` checks against it and frees its start after the first
+step.  Each step's fresh blocks are sealed (:func:`~qdoubling.linalg.sealed`)
+and so become the next pencil without a copy.
 """
 
 from __future__ import annotations
@@ -277,9 +277,9 @@ def run_qda(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_baseline(p0: SfqPencil, cfg: QdaConfig, stepper) -> QdaResult:
-    """The shared loop with a fixed-Q ``stepper``, no guard and no recovery."""
-    return _iterate([p0], cfg, lambda p, _k: stepper(p.E, p.F, p.X, p.Y), None, p0)
+def _fixed_q(stepper) -> Callable[[SfqPencil, Kernel], StepOutcome]:
+    """A baseline's ``advance`` for the shared loop, run with no guard and no recovery."""
+    return lambda p, _k: stepper(p.E, p.F, p.X, p.Y)
 
 
 def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
@@ -288,7 +288,7 @@ def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
     m, n = e0.shape[0], f0.shape[0]
     ident = Permutation.identity(m + n)
     p0 = SfqPencil(m=m, n=n, E=e0, F=f0, X=x0, Y=y0, Q1=ident, Q2=ident)
-    return _run_baseline(p0, cfg, step_sf1)
+    return _iterate([p0], cfg, _fixed_q(step_sf1), None, p0)
 
 
 def run_sdasf2(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
@@ -299,7 +299,7 @@ def run_sdasf2(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
         raise ValueError("the second standard form requires m = n")
     p0 = SfqPencil(m=n, n=n, E=e0, F=f0, X=x0, Y=y0,
                    Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n))
-    return _run_baseline(p0, cfg, step_sf2)
+    return _iterate([p0], cfg, _fixed_q(step_sf2), None, p0)
 
 
 def sdasf1_init(g: GeneralPencil) -> SfqPencil:
@@ -317,13 +317,13 @@ def sdasf2_init(g: GeneralPencil) -> SfqPencil:
 
 def _run_baseline_on(problem: Problem, cfg: QdaConfig, init, stepper,
                      label: str) -> QdaResult:
-    """A baseline from its closed-form start; a Cayley pair's dense transform
-    is released once the start is formed."""
+    """A baseline from its closed-form start, checked against the problem; a
+    Cayley pair's transform and the start are freed as ``run_qda`` frees them."""
     try:
-        p0 = init(_disk(problem))
+        start = [init(_disk(problem))]
     except SingularMatrixError as exc:
         return _no_start(f"{label} initialization: {exc}")
-    return _run_baseline(p0, cfg, stepper)
+    return _iterate(start, cfg, _fixed_q(stepper), None, problem)
 
 
 def run_sdasf1_on(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:

@@ -68,8 +68,7 @@ def rho_gamma(stable_eigs: Sequence[complex], anti_stable_eigs: Sequence[complex
 
 def _standard_matrix(h) -> np.ndarray:
     if isinstance(h, GeneralPencil):
-        eye = np.eye(h.size, dtype=np.complex128)
-        if not np.array_equal(h.B, eye):
+        if not np.array_equal(h.B, np.eye(h.size)):
             raise ValueError("normalized residuals are defined for B = I only")
         return h.A
     return as_complex_matrix(h)

@@ -24,7 +24,7 @@ array its maker marked with :func:`sealed`; only the code that computed an
 array may seal it.  Kernels that stream over a tall matrix (:func:`abs_sums`,
 :func:`norm_inf`, :func:`two_est`, the residual safeguard) work in blocks of
 :data:`ROW_BLOCK` rows, so their temporaries do not grow with the matrix;
-:class:`AbsSums` takes the blocks as a caller forms them.
+their sums match numpy's whole-array sums to rounding, not bit for bit.
 
 LU factorization
 ----------------
@@ -80,67 +80,32 @@ def row_blocks(rows: int, block: int = ROW_BLOCK) -> list[slice]:
     return [slice(i, i + block) for i in range(0, rows, block)]
 
 
-class AbsSums:
-    """Column and row sums of ``|a|`` for a matrix fed in blocks of rows, in order.
-
-    The sums carry the same bits as ``np.abs(a).sum(axis=0)`` and
-    ``.sum(axis=1)`` whatever the blocks, and need no ``|a|``-sized
-    temporary: numpy sums axis 0 row by row, so adding the running column
-    sums to a block's first row continues that order.
-    """
-
-    def __init__(self, cols: int):
-        self.col = np.zeros(cols)
-        self._rows: list[np.ndarray] = []
-
-    def add(self, block: np.ndarray):
-        mag = np.abs(block)
-        self._rows.append(mag.sum(axis=1))
-        mag[0] += self.col
-        self.col = mag.sum(axis=0)
-
-    @property
-    def row(self) -> np.ndarray:
-        return np.concatenate(self._rows) if self._rows else np.zeros(0)
-
-    def two_est(self) -> float:
-        """:func:`two_est` of the rows added so far."""
-        return math.sqrt(self.col.max(initial=0.0)) * math.sqrt(self.row.max(initial=0.0))
-
-
-def _abs_sums_of(a: np.ndarray) -> AbsSums:
-    a = as_complex_matrix(a)
-    sums = AbsSums(a.shape[1])
-    for rows in row_blocks(a.shape[0]):
-        sums.add(a[rows])
-    return sums
-
-
 def abs_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column and row sums of ``|a|``, taken over blocks of :data:`ROW_BLOCK` rows
-    (see :class:`AbsSums`)."""
-    sums = _abs_sums_of(a)
-    return sums.col, sums.row
+    """Column and row sums of ``|a|``; the column sums add up those of blocks
+    of :data:`ROW_BLOCK` rows."""
+    a = as_complex_matrix(a)
+    col = np.zeros(a.shape[1])
+    row = np.empty(a.shape[0])
+    for rows in row_blocks(a.shape[0]):
+        mag = np.abs(a[rows])
+        col += mag.sum(axis=0)
+        row[rows] = mag.sum(axis=1)
+    return col, row
 
 
 def norm_inf(a: np.ndarray) -> float:
-    """``np.abs(a).sum(axis=1).max(initial=0.0)`` with the same bits, taken over
-    blocks of :data:`ROW_BLOCK` rows.
+    """The largest row sum of ``|a|`` (see :func:`abs_sums`)."""
+    return float(abs_sums(a)[1].max(initial=0.0))
 
-    numpy sums each row of a C-ordered ``|a|`` on its own, but the rows of an
-    F-ordered one column by column, as :class:`AbsSums` sums the columns of
-    ``a.T`` (a block of one row would be summed on its own instead).
-    """
-    a = as_complex_matrix(a)
-    if a.flags.f_contiguous and not a.flags.c_contiguous:
-        return float(_abs_sums_of(a.T).col.max(initial=0.0))
-    return float(np.array([np.abs(a[rows]).sum(axis=1).max()
-                           for rows in row_blocks(a.shape[0])]).max(initial=0.0))
+
+def two_est_of(norm1: float, norminf: float) -> float:
+    """Cheap spectral-norm bound ``sqrt(norm1) * sqrt(norminf)``; never overflows."""
+    return math.sqrt(norm1) * math.sqrt(norminf)
 
 
 def two_est(a: np.ndarray) -> float:
-    """Cheap spectral-norm bound ``sqrt(norm1) * sqrt(norminf)``; never overflows."""
-    return _abs_sums_of(a).two_est()
+    """:func:`two_est_of` the 1- and inf-norms of ``a``."""
+    return two_est_of(*(sums.max(initial=0.0) for sums in abs_sums(a)))
 
 
 # ---------------------------------------------------------------------------

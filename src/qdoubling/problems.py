@@ -103,9 +103,9 @@ def gen_random_split(m: int, n: int, alpha: float, eta: float, seed: int) -> Pro
     ``U[:, :m]`` then has an increasingly ill-conditioned leading block as
     ``eta`` shrinks.
     """
-    if alpha <= 2:
+    if not alpha > 2:
         raise ValueError("alpha must exceed 2 to keep the split away from the axis")
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     size = m + n
     for attempt in range(10):
@@ -145,8 +145,12 @@ def gen_bse_like(n: int, gap_scale: float, seed: int,
     eigenvectors nearly vertical, i.e. the classical basis form nearly
     inadmissible.  No ground-truth spectra are recorded.
     """
-    if gap_scale <= 0:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not gap_scale > 0:
         raise ValueError("gap_scale must be positive")
+    if not math.isfinite(coupling_scale):
+        raise ValueError("coupling_scale must be finite")
     rng = np.random.default_rng([seed])
     diag = gap_scale * (1.0 + np.arange(n) / n)
     g = _complex_normal(rng, n, n)

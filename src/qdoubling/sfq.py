@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    AbsSums,
     Permutation,
     abs_sums,
     as_complex_matrix,
@@ -49,6 +48,7 @@ from .linalg import (
     sealed,
     thin_qr,
     two_est,
+    two_est_of,
 )
 
 
@@ -294,20 +294,17 @@ def _times_b(p: SfqPencil, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_ests(p: SfqPencil) -> tuple[float, float]:
-    """``two_est`` of ``A_i`` and of ``B_i`` from the blocks' row and column sums.
+def _two_est_a(p: SfqPencil) -> float:
+    """``two_est(A_i)`` from the blocks' row and column sums.
 
     The columns of ``[[E, 0], [-X, I]]`` sum to ``|E| + |X|`` and 1, its rows
-    to ``|E|`` and ``|X| + 1``; ``[[I, -Y], [0, F]]`` likewise.  Q1 and Q2
-    only permute the columns.
+    to ``|E|`` and ``|X| + 1``; Q1 only permutes the columns.  ``B_i`` is the
+    dual's ``A_i`` up to the block swap, so ``two_est(B_i)`` is
+    ``_two_est_a(dual(p))``.
     """
-    (e_cols, e_rows), (x_cols, x_rows), (y_cols, y_rows), (f_cols, f_rows) = (
-        abs_sums(blk) for blk in (p.E, p.X, p.Y, p.F))
-    a_one = max(float((e_cols + x_cols).max()), 1.0)
-    a_inf = max(float(e_rows.max()), float(x_rows.max()) + 1.0)
-    b_one = max(1.0, float((y_cols + f_cols).max()))
-    b_inf = max(float(y_rows.max()) + 1.0, float(f_rows.max()))
-    return (math.sqrt(a_one) * math.sqrt(a_inf), math.sqrt(b_one) * math.sqrt(b_inf))
+    (e_cols, e_rows), (x_cols, x_rows) = abs_sums(p.E), abs_sums(p.X)
+    return two_est_of(max(float((e_cols + x_cols).max()), 1.0),
+                      max(float(e_rows.max()), float(x_rows.max()) + 1.0))
 
 
 #: Rows of a dense or Cayley pair the safeguard takes at a time: the rows
@@ -317,19 +314,17 @@ CAYLEY_ROWS = 32
 
 def _row_products(pair: GeneralPencil | CayleyPair, u: np.ndarray):
     """``A U``, ``B U``, ``two_est(A)`` and ``two_est(B)`` of a pair, filled
-    from :data:`CAYLEY_ROWS` of its rows at a time; the estimates carry the
-    bits of ``two_est`` on the whole matrices."""
+    from :data:`CAYLEY_ROWS` of its rows at a time."""
     size = u.shape[0]
-    au = np.empty_like(u, order="C")
-    bu = np.empty_like(au)
-    a_sums, b_sums = AbsSums(size), AbsSums(size)
+    products = (np.empty_like(u, order="C"), np.empty_like(u, order="C"))
+    norm1, norminf = np.zeros((2, size)), np.zeros(2)
     for rows in row_blocks(size, CAYLEY_ROWS):
-        a_rows, b_rows = pair.rows(rows)
-        np.matmul(a_rows, u, out=au[rows])
-        np.matmul(b_rows, u, out=bu[rows])
-        a_sums.add(a_rows)
-        b_sums.add(b_rows)
-    return au, bu, a_sums.two_est(), b_sums.two_est()
+        for k, block in enumerate(pair.rows(rows)):
+            np.matmul(block, u, out=products[k][rows])
+            col, row = abs_sums(block)
+            norm1[k] += col
+            norminf[k] = max(norminf[k], row.max())
+    return (*products, *(two_est_of(c.max(), r) for c, r in zip(norm1, norminf)))
 
 
 def _orthonormal_basis(z: np.ndarray | SfqPencil) -> np.ndarray:
@@ -398,7 +393,8 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     """
     u = _orthonormal_basis(z)
     if isinstance(pencil, SfqPencil):
-        au, bu, a_est, b_est = _times_a(pencil, u), _times_b(pencil, u), *_two_ests(pencil)
+        au, bu = _times_a(pencil, u), _times_b(pencil, u)
+        a_est, b_est = _two_est_a(pencil), _two_est_a(dual(pencil))
     elif isinstance(pencil, (GeneralPencil, CayleyPair)):
         au, bu, a_est, b_est = _row_products(pencil, u)
     else:   # the standard problem (H, I): B U is U itself

@@ -5,7 +5,6 @@ the lines as they go; they are also embedded in assertion messages).
 """
 
 import numpy as np
-import pytest
 
 from qdoubling import (
     CayleyParams,
@@ -41,13 +40,12 @@ from qdoubling import (
     step_wt,
     swap_perm,
 )
-from qdoubling.driver import run_sdasf1
 from qdoubling.linalg import lu_factor, lu_solve
 from qdoubling.problems import jordan_block
 from qdoubling.reduction import Idea, Variant
 
 import doubling_reference as ref
-from conftest import NO_GUARD, complex_normal, random_sfq
+from conftest import NO_GUARD, random_sfq
 
 EPS = float(np.finfo(np.float64).eps)
 

@@ -72,8 +72,12 @@ class TestGen:
     @pytest.mark.parametrize("flags", [("split", "--eta", "0"), ("split", "--alpha", "1"),
                                        ("critical", "--blocks", "bad"),
                                        ("critical", "--rho-stable", "2"),
-                                       ("bse", "--gap-scale", "-1")],
-                             ids=["eta", "alpha", "blocks", "rho-stable", "gap-scale"])
+                                       ("bse", "--gap-scale", "-1"),
+                                       ("split", "--eta", "nan"),
+                                       ("bse", "--coupling-scale", "nan"),
+                                       ("bse", "--n", "0")],
+                             ids=["eta", "alpha", "blocks", "rho-stable", "gap-scale",
+                                  "eta-nan", "coupling-scale-nan", "bse-n-0"])
     def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, flags):
         family, *flag = flags
         out = tmp_path / "inst"

@@ -14,7 +14,6 @@ from qdoubling import (
     compute_w,
     compute_wt,
     gen_solved_sfq,
-    q_blocks_of,
     select_kernel,
     step_sf1,
     step_sf2,

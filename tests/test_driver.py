@@ -20,7 +20,6 @@ from qdoubling import (
     Kernel,
     QdaConfig,
     RunStatus,
-    StopMode,
     asymptotic_window,
     cayley,
     dual,
@@ -429,6 +428,91 @@ class TestBaselines:
         u1, _ = thin_qr(z_run)
         u2, _ = thin_qr(z_true)
         assert np.linalg.norm(u2 - u1 @ (u1.conj().T @ u2)) <= 1e-8
+
+    @staticmethod
+    def recorded_references(monkeypatch):
+        """The pencils the driver hands the residual safeguard, in call order."""
+        seen = []
+        residual_ = qdoubling.driver.orthonormal_residual
+
+        def recording(reference, z):
+            seen.append(reference)
+            return residual_(reference, z)
+
+        monkeypatch.setattr(qdoubling.driver, "orthonormal_residual", recording)
+        return seen
+
+    @pytest.mark.parametrize("runner", [run_sdasf1_on, run_sdasf2_on], ids=["sf1", "sf2"])
+    def test_a_problem_is_the_safeguard_reference(self, monkeypatch, runner):
+        seen = self.recorded_references(monkeypatch)
+        problem = CayleyPair(gen_random_split(6, 6, 8.0, 1e-2, seed=3).pencil, -1.0)
+        res = runner(problem, QdaConfig())
+        assert res.status is RunStatus.CONVERGED
+        assert seen and all(ref is problem for ref in seen)
+
+    def test_block_arguments_keep_their_start_as_the_reference(self, monkeypatch):
+        seen = self.recorded_references(monkeypatch)
+        p0 = sdasf1_init(cayley(gen_random_split(6, 6, 8.0, 1e-2, seed=3).pencil,
+                                CayleyParams(-1.0)))
+        res = run_sdasf1(p0.E, p0.F, p0.X, p0.Y, QdaConfig())
+        assert res.status is RunStatus.CONVERGED
+        assert seen and all(pencil_bytes(ref) == pencil_bytes(p0) for ref in seen)
+
+    @pytest.mark.parametrize("runner, init_name, step_name", [
+        (run_sdasf1_on, "sdasf1_init", "step_sf1"),
+        (run_sdasf2_on, "sdasf2_init", "step_sf2"),
+    ], ids=["sf1", "sf2"])
+    def test_start_from_a_problem_is_released_by_the_second_step(
+            self, monkeypatch, runner, init_name, step_name):
+        # weakrefs to the closed-form start and its four blocks, read as each
+        # step begins; with the cyclic collector off only references keep them
+        init_ = getattr(qdoubling.driver, init_name)
+        step_ = getattr(qdoubling.driver, step_name)
+        refs, alive = [], []
+
+        def tracked_init(g):
+            p = init_(g)
+            refs.extend(weakref.ref(obj) for obj in (p, p.E, p.F, p.X, p.Y))
+            return p
+
+        def watched_step(*blocks):
+            alive.append([ref() is not None for ref in refs])
+            return step_(*blocks)
+
+        monkeypatch.setattr(qdoubling.driver, init_name, tracked_init)
+        monkeypatch.setattr(qdoubling.driver, step_name, watched_step)
+        problem = CayleyPair(gen_random_split(6, 6, 8.0, 1e-2, seed=3).pencil, -1.0)
+        gc.disable()
+        try:
+            res = runner(problem, QdaConfig())
+        finally:
+            gc.enable()
+        assert res.status is RunStatus.CONVERGED and res.iterations >= 2
+        assert alive[0] == [True] * 5
+        assert alive[1] == [False] * 5
+
+    def test_memory_in_use_at_the_second_step_holds_no_start(self, monkeypatch):
+        # traced bytes in use as each step begins: one pencil (16 N^2 bytes)
+        # at the first step, and at the second the history's record of the
+        # live pencil, the same object; a start kept for the safeguard would
+        # add one more pencil
+        used = []
+        step_ = qdoubling.driver.step_sf1
+
+        def watched_step(*blocks):
+            used.append(tracemalloc.get_traced_memory()[0])
+            return step_(*blocks)
+
+        monkeypatch.setattr(qdoubling.driver, "step_sf1", watched_step)
+        g = gen_random_split(60, 70, 8.0, 1e-2, seed=3).pencil
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = run_sdasf1_on(CayleyPair(g, -1.0), QdaConfig())
+        finally:
+            tracemalloc.stop()
+        assert res.iterations >= 2
+        assert used[1] - used[0] <= 0.25 * 16 * g.size ** 2
 
 
 class TestAsymptoticWindow:

@@ -1,5 +1,3 @@
-import numpy as np
-
 from qdoubling.experiments import FAILED, RunRow, bse_like, pivot_table
 
 

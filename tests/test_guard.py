@@ -14,7 +14,7 @@ from qdoubling import (
     reinit,
 )
 
-from conftest import complex_normal, random_sfq
+from conftest import random_sfq
 
 
 def with_block(p, name, value):

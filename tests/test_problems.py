@@ -56,6 +56,12 @@ class TestRandomSplit:
         with pytest.raises(ValueError):
             gen_random_split(m=2, n=2, alpha=8.0, eta=0.0, seed=0)
 
+    @pytest.mark.parametrize("name", ["alpha", "eta"])
+    def test_rejects_nan_parameters_by_name(self, name):
+        params = dict(m=2, n=2, alpha=8.0, eta=1.0, seed=0) | {name: float("nan")}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            gen_random_split(**params)
+
 
 class TestBseLike:
     def test_structure_exact(self):
@@ -85,6 +91,16 @@ class TestBseLike:
         delta = a - np.diag(np.diag(a).real)
         margin = np.abs(delta).sum(axis=0).max() + np.abs(b).sum(axis=0).max()
         assert margin < 2.0
+
+    @pytest.mark.parametrize("name, value", [("n", 0), ("gap_scale", float("nan")),
+                                             ("coupling_scale", float("nan")),
+                                             ("coupling_scale", float("inf"))],
+                             ids=["n-0", "gap-scale-nan", "coupling-scale-nan",
+                                  "coupling-scale-inf"])
+    def test_rejects_bad_parameters_by_name(self, name, value):
+        params = dict(n=4, gap_scale=2.0, seed=0) | {name: value}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            gen_bse_like(**params)
 
 
 class TestJordanPower:
