@@ -7,7 +7,6 @@ Exit codes for ``solve``: 0 converged, 2 iteration limit, 3 breakdown,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -28,6 +27,7 @@ from .eig import nres1, nres2
 from .experiments import bse_like, critical_rate, eta_sweep, pivot_table
 from .fileio import (
     read_matrix,
+    write_csv,
     write_history_csv,
     write_manifest,
     write_matrix,
@@ -236,32 +236,31 @@ def _cmd_experiment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.name == "critical_rate":
+        params = {}    # the critical instances have a fixed size and no Cayley step
         tables = critical_rate(seeds=seeds, out_dir=out)
         write_manifest(out / "critical_rate.json", {"runs": tables, "seeds": list(seeds)})
-        with open(out / "critical_rate.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "i", "errX", "errRatio", "wMinPivot"])
-            for table in tables:
-                for row in table["perIteration"]:
-                    writer.writerow([table["seed"], row["i"], repr(row["errX"]),
-                                     repr(row["errRatio"]), repr(row["wMinPivot"])])
-        print(f"wrote critical-rate tables to {out}")
-        return 0
-    if args.name == "eta_sweep":
-        rows = eta_sweep(m=args.m, n=args.n, seeds=seeds, gamma=args.gamma, out_dir=out)
+        write_csv(out / "critical_rate.csv", [["seed", "i", "errX", "errRatio", "wMinPivot"], *(
+            [t["seed"], r["i"], repr(r["errX"]), repr(r["errRatio"]), repr(r["wMinPivot"])]
+            for t in tables for r in t["perIteration"])])
+        files = ["critical_rate.json", "critical_rate.csv"]
+        done = f"wrote critical-rate tables to {out}"
     else:
-        rows = bse_like(n=args.bse_n, seeds=seeds, gamma=args.gamma, out_dir=out)
-    with open(out / "runs.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(asdict(rows[0])))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(asdict(row))
-    table = pivot_table(rows)
-    with open(out / "table.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(table)
-    write_manifest(out / "runs.json", {"rows": [asdict(r) for r in rows],
-                                       "seeds": list(seeds)})
-    print(f"wrote {len(rows)} runs to {out}")
+        if args.name == "eta_sweep":
+            params = {"m": args.m, "n": args.n, "gamma": args.gamma}
+            rows = eta_sweep(m=args.m, n=args.n, seeds=seeds, gamma=args.gamma, out_dir=out)
+        else:
+            params = {"bseN": args.bse_n, "gamma": args.gamma}
+            rows = bse_like(n=args.bse_n, seeds=seeds, gamma=args.gamma, out_dir=out)
+        dicts = [asdict(row) for row in rows]
+        write_csv(out / "runs.csv", [list(dicts[0]), *(d.values() for d in dicts)])
+        write_csv(out / "table.csv", pivot_table(rows))
+        write_manifest(out / "runs.json", {"rows": dicts, "seeds": list(seeds)})
+        files = ["runs.csv", "table.csv", "runs.json"]
+        done = f"wrote {len(rows)} runs to {out}"
+    write_manifest(out / "manifest.json", {
+        "command": "experiment", "name": args.name, "parameters": params,
+        "seeds": list(seeds), "toolVersion": __version__, "files": files})
+    print(done)
     return 0
 
 

@@ -132,8 +132,6 @@ def step_sf1(e: np.ndarray, f: np.ndarray, x: np.ndarray, y: np.ndarray) -> Step
 def step_sf2(e: np.ndarray, f: np.ndarray, x: np.ndarray, y: np.ndarray) -> StepOutcome:
     """One SDASF2 step: the W-rule with ``Q1 = I`` and ``Q2`` the block swap
     (requires m = n), where ``W = Y - X``."""
-    if x.shape != y.shape or x.shape[0] != x.shape[1]:
-        raise ValueError("SF2 requires square X and Y of equal size")
     n = x.shape[0]
     return step_w(SfqPencil(m=n, n=n, E=e, F=f, X=x, Y=y,
                             Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n)))

@@ -295,8 +295,6 @@ def run_sdasf2(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
                cfg: QdaConfig = QdaConfig()) -> QdaResult:
     """Classical second-standard-form doubling (requires m = n)."""
     n = e0.shape[0]
-    if f0.shape[0] != n:
-        raise ValueError("the second standard form requires m = n")
     p0 = SfqPencil(m=n, n=n, E=e0, F=f0, X=x0, Y=y0,
                    Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n))
     return _iterate([p0], cfg, _fixed_q(step_sf2), None, p0)

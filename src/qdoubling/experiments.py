@@ -148,34 +148,23 @@ def critical_rate(seeds: Sequence[int] = (2,),
 def pivot_table(rows: Sequence[RunRow]) -> list[list[str]]:
     """Summary with one metric row per algorithm and one column per label.
 
-    Cells for runs that broke down are marked ``--``; when several seeds share
-    a label the cell reports the worst (largest) value across seeds.
+    A cell is marked ``--`` when a run in it broke down or any of its values
+    is not finite; when several seeds share a label the cell reports the
+    worst (largest) value across seeds.
     """
-    labels: list[str] = []
+    cells: dict[tuple[str, str], list[RunRow]] = {}
     for row in rows:
-        if row.label not in labels:
-            labels.append(row.label)
-    algorithms: list[str] = []
-    for row in rows:
-        if row.algorithm not in algorithms:
-            algorithms.append(row.algorithm)
-    table = [["metric", "algorithm", *labels]]
-    for metric, attr in METRIC_ROWS:
-        for algorithm in algorithms:
-            line = [metric, algorithm]
-            for label in labels:
-                cell = FAILED
-                values = []
-                for row in rows:
-                    if row.algorithm != algorithm or row.label != label:
-                        continue
-                    value = getattr(row, attr)
-                    if row.status == RunStatus.BREAKDOWN.value or not np.isfinite(value):
-                        values = []
-                        break
-                    values.append(value)
-                if values:
-                    cell = f"{max(values):.6g}"
-                line.append(cell)
-            table.append(line)
-    return table
+        cells.setdefault((row.algorithm, row.label), []).append(row)
+    labels = list(dict.fromkeys(row.label for row in rows))
+    algorithms = list(dict.fromkeys(row.algorithm for row in rows))
+
+    def cell(runs: list[RunRow], attr: str) -> str:
+        values = [getattr(run, attr) for run in runs]
+        if not runs or any(run.status == RunStatus.BREAKDOWN.value for run in runs) \
+                or not np.isfinite(values).all():
+            return FAILED
+        return f"{max(values):.6g}"
+
+    return [["metric", "algorithm", *labels]] + [
+        [metric, algorithm, *(cell(cells.get((algorithm, label), []), attr) for label in labels)]
+        for metric, attr in METRIC_ROWS for algorithm in algorithms]

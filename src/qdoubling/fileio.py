@@ -1,13 +1,15 @@
-"""On-disk formats: JSON matrices and permutations, manifests, history CSVs.
+"""On-disk formats: JSON matrices and permutations, manifests, CSV tables.
 
 Matrices are stored as ``{"rows", "cols", "re", "im"}`` with row-major real
 and imaginary parts; permutations as ``{"size", "image"}`` with 0-based
-indices.  All writes go through a temp file and an atomic rename.
+indices.  All writes, CSVs included, go through a temp file and an atomic
+rename.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from pathlib import Path
@@ -24,7 +26,7 @@ HISTORY_HEADER = ["i", "absUpdateX", "relUpdateX", "normE", "normF", "normX",
 
 def _atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, newline="")
     os.replace(tmp, path)
 
 
@@ -78,20 +80,15 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
     _atomic_write_text(Path(path), json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def write_history_csv(path: str | Path, history: Iterable[IterationRecord]) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_HEADER)
-        for rec in history:
-            writer.writerow([
-                rec.index,
-                repr(rec.abs_update_x), repr(rec.rel_update_x),
-                repr(rec.norm_e), repr(rec.norm_f),
-                repr(rec.norm_x), repr(rec.norm_y),
-                repr(rec.w_condition), repr(rec.w_min_pivot),
-                len(rec.guard_events.actions),
-            ])
-    os.replace(tmp, path)
+def write_csv(path: str | Path, rows: Iterable[Iterable]) -> None:
+    """Write ``rows``, the header first, as one CSV file."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _atomic_write_text(Path(path), buf.getvalue())
 
+
+def write_history_csv(path: str | Path, history: Iterable[IterationRecord]) -> None:
+    write_csv(path, [HISTORY_HEADER, *(
+        [rec.index, *map(repr, (rec.abs_update_x, rec.rel_update_x, rec.norm_e, rec.norm_f,
+                                rec.norm_x, rec.norm_y, rec.w_condition, rec.w_min_pivot)),
+         len(rec.guard_events.actions)] for rec in history)])

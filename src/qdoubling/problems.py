@@ -103,10 +103,10 @@ def gen_random_split(m: int, n: int, alpha: float, eta: float, seed: int) -> Pro
     ``U[:, :m]`` then has an increasingly ill-conditioned leading block as
     ``eta`` shrinks.
     """
-    if not alpha > 2:
-        raise ValueError("alpha must exceed 2 to keep the split away from the axis")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if not 2 < alpha < math.inf:
+        raise ValueError("alpha must be finite and exceed 2 to keep the split away from the axis")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     size = m + n
     for attempt in range(10):
         rng = np.random.default_rng([seed, attempt])
@@ -130,7 +130,7 @@ def gen_random_split(m: int, n: int, alpha: float, eta: float, seed: int) -> Pro
             circle_eigs=np.array([], dtype=np.complex128),
             basis_full=u, upper_t=t,
         )
-    raise RuntimeError("could not draw a nonsingular eigenvector factor")
+    raise ValueError(f"eta = {eta!r} leaves the eigenvector factor singular in all ten draws")
 
 
 def gen_bse_like(n: int, gap_scale: float, seed: int,
@@ -147,8 +147,8 @@ def gen_bse_like(n: int, gap_scale: float, seed: int,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not gap_scale > 0:
-        raise ValueError("gap_scale must be positive")
+    if not 0 < gap_scale < math.inf:
+        raise ValueError("gap_scale must be positive and finite")
     if not math.isfinite(coupling_scale):
         raise ValueError("coupling_scale must be finite")
     rng = np.random.default_rng([seed])

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import qdoubling
 import qdoubling.driver
 
 from qdoubling import CayleyPair, Permutation, gen_random_split
@@ -12,6 +13,7 @@ from qdoubling.cli import main
 from qdoubling.fileio import (
     read_matrix,
     read_permutation,
+    write_csv,
     write_matrix,
     write_permutation,
 )
@@ -39,6 +41,12 @@ class TestFileFormats:
         path.write_text(json.dumps({"rows": 2, "cols": 2, "re": [1, 2], "im": [0, 0]}))
         with pytest.raises(ValueError):
             read_matrix(path)
+
+    def test_csv_is_written_whole_with_crlf_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, [["a", "b"], [1, "x,y"], (2.5, "")])
+        assert path.read_bytes() == b'a,b\r\n1,"x,y"\r\n2.5,\r\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_permutation_roundtrip(self, rng, tmp_path):
         p = Permutation(rng.permutation(6))
@@ -75,9 +83,14 @@ class TestGen:
                                        ("bse", "--gap-scale", "-1"),
                                        ("split", "--eta", "nan"),
                                        ("bse", "--coupling-scale", "nan"),
-                                       ("bse", "--n", "0")],
+                                       ("bse", "--n", "0"),
+                                       ("split", "--eta", "1e12"),
+                                       ("split", "--eta", "inf"),
+                                       ("split", "--alpha", "inf"),
+                                       ("bse", "--gap-scale", "inf")],
                              ids=["eta", "alpha", "blocks", "rho-stable", "gap-scale",
-                                  "eta-nan", "coupling-scale-nan", "bse-n-0"])
+                                  "eta-nan", "coupling-scale-nan", "bse-n-0",
+                                  "eta-huge", "eta-inf", "alpha-inf", "gap-scale-inf"])
     def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, flags):
         family, *flag = flags
         out = tmp_path / "inst"
@@ -85,6 +98,7 @@ class TestGen:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag[0].removeprefix("--").replace("-", "_") in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -269,6 +283,25 @@ class TestExperimentCommand:
         per_iter = data["runs"][0]["perIteration"]
         ratios = [row["errRatio"] for row in per_iter[4:-4]]
         assert any(0.35 <= r <= 0.65 for r in ratios)
+
+    @pytest.mark.parametrize("name, flags, params, files", [
+        ("eta_sweep", ["--m", "4", "--n", "5"], {"m": 4, "n": 5, "gamma": -1.0},
+         ["runs.csv", "table.csv", "runs.json"]),
+        ("bse_like", ["--bse-n", "4"], {"bseN": 4, "gamma": -1.0},
+         ["runs.csv", "table.csv", "runs.json"]),
+        ("critical_rate", [], {}, ["critical_rate.json", "critical_rate.csv"]),
+    ], ids=["eta_sweep", "bse_like", "critical_rate"])
+    def test_writes_a_manifest(self, tmp_path, name, flags, params, files):
+        assert main(["experiment", "--name", name, *flags, "--seeds", "1,2",
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest == {"command": "experiment", "name": name, "parameters": params,
+                            "seeds": [1, 2], "toolVersion": qdoubling.__version__,
+                            "files": files}
+        for file in files:
+            assert (tmp_path / file).exists()
+        assert list(tmp_path.glob("history_qda_*seed2.csv"))
+        assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("flag", [("--gamma", "1"), ("--seeds", ""), ("--seeds", "1,x")],
                              ids=["gamma", "no-seeds", "bad-seed"])

@@ -179,6 +179,11 @@ class TestSpecializations:
         for got, expected in ((out.E, en), (out.F, fn), (out.X, xn), (out.Y, yn)):
             assert np.linalg.norm(got - expected) <= 1e-13 * max(1.0, np.linalg.norm(expected))
 
+    def test_sf2_requires_square_x(self, rng):
+        e, f = complex_normal(rng, 2, 2), complex_normal(rng, 2, 2)
+        with pytest.raises(ValueError, match="^X has shape"):
+            step_sf2(e, f, complex_normal(rng, 2, 3), complex_normal(rng, 3, 2))
+
     def test_kernel_selection(self):
         assert select_kernel(3, 2) is Kernel.W
         assert select_kernel(3, 3) is Kernel.W

@@ -18,8 +18,10 @@ from qdoubling import (
     CayleyParams,
     GeneralPencil,
     Kernel,
+    Permutation,
     QdaConfig,
     RunStatus,
+    SfqPencil,
     asymptotic_window,
     cayley,
     dual,
@@ -225,6 +227,30 @@ class TestNonFiniteStart:
         assert res.message == "non-finite start pencil"
 
 
+class TestNonFiniteIterate:
+    # E = 1e160·I squares past the float range in the first step's E_next
+    E0, F0 = 1e160 * np.eye(2, dtype=complex), 0.5 * np.eye(3, dtype=complex)
+    X0, Y0 = np.zeros((3, 2), dtype=complex), np.zeros((2, 3), dtype=complex)
+
+    @pytest.mark.parametrize("runner", ["sdasfq", "sdasf1"])
+    def test_overflowing_step_is_a_breakdown_before_the_guard(self, monkeypatch, runner):
+        def no_guard(*args):
+            raise AssertionError("a non-finite iterate was guarded")
+
+        monkeypatch.setattr(qdoubling.driver, "guard", no_guard)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if runner == "sdasfq":
+                ident = Permutation.identity(5)
+                res = run_sdasfq(SfqPencil(m=2, n=3, E=self.E0, F=self.F0, X=self.X0,
+                                           Y=self.Y0, Q1=ident, Q2=ident), QdaConfig())
+            else:
+                res = run_sdasf1(self.E0, self.F0, self.X0, self.Y0, QdaConfig())
+        assert res.status is RunStatus.BREAKDOWN
+        assert res.iterations == 0 and res.history == ()
+        assert res.message == "non-finite iterate at iteration 1"
+        np.testing.assert_array_equal(res.final.E, self.E0)
+
+
 class TestRecovery:
     """QDA meets a breakdown by one re-reduction, then one kernel switch.
 
@@ -411,6 +437,16 @@ class TestBaselines:
         blew_up = res.status is RunStatus.BREAKDOWN
         huge = res.phi is not None and np.linalg.norm(res.phi) >= 1e4
         assert blew_up or huge
+
+    def test_sf2_on_a_problem_requires_a_square_split(self, rng):
+        g = GeneralPencil(A=complex_normal(rng, 5, 5), B=np.eye(5), m=2, n=3)
+        with pytest.raises(ValueError, match="m = n"):
+            run_sdasf2_on(g, QdaConfig())
+
+    def test_sf2_blocks_require_a_square_split(self, rng):
+        e, x, y = complex_normal(rng, 2, 2), np.zeros((2, 2)), np.zeros((2, 2))
+        with pytest.raises(ValueError, match="^F has shape"):
+            run_sdasf2(e, complex_normal(rng, 3, 3), x, y, QdaConfig())
 
     def test_sf2_runs_on_solved_instance(self):
         # SF2 on a pencil built with the block-swap Q2 reproduces step_sf2

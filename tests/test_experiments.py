@@ -1,4 +1,9 @@
-from qdoubling.experiments import FAILED, RunRow, bse_like, pivot_table
+import math
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qdoubling.experiments import FAILED, METRIC_ROWS, RunRow, bse_like, pivot_table
 
 
 def make_row(algorithm, label, status="converged", nres2=1e-14):
@@ -7,7 +12,38 @@ def make_row(algorithm, label, status="converged", nres2=1e-14):
                   nres2=nres2, cpu_seconds=0.1)
 
 
+def scanned_pivot_table(rows):
+    """Reference: every cell scans all rows for its algorithm and label."""
+    labels = [r.label for i, r in enumerate(rows) if r.label not in [q.label for q in rows[:i]]]
+    algorithms = [r.algorithm for i, r in enumerate(rows)
+                  if r.algorithm not in [q.algorithm for q in rows[:i]]]
+    table = [["metric", "algorithm", *labels]]
+    for metric, attr in METRIC_ROWS:
+        for algorithm in algorithms:
+            line = [metric, algorithm]
+            for label in labels:
+                cell = [r for r in rows if (r.algorithm, r.label) == (algorithm, label)]
+                values = [getattr(r, attr) for r in cell]
+                bad = any(r.status == "breakdown" or not math.isfinite(getattr(r, attr))
+                          for r in cell)
+                line.append(FAILED if bad or not cell else f"{max(values):.6g}")
+            table.append(line)
+    return table
+
+
+values = st.one_of(st.floats(0, 1e6), st.sampled_from([float("nan"), float("inf")]))
+run_rows = st.builds(RunRow, experiment=st.just("x"), algorithm=st.sampled_from(["qda", "sf1"]),
+                     label=st.sampled_from(["a", "b", "c"]), seed=st.just(1),
+                     status=st.sampled_from(["converged", "breakdown", "max_iter"]),
+                     iterations=st.integers(0, 9), norm_x_fro=values, nres1=values,
+                     nres2=values, cpu_seconds=values)
+
+
 class TestPivotTable:
+    @given(rows=st.lists(run_rows, max_size=12))
+    def test_matches_a_scan_of_every_row_per_cell(self, rows):
+        assert pivot_table(rows) == scanned_pivot_table(rows)
+
     def test_breakdown_marks_cell_failed(self):
         rows = [make_row("qda", "eta=1e-06"),
                 make_row("sdasf1", "eta=1e-06", status="breakdown", nres2=float("nan"))]
@@ -25,6 +61,21 @@ class TestPivotTable:
         table = pivot_table(rows)
         by_key = {(line[0], line[1]): line[2] for line in table[1:]}
         assert by_key[("NRes_2", "qda")] == "5e-13"
+
+    def test_non_finite_value_marks_only_its_metric(self):
+        rows = [make_row("qda", "eta=1e-04"),
+                make_row("qda", "eta=1e-04", nres2=float("inf"))]
+        by_key = {(line[0], line[1]): line[2] for line in pivot_table(rows)[1:]}
+        assert by_key[("NRes_2", "qda")] == FAILED
+        assert by_key[("NRes_1", "qda")] == "1e-15"
+
+    def test_label_an_algorithm_never_ran_is_failed(self):
+        rows = [make_row("qda", "eta=1e-04"), make_row("sdasf1", "eta=1e-05"),
+                make_row("qda", "eta=1e-05")]
+        table = pivot_table(rows)
+        assert table[0] == ["metric", "algorithm", "eta=1e-04", "eta=1e-05"]
+        assert [line[1] for line in table[1:3]] == ["qda", "sdasf1"]
+        assert table[2][2:] == [FAILED, "1"]
 
 
 class TestBseLikeExperiment:

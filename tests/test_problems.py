@@ -62,6 +62,17 @@ class TestRandomSplit:
         with pytest.raises(ValueError, match=f"^{name} "):
             gen_random_split(**params)
 
+    @pytest.mark.parametrize("name", ["alpha", "eta"])
+    def test_rejects_infinite_parameters_by_name(self, name):
+        params = dict(m=2, n=2, alpha=8.0, eta=1.0, seed=0) | {name: float("inf")}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            gen_random_split(**params)
+
+    def test_eta_too_large_for_any_draw_is_named(self):
+        # the scaled leading block leaves U singular to working precision in every draw
+        with pytest.raises(ValueError, match="^eta "):
+            gen_random_split(m=2, n=2, alpha=8.0, eta=1e16, seed=0)
+
 
 class TestBseLike:
     def test_structure_exact(self):
@@ -94,9 +105,10 @@ class TestBseLike:
 
     @pytest.mark.parametrize("name, value", [("n", 0), ("gap_scale", float("nan")),
                                              ("coupling_scale", float("nan")),
-                                             ("coupling_scale", float("inf"))],
+                                             ("coupling_scale", float("inf")),
+                                             ("gap_scale", float("inf"))],
                              ids=["n-0", "gap-scale-nan", "coupling-scale-nan",
-                                  "coupling-scale-inf"])
+                                  "coupling-scale-inf", "gap-scale-inf"])
     def test_rejects_bad_parameters_by_name(self, name, value):
         params = dict(n=4, gap_scale=2.0, seed=0) | {name: value}
         with pytest.raises(ValueError, match=f"^{name} "):
