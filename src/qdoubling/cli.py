@@ -1,7 +1,9 @@
 """Command-line harness: generate instances, solve pencils, run experiments.
 
-Exit codes for ``solve``: 0 converged, 2 iteration limit, 3 breakdown,
-1 usage or input errors.  All randomness flows through ``--seed``.
+Exit codes for ``solve``: 0 converged, 2 iteration limit, 3 breakdown.  Any
+command prints one ``error:`` line and exits 1 on a refused flag value, input
+or output (argparse exits 2 on a flag it cannot parse).  Each file write makes
+its directory.  All randomness flows through ``--seed``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .fileio import (
     write_matrix,
     write_permutation,
 )
+from .linalg import RankDeficientError, SingularMatrixError
 from .problems import CriticalSpec, gen_bse_like, gen_critical, gen_random_split
 from .reduction import Idea, Variant
 from .sfq import CayleyPair, GeneralPencil, anti_basis, sfq_basis
@@ -121,28 +124,23 @@ def _parse_block(item: str) -> tuple[int, complex]:
 
 
 def _cmd_gen(args) -> int:
-    try:    # the instance is built before anything is written
-        if args.family == "split":
-            inst = gen_random_split(args.m, args.n, args.alpha, args.eta, args.seed)
-            params = {"m": args.m, "n": args.n, "alpha": args.alpha, "eta": args.eta}
-        elif args.family == "bse":
-            inst = gen_bse_like(args.n, args.gap_scale, args.seed,
-                                coupling_scale=args.coupling_scale)
-            params = {"n": args.n, "gapScale": args.gap_scale,
-                      "couplingScale": args.coupling_scale}
-        else:
-            spec = CriticalSpec(m_prime=args.m_prime, n_prime=args.n_prime,
-                                blocks=tuple(map(_parse_block, args.blocks.split(";"))),
-                                rho_stable=args.rho_stable, rho_anti=args.rho_anti)
-            inst = gen_critical(spec, args.seed)
-            params = {"mPrime": args.m_prime, "nPrime": args.n_prime,
-                      "blocks": args.blocks, "rhoStable": args.rho_stable,
-                      "rhoAnti": args.rho_anti}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.family == "split":
+        inst = gen_random_split(args.m, args.n, args.alpha, args.eta, args.seed)
+        params = {"m": args.m, "n": args.n, "alpha": args.alpha, "eta": args.eta}
+    elif args.family == "bse":
+        inst = gen_bse_like(args.n, args.gap_scale, args.seed,
+                            coupling_scale=args.coupling_scale)
+        params = {"n": args.n, "gapScale": args.gap_scale,
+                  "couplingScale": args.coupling_scale}
+    else:
+        spec = CriticalSpec(m_prime=args.m_prime, n_prime=args.n_prime,
+                            blocks=tuple(map(_parse_block, args.blocks.split(";"))),
+                            rho_stable=args.rho_stable, rho_anti=args.rho_anti)
+        inst = gen_critical(spec, args.seed)
+        params = {"mPrime": args.m_prime, "nPrime": args.n_prime,
+                  "blocks": args.blocks, "rhoStable": args.rho_stable,
+                  "rhoAnti": args.rho_anti}
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "A.json", inst.pencil.A)
     write_matrix(out / "B.json", inst.pencil.B)
     truth_files = {}
@@ -173,23 +171,15 @@ def _complex_list(values) -> list[list[float]] | None:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        a = read_matrix(args.matrix_a)
-        b = read_matrix(args.matrix_b)
-        g = GeneralPencil(A=a, B=b, m=args.m, n=args.n)
-        problem = g if args.gamma is None else CayleyPair(g, args.gamma)
-        cfg = _config_from_args(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.algorithm == "sdasf2" and args.m != args.n:
-        print("error: sdasf2 requires m == n", file=sys.stderr)
-        return 1
+    a = read_matrix(args.matrix_a)
+    b = read_matrix(args.matrix_b)
+    g = GeneralPencil(A=a, B=b, m=args.m, n=args.n)
+    problem = g if args.gamma is None else CayleyPair(g, args.gamma)
+    cfg = _config_from_args(args)
     t0 = time.perf_counter()
     result = _RUNNERS[args.algorithm](problem, cfg)
     elapsed = time.perf_counter() - t0
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {
         "command": "solve", "algorithm": args.algorithm,
         "status": result.status.value, "iterations": result.iterations,
@@ -215,7 +205,7 @@ def _cmd_solve(args) -> int:
             try:
                 summary["nres1"] = nres1(a, basis, x_norm=float(np.linalg.norm(result.phi)))
                 summary["nres2"] = nres2(a, basis)
-            except Exception as exc:  # metrics are advisory in the summary
+            except (RankDeficientError, SingularMatrixError) as exc:  # advisory metrics
                 summary["residualError"] = str(exc)
         write_matrix(out / "stable_basis.json", basis)
         write_matrix(out / "anti_stable_basis.json", anti_basis(result.final))
@@ -224,17 +214,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        seeds = tuple(int(s) for s in args.seeds.split(",") if s)
-        if not seeds:
-            raise ValueError("--seeds names no seed")
-        if not args.gamma < 0:
-            raise ValueError("gamma must be negative")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    seeds = tuple(int(s) for s in args.seeds.split(",") if s)
+    if not seeds:
+        raise ValueError("--seeds names no seed")
+    if not args.gamma < 0:
+        raise ValueError("gamma must be negative")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.name == "critical_rate":
         params = {}    # the critical instances have a fixed size and no Cayley step
         tables = critical_rate(seeds=seeds, out_dir=out)
@@ -265,19 +250,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    try:
-        a = read_matrix(args.matrix_a)
-        z = read_matrix(args.basis)
-        if args.matrix_b is not None:
-            b = read_matrix(args.matrix_b)
-            if not np.array_equal(b, np.eye(b.shape[0], dtype=complex)):
-                print("error: residual metrics need B = I", file=sys.stderr)
-                return 1
-        out = {"nres1": nres1(a, z, x_norm=args.x_norm), "nres2": nres2(a, z)}
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(out))
+    a = read_matrix(args.matrix_a)
+    z = read_matrix(args.basis)
+    if args.matrix_b is not None:
+        b = read_matrix(args.matrix_b)
+        if not np.array_equal(b, np.eye(b.shape[0], dtype=complex)):
+            raise ValueError("residual metrics need B = I")
+    print(json.dumps({"nres1": nres1(a, z, x_norm=args.x_norm), "nres2": nres2(a, z)}))
     return 0
 
 
@@ -287,7 +266,11 @@ def main(argv=None) -> int:
         "gen": _cmd_gen, "solve": _cmd_solve,
         "experiment": _cmd_experiment, "residual": _cmd_residual,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (ValueError, OSError, RankDeficientError, SingularMatrixError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

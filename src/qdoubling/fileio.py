@@ -2,8 +2,8 @@
 
 Matrices are stored as ``{"rows", "cols", "re", "im"}`` with row-major real
 and imaginary parts; permutations as ``{"size", "image"}`` with 0-based
-indices.  All writes, CSVs included, go through a temp file and an atomic
-rename.
+indices; any other payload is a ``ValueError``.  Every write makes its
+directory if missing, then goes through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ HISTORY_HEADER = ["i", "absUpdateX", "relUpdateX", "normE", "normF", "normX",
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, newline="")
     os.replace(tmp, path)
@@ -43,9 +44,12 @@ def matrix_to_obj(a: np.ndarray) -> dict:
 
 
 def obj_to_matrix(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj["im"], dtype=np.float64)
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        re = np.asarray(obj["re"], dtype=np.float64)
+        im = np.asarray(obj["im"], dtype=np.float64)
+    except (KeyError, TypeError):
+        raise ValueError('a matrix file must hold {"rows", "cols", "re", "im"}') from None
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(f"matrix payload length {re.size}/{im.size} does not "
                          f"match {rows}x{cols}")
@@ -70,8 +74,11 @@ def write_permutation(path: str | Path, p: Permutation) -> None:
 
 def read_permutation(path: str | Path) -> Permutation:
     obj = json.loads(Path(path).read_text())
-    image = np.asarray(obj["image"], dtype=np.intp)
-    if image.size != int(obj["size"]):
+    try:
+        size, image = int(obj["size"]), np.asarray(obj["image"], dtype=np.intp)
+    except (KeyError, TypeError):
+        raise ValueError('a permutation file must hold {"size", "image"}') from None
+    if image.size != size:
         raise ValueError("permutation size does not match its image length")
     return Permutation(image)
 

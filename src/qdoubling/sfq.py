@@ -104,8 +104,8 @@ class CayleyPair:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma < 0:
-            raise ValueError("gamma must be negative")
+        if not -np.inf < self.gamma < 0:
+            raise ValueError("gamma must be negative and finite")
 
     def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
         a, b = self.source.A[rows], self.source.B[rows]

@@ -21,6 +21,17 @@ from qdoubling.fileio import (
 from conftest import complex_normal
 
 
+def assert_one_error_line(code, capsys, out=None):
+    """Exit code 1, one ``error:`` line and no traceback on stderr, and no
+    ``out`` directory made; returns the line."""
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out is None or not out.exists()
+    return err
+
+
 class TestFileFormats:
     def test_matrix_roundtrip_bit_identical(self, rng, tmp_path):
         a = complex_normal(rng, 5, 3)
@@ -53,6 +64,21 @@ class TestFileFormats:
         path = tmp_path / "p.json"
         write_permutation(path, p)
         assert read_permutation(path) == p
+
+    @pytest.mark.parametrize("payload", [{"image": [0]}, {"size": 1}, [0],
+                                         {"size": None, "image": [0]}],
+                             ids=["no-size", "no-image", "array", "null-size"])
+    def test_permutation_payload_must_be_size_and_image(self, tmp_path, payload):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match='"size", "image"'):
+            read_permutation(path)
+
+    def test_write_makes_a_missing_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "m.json"
+        write_matrix(path, np.eye(2, dtype=complex))
+        np.testing.assert_array_equal(read_matrix(path), np.eye(2))
+        assert [p.name for p in path.parent.iterdir()] == ["m.json"]
 
 
 class TestGen:
@@ -95,12 +121,8 @@ class TestGen:
         family, *flag = flags
         out = tmp_path / "inst"
         code = main(["gen", "--family", family, *flag, "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
+        err = assert_one_error_line(code, capsys, out)
         assert flag[0].removeprefix("--").replace("-", "_") in err
-        assert "Traceback" not in err
-        assert not out.exists()
 
     def test_malformed_block_names_the_item_and_the_form(self, tmp_path, capsys):
         assert main(["gen", "--family", "critical", "--blocks", "2:1+0j;3",
@@ -205,17 +227,33 @@ class TestSolve:
         assert alive == [[False, False, False]]
 
     @pytest.mark.parametrize("flag", [("--tau", "0.5"), ("--tau", "nan"), ("--rtol", "0"),
-                                      ("--rtol", "nan"), ("--max-iter", "0"), ("--gamma", "1")],
-                             ids=["tau", "tau-nan", "rtol", "rtol-nan", "max-iter", "gamma"])
+                                      ("--rtol", "nan"), ("--max-iter", "0"), ("--gamma", "1"),
+                                      ("--gamma=-inf",)],
+                             ids=["tau", "tau-nan", "rtol", "rtol-nan", "max-iter", "gamma",
+                                  "gamma-inf"])
     def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, flag):
         self.write_instance(tmp_path)
         code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
                      "--matrix-b", str(tmp_path / "B.json"),
                      "--m", "4", "--n", "5", *flag, "--out", str(tmp_path / "sol")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert_one_error_line(code, capsys, tmp_path / "sol")
+
+    def test_matrix_file_holding_an_array_is_one_error_line(self, tmp_path, capsys):
+        self.write_instance(tmp_path)
+        (tmp_path / "A.json").write_text("[1, 2]")
+        code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
+                     "--matrix-b", str(tmp_path / "B.json"),
+                     "--m", "4", "--n", "5", "--out", str(tmp_path / "sol")])
+        assert_one_error_line(code, capsys, tmp_path / "sol")
+
+    def test_out_naming_a_file_is_one_error_line(self, tmp_path, capsys):
+        self.write_instance(tmp_path)
+        (tmp_path / "sol").write_text("kept")
+        code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
+                     "--matrix-b", str(tmp_path / "B.json"),
+                     "--m", "4", "--n", "5", "--gamma", "-1", "--out", str(tmp_path / "sol")])
+        assert_one_error_line(code, capsys)
+        assert (tmp_path / "sol").read_text() == "kept"
 
     def test_sdasf2_algorithm(self, tmp_path):
         self.write_instance(tmp_path, m=5, n=5, seed=1)
@@ -225,28 +263,29 @@ class TestSolve:
                      "--algorithm", "sdasf2", "--out", str(tmp_path / "sol")])
         assert code == 0
 
-    def test_sdasf2_requires_square_split(self, tmp_path):
+    def test_sdasf2_requires_square_split(self, tmp_path, capsys):
         self.write_instance(tmp_path)
         code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
                      "--matrix-b", str(tmp_path / "B.json"),
                      "--m", "4", "--n", "5", "--gamma", "-1",
                      "--algorithm", "sdasf2", "--out", str(tmp_path / "sol")])
-        assert code == 1
+        err = assert_one_error_line(code, capsys, tmp_path / "sol")
+        assert "requires m" in err
 
-    def test_parse_error_exit_one(self, tmp_path):
+    def test_parse_error_exit_one(self, tmp_path, capsys):
         (tmp_path / "A.json").write_text("{not json")
         code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
                      "--matrix-b", str(tmp_path / "A.json"),
                      "--m", "1", "--n", "1", "--out", str(tmp_path / "sol")])
-        assert code == 1
+        assert_one_error_line(code, capsys, tmp_path / "sol")
 
-    def test_dimension_error_exit_one(self, tmp_path):
+    def test_dimension_error_exit_one(self, tmp_path, capsys):
         write_matrix(tmp_path / "A.json", np.eye(3, dtype=complex))
         write_matrix(tmp_path / "B.json", np.eye(4, dtype=complex))
         code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
                      "--matrix-b", str(tmp_path / "B.json"),
                      "--m", "2", "--n", "1", "--out", str(tmp_path / "sol")])
-        assert code == 1
+        assert_one_error_line(code, capsys, tmp_path / "sol")
 
 
 class TestResidualCommand:
@@ -259,6 +298,22 @@ class TestResidualCommand:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["nres1"] <= 1e-12 and out["nres2"] <= 1e-13
+
+    @pytest.mark.parametrize("files", [{"B": 2 * np.eye(7)}, {"Z": np.ones((7, 3))},
+                                       {"Z": [1, 2]}],
+                             ids=["b-not-identity", "rank-deficient", "array-file"])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, files):
+        inst = gen_random_split(m=3, n=4, alpha=8.0, eta=1.0, seed=2)
+        files = {"A": inst.pencil.A, "Z": inst.true_basis_stable, **files}
+        args = ["residual"]
+        for name, payload in files.items():
+            path = tmp_path / f"{name}.json"
+            if isinstance(payload, list):
+                path.write_text(json.dumps(payload))
+            else:
+                write_matrix(path, payload)
+            args += [{"A": "--matrix-a", "B": "--matrix-b", "Z": "--basis"}[name], str(path)]
+        assert_one_error_line(main(args), capsys)
 
 
 class TestExperimentCommand:
@@ -303,14 +358,13 @@ class TestExperimentCommand:
         assert list(tmp_path.glob("history_qda_*seed2.csv"))
         assert not list(tmp_path.glob("*.tmp"))
 
-    @pytest.mark.parametrize("flag", [("--gamma", "1"), ("--seeds", ""), ("--seeds", "1,x")],
-                             ids=["gamma", "no-seeds", "bad-seed"])
-    def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("name, flag", [
+        ("eta_sweep", ("--gamma", "1")), ("eta_sweep", ("--seeds", "")),
+        ("eta_sweep", ("--seeds", "1,x")), ("eta_sweep", ("--m", "0")),
+        ("eta_sweep", ("--gamma=-inf",)), ("bse_like", ("--bse-n", "0")),
+    ], ids=["gamma", "no-seeds", "bad-seed", "m-0", "gamma-inf", "bse-n-0"])
+    def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, name, flag):
         out = tmp_path / "exp"
-        code = main(["experiment", "--name", "eta_sweep", "--m", "4", "--n", "5",
-                     *flag, "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-        assert not out.exists()
+        code = main(["experiment", "--name", name, "--m", "4", "--n", "5", "--bse-n", "4",
+                     "--seeds", "1", *flag, "--out", str(out)])
+        assert_one_error_line(code, capsys, out)
