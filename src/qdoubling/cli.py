@@ -1,9 +1,9 @@
 """Command-line harness: generate instances, solve pencils, run experiments.
 
 Exit codes for ``solve``: 0 converged, 2 iteration limit, 3 breakdown.  Any
-command prints one ``error:`` line and exits 1 on a refused flag value, input
-or output (argparse exits 2 on a flag it cannot parse).  Each file write makes
-its directory.  All randomness flows through ``--seed``.
+command prints one ``error:`` line and exits 1 on a flag it cannot parse, a
+refused flag value, input or output.  Each file write makes its directory.
+All randomness flows through ``--seed``.
 """
 
 from __future__ import annotations
@@ -50,9 +50,14 @@ _EXIT_FOR_STATUS = {
 _RUNNERS = {"qda": run_qda, "sdasf1": run_sdasf1_on, "sdasf2": run_sdasf2_on}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a flag it cannot parse, so ``main`` reports it like a refused value."""
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qdoubling",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="qdoubling", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -171,6 +176,9 @@ def _complex_list(values) -> list[list[float]] | None:
 
 
 def _cmd_solve(args) -> int:
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"--out {out} exists and is not a directory")
     a = read_matrix(args.matrix_a)
     b = read_matrix(args.matrix_b)
     g = GeneralPencil(A=a, B=b, m=args.m, n=args.n)
@@ -179,7 +187,6 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     result = _RUNNERS[args.algorithm](problem, cfg)
     elapsed = time.perf_counter() - t0
-    out = Path(args.out)
     summary = {
         "command": "solve", "algorithm": args.algorithm,
         "status": result.status.value, "iterations": result.iterations,
@@ -261,13 +268,10 @@ def _cmd_residual(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = {
-        "gen": _cmd_gen, "solve": _cmd_solve,
-        "experiment": _cmd_experiment, "residual": _cmd_residual,
-    }[args.command]
     try:
-        return handler(args)
+        args = _build_parser().parse_args(argv)
+        return {"gen": _cmd_gen, "solve": _cmd_solve, "experiment": _cmd_experiment,
+                "residual": _cmd_residual}[args.command](args)
     except (ValueError, OSError, RankDeficientError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

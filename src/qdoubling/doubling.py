@@ -6,10 +6,12 @@ step: the W-rule solves with the n-by-n matrix ``W = [-X, I] P [Y; I]``
 Wt-rule is the W-rule of the dual pencil, relabelled back by :func:`dual`,
 so either is nonsingular exactly when the other is and both produce the
 same next pencil.  ``P`` enters as its index vector (:func:`q_blocks_of`),
-so its blocks are applied by scatters and gathers, never multiplied.  With
-``Q1 = Q2 = I`` the W-rule collapses to the classical SDASF1 update, and
-with ``Q1 @ Q2.T`` equal to the block swap (m = n) to SDASF2, so
-:func:`step_sf1` and :func:`step_sf2` are the W-rule with Q frozen.
+so its 0/1 blocks are applied by scatters and gathers, never multiplied:
+with r the 1s of ``Q11`` and N = m + n, a step costs ``N^2 (n + r)`` GEMM
+multiply-adds and one LU.  With ``Q1 = Q2 = I`` the W-rule collapses to the
+classical SDASF1 update, and with ``Q1 @ Q2.T`` equal to the block swap
+(m = n) to SDASF2, so :func:`step_sf1` and :func:`step_sf2` are the W-rule
+with Q frozen.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import Permutation, SingularMatrixError, lu_factor, sealed
-from .sfq import BreakdownError, SfqPencil, dual, neg_x_eye_p, p_y_eye, q_blocks_of, swap_perm
+from .sfq import BreakdownError, SfqPencil, bracket_w, dual, q_blocks_of, swap_perm, unit_parts
 
 
 class Kernel(enum.Enum):
@@ -37,60 +39,59 @@ class StepOutcome:
     kernel: Kernel
 
 
-def _form_w(p: SfqPencil, z: np.ndarray | None) -> np.ndarray:
-    """``W`` of ``p`` from ``z = [-X, I] P`` (formed here when None)."""
-    z = neg_x_eye_p(p, q_blocks_of(p)) if z is None else z
-    return z[:, p.m:] + z[:, :p.m] @ p.Y
+def compute_w(p: SfqPencil, pi: np.ndarray | None = None) -> np.ndarray:
+    """``W = Q22 - X Q12 + (Q21 - X Q11) Y`` (n-by-n); ``pi``, if given, is ``q_blocks_of(p)``."""
+    return bracket_w(p.X, p.Y, q_blocks_of(p) if pi is None else pi)
 
 
-def compute_w(p: SfqPencil, z: np.ndarray | None = None) -> np.ndarray:
-    """``W = Q22 - X Q12 + (Q21 - X Q11) Y``  (n-by-n)."""
-    return _form_w(p, z)
-
-
-def compute_wt(p: SfqPencil, z: np.ndarray | None = None) -> np.ndarray:
-    """``Wt = Q11^T - Y Q12^T + (Q21^T - Y Q22^T) X`` (m-by-m), the W of ``dual(p)``."""
+def compute_wt(p: SfqPencil, pi: np.ndarray | None = None) -> np.ndarray:
+    """``Wt = Q11^T - Y Q12^T + (Q21^T - Y Q22^T) X`` (m-by-m), the W of
+    ``dual(p)``; ``pi``, if given, is ``q_blocks_of(dual(p))``."""
     # not compute_w: a wrapper of compute_w (a benchmark span) sees W steps only
-    return _form_w(dual(p), z)
+    return bracket_w(p.Y, p.X, q_blocks_of(dual(p)) if pi is None else pi)
 
 
 def _w_rule(p: SfqPencil, form_w: Callable[[np.ndarray], np.ndarray],
             kernel: Kernel, solve: str) -> StepOutcome:
-    """One W-rule step of ``p``; ``form_w(z)`` builds W from ``z = [-X, I] P``.
+    """One W-rule step of ``p``; ``form_w(pi)`` builds W from the index vector of P.
 
-    Each temporary is dropped as soon as the blocks that need it are formed,
-    the solve with ``X Q11 - Q21`` takes that fresh block's storage, and X
-    and Y are added into fresh products in place (``a + b == b + a``
-    exactly), so one step holds little beyond ``p`` and the next pencil.
+    With ``a`` the r top rows of P whose 1 lies in Q11, the unit rows and
+    columns of ``[-X, I] P`` and ``P [Y; I]`` are scattered, not multiplied:
+    ``G = (X Q11 - Q21) E = X[:, a] @ E[pi[a]] - Q21 E``,
+    ``H = E (Q11 Y + Q12) = E[:, a] @ Y[pi[a]] + E Q12``, ``T = W^{-1} G`` and
+    ``S = W^{-1} F`` (one LU); then ``E' = E[:, a] @ E[pi[a]] + H T``,
+    ``X' = X + F T``, ``Y' = Y + H S`` and ``F' = F S``.  Each temporary is
+    dropped once dead, T takes G's storage, and X and Y are added into fresh
+    products in place (``a + b == b + a`` exactly), so one step holds little
+    beyond ``p`` and the next pencil.
     """
-    m = p.m
     pi = q_blocks_of(p)
-    z = neg_x_eye_p(p, pi)
-    w, xq = form_w(z), np.negative(z[:, :m], order="F")    # xq = X Q11 - Q21
-    del z
     try:
-        factors = lu_factor(w)
+        factors = lu_factor(form_w(pi))
     except SingularMatrixError as exc:
         raise BreakdownError(f"doubling step ({solve} solve)", str(exc)) from exc
-    del w
-    winv_xq = factors.solve(xq, overwrite_b=True)   # W^{-1} (X Q11 - Q21), in xq's storage
-    del xq
-    winv_f = factors.solve(p.F)                 # W^{-1} F
+    (a, a_to), (b, b_to), (c, c_to), _ = unit_parts(pi, p.m)
+    e_rows = p.E[a_to]                          # Q11 E, less its zero rows
+    g = (e_rows.T @ p.X[:, a].T).T              # X Q11 E, Fortran-ordered for the solve
+    g[c] -= p.E[c_to]                           # - Q21 E
+    t = factors.solve(g, overwrite_b=True)      # T = W^{-1} G, in g's storage
+    del g
+    s = factors.solve(p.F)                      # S = W^{-1} F
     condition, min_pivot = factors.condition_estimate, factors.min_pivot
     del factors
-    q11y_q12 = p_y_eye(pi[:m], p.Y)             # m x n
-    core = q11y_q12 @ winv_xq
-    rows = np.flatnonzero(pi[:m] < m)
-    core[rows, pi[rows]] += 1.0                 # + Q11
-    e_next = p.E @ core @ p.E
-    del core
-    x_next = p.F @ winv_xq @ p.E
+    e_cols = p.E[:, a]
+    h = e_cols @ p.Y[a_to]                      # E Q11 Y
+    h[:, b_to] += p.E[:, b]                     # + E Q12
+    e_next = e_cols @ e_rows                    # E Q11 E
+    del e_cols, e_rows
+    e_next += h @ t
+    x_next = p.F @ t
     x_next += p.X
-    del winv_xq
-    y_next = p.E @ q11y_q12 @ winv_f
+    del t
+    y_next = h @ s
     y_next += p.Y
-    del q11y_q12
-    f_next = p.F @ winv_f
+    del h
+    f_next = p.F @ s
     sealed(e_next, f_next, x_next, y_next)
     nxt = replace(p, E=e_next, F=f_next, X=x_next, Y=y_next)
     return StepOutcome(nxt, condition, min_pivot, kernel)
@@ -98,12 +99,12 @@ def _w_rule(p: SfqPencil, form_w: Callable[[np.ndarray], np.ndarray],
 
 def step_w(p: SfqPencil) -> StepOutcome:
     """One doubling step through the n-by-n solve."""
-    return _w_rule(p, lambda z: compute_w(p, z), Kernel.W, "W")
+    return _w_rule(p, lambda pi: compute_w(p, pi), Kernel.W, "W")
 
 
 def step_wt(p: SfqPencil) -> StepOutcome:
     """One doubling step through the m-by-m solve: the W-rule of ``dual(p)``."""
-    out = _w_rule(dual(p), lambda z: compute_wt(p, z), Kernel.WTILDE, "Wt")
+    out = _w_rule(dual(p), lambda pi: compute_wt(p, pi), Kernel.WTILDE, "Wt")
     return replace(out, next=dual(out.next))
 
 

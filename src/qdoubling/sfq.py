@@ -10,8 +10,9 @@ classical first standard form, and ``Q1 @ Q2.T`` equal to the block swap
 (with ``m = n``) recovers the second.
 
 ``P = Q1 @ Q2.T = [[Q11, Q12], [Q21, Q22]]`` is kept as its index vector
-``pi`` (``P[i, pi[i]] = 1``): ``[-X, I] P`` is a column scatter and
-``P [Y; I]`` a row gather.  Every mirror (Y-side) formula is its primal
+``pi`` (``P[i, pi[i]] = 1``): ``P [Y; I]`` is a row gather, and
+``[-X, I] P [Y; I]`` one product over the r 1s of ``Q11`` with the other
+unit rows and columns scattered.  Every mirror (Y-side) formula is its primal
 applied to :func:`dual`.
 
 A solver takes a disk-split problem as a :class:`GeneralPencil` and a
@@ -172,12 +173,23 @@ def q_blocks_of(p: SfqPencil) -> np.ndarray:
     return p.Q1.compose(p.Q2.inverse()).image
 
 
-def neg_x_eye_p(p: SfqPencil, pi: np.ndarray) -> np.ndarray:
-    """``[-X, I] P = [Q21 - X Q11, Q22 - X Q12]`` (n-by-(m+n)), a column scatter."""
-    z = np.zeros((p.n, p.size), dtype=np.complex128)
-    z[:, pi[:p.m]] = -p.X
-    z[np.arange(p.n), pi[p.m:]] = 1.0
-    return z
+def unit_parts(pi: np.ndarray, m: int):
+    """(row, column) indices of the 1s of ``Q11``, ``Q12``, ``Q21``, ``Q22`` in ``pi``."""
+    top, bottom = pi[:m], pi[m:]
+    a, b = np.flatnonzero(top < m), np.flatnonzero(top >= m)
+    c, d = np.flatnonzero(bottom < m), np.flatnonzero(bottom >= m)
+    return (a, top[a]), (b, top[b] - m), (c, bottom[c]), (d, bottom[d] - m)
+
+
+def bracket_w(x: np.ndarray, y: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """``[-x, I] P [y; I] = Q22 - x Q12 + (Q21 - x Q11) y`` (n-by-n): one
+    product over the r 1s of ``Q11``, the unit rows and columns scattered."""
+    (a, a_to), (b, b_to), (c, c_to), (d, d_to) = unit_parts(pi, y.shape[0])
+    w = x[:, a] @ -y[a_to]                      # - x Q11 y
+    w[:, b_to] -= x[:, b]                       # - x Q12
+    w[c] += y[c_to]                             # + Q21 y
+    w[d, d_to] += 1.0                           # + Q22
+    return w
 
 
 def p_y_eye(pi: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -270,9 +282,7 @@ def dual_nme_residual(p0: SfqPencil, y: np.ndarray) -> float:
     """
     y = as_complex_matrix(y)
     pi = q_blocks_of(p0)
-    z = neg_x_eye_p(p0, pi)
-    bracket = z[:, p0.m:] + z[:, :p0.m] @ y
-    rhs = p0.Y + p0.E @ p_y_eye(pi[:p0.m], y) @ lu_solve(bracket, p0.F)
+    rhs = p0.Y + p0.E @ p_y_eye(pi[:p0.m], y) @ lu_solve(bracket_w(p0.X, y, pi), p0.F)
     return float(np.linalg.norm(y - rhs)) / max(1.0, float(np.linalg.norm(y)))
 
 

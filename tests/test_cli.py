@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qdoubling
+import qdoubling.cli
 import qdoubling.driver
 
 from qdoubling import CayleyPair, Permutation, gen_random_split
@@ -228,9 +229,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag", [("--tau", "0.5"), ("--tau", "nan"), ("--rtol", "0"),
                                       ("--rtol", "nan"), ("--max-iter", "0"), ("--gamma", "1"),
-                                      ("--gamma=-inf",)],
+                                      ("--gamma=-inf",), ("--algorithm", "bogus"), ("--m", "one")],
                              ids=["tau", "tau-nan", "rtol", "rtol-nan", "max-iter", "gamma",
-                                  "gamma-inf"])
+                                  "gamma-inf", "algorithm-bogus", "m-one"])
     def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, flag):
         self.write_instance(tmp_path)
         code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
@@ -246,7 +247,12 @@ class TestSolve:
                      "--m", "4", "--n", "5", "--out", str(tmp_path / "sol")])
         assert_one_error_line(code, capsys, tmp_path / "sol")
 
-    def test_out_naming_a_file_is_one_error_line(self, tmp_path, capsys):
+    def test_out_naming_a_file_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("--out is checked before any input is read or solved")
+
+        monkeypatch.setattr(qdoubling.cli, "read_matrix", never)
+        monkeypatch.setitem(qdoubling.cli._RUNNERS, "qda", never)
         self.write_instance(tmp_path)
         (tmp_path / "sol").write_text("kept")
         code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
