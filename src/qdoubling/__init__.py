@@ -10,7 +10,6 @@ from .doubling import (
     select_kernel,
     step,
     step_sf1,
-    step_sf2,
     step_w,
     step_wt,
 )
@@ -19,7 +18,6 @@ from .driver import (
     QdaConfig,
     QdaResult,
     RunStatus,
-    asymptotic_window,
     run_qda,
     run_sdasf1,
     run_sdasf1_on,

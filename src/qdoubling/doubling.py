@@ -10,8 +10,9 @@ so its 0/1 blocks are applied by scatters and gathers, never multiplied:
 with r the 1s of ``Q11`` and N = m + n, a step costs ``N^2 (n + r)`` GEMM
 multiply-adds and one LU.  With ``Q1 = Q2 = I`` the W-rule collapses to the
 classical SDASF1 update, and with ``Q1 @ Q2.T`` equal to the block swap
-(m = n) to SDASF2, so :func:`step_sf1` and :func:`step_sf2` are the W-rule
-with Q frozen.
+(m = n) to SDASF2: both baselines are the W-rule with Q frozen.  SDASF2 steps
+through :func:`step_w` on its own pencil; :func:`step_sf1` keeps the classical
+``(e, f, x, y)`` signature, which a benchmark tracer wraps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import Permutation, SingularMatrixError, lu_factor, sealed
-from .sfq import BreakdownError, SfqPencil, bracket_w, dual, q_blocks_of, swap_perm, unit_parts
+from .sfq import BreakdownError, SfqPencil, bracket_w, dual, q_blocks_of, unit_parts
 
 
 class Kernel(enum.Enum):
@@ -128,14 +129,6 @@ def step_sf1(e: np.ndarray, f: np.ndarray, x: np.ndarray, y: np.ndarray) -> Step
     ident = Permutation.identity(e.shape[0] + f.shape[0])
     return step_w(SfqPencil(m=e.shape[0], n=f.shape[0], E=e, F=f, X=x, Y=y,
                             Q1=ident, Q2=ident))
-
-
-def step_sf2(e: np.ndarray, f: np.ndarray, x: np.ndarray, y: np.ndarray) -> StepOutcome:
-    """One SDASF2 step: the W-rule with ``Q1 = I`` and ``Q2`` the block swap
-    (requires m = n), where ``W = Y - X``."""
-    n = x.shape[0]
-    return step_w(SfqPencil(m=n, n=n, E=e, F=f, X=x, Y=y,
-                            Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 doubling kernel with the magnitude guard after every step, and terminates on
 a Kahan (or plain) update criterion backed by a residual safeguard against
 false convergence.  ``run_sdasf1`` / ``run_sdasf2`` run the same loop on the
-W-rule with Q frozen (``step_sf1`` / ``step_sf2``), no guard and no recovery,
-reporting breakdowns and non-finite blow-ups as they happen.
+W-rule with Q frozen (``step_sf1``, and ``step_w`` on SDASF2's own pencil), no
+guard and no recovery, reporting breakdowns and non-finite blow-ups as they
+happen.
 
 ``run_qda``, ``run_sdasf1_on`` and ``run_sdasf2_on`` take a
 :data:`Problem`: a disk-split ``GeneralPencil``, or the ``CayleyPair`` of a
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .doubling import (Kernel, StepOutcome, StopMode, check_stop, select_kernel, step,
-                       step_sf1, step_sf2)
+                       step_sf1, step_w)
 from .guard import GuardReport, default_tau, guard
 from .linalg import Permutation, RankDeficientError, SingularMatrixError
 from .reduction import Idea, InitReport, Variant, closed_form_init, reduce_with_fallback, reinit
@@ -278,8 +279,15 @@ def run_qda(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
 
 
 def _fixed_q(stepper) -> Callable[[SfqPencil, Kernel], StepOutcome]:
-    """A baseline's ``advance`` for the shared loop, run with no guard and no recovery."""
+    """SDASF1's ``advance`` for the shared loop, run with no guard and no recovery."""
+    # step_sf1 keeps its (e, f, x, y) signature because the benchmark's
+    # tracer wraps driver.step_sf1; SDASF2 calls step_w directly
     return lambda p, _k: stepper(p.E, p.F, p.X, p.Y)
+
+
+def _sf2_advance(p: SfqPencil, _kernel: Kernel) -> StepOutcome:
+    """SDASF2's ``advance``: the W-rule on its own pencil, whose Q never changes."""
+    return step_w(p)
 
 
 def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
@@ -297,7 +305,7 @@ def run_sdasf2(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
     n = e0.shape[0]
     p0 = SfqPencil(m=n, n=n, E=e0, F=f0, X=x0, Y=y0,
                    Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n))
-    return _iterate([p0], cfg, _fixed_q(step_sf2), None, p0)
+    return _iterate([p0], cfg, _sf2_advance, None, p0)
 
 
 def sdasf1_init(g: GeneralPencil) -> SfqPencil:
@@ -313,7 +321,8 @@ def sdasf2_init(g: GeneralPencil) -> SfqPencil:
     return closed_form_init(g, Permutation.identity(g.size), swap_perm(g.m, g.n))
 
 
-def _run_baseline_on(problem: Problem, cfg: QdaConfig, init, stepper,
+def _run_baseline_on(problem: Problem, cfg: QdaConfig, init,
+                     advance: Callable[[SfqPencil, Kernel], StepOutcome],
                      label: str) -> QdaResult:
     """A baseline from its closed-form start, checked against the problem; a
     Cayley pair's transform and the start are freed as ``run_qda`` frees them."""
@@ -321,42 +330,13 @@ def _run_baseline_on(problem: Problem, cfg: QdaConfig, init, stepper,
         start = [init(_disk(problem))]
     except SingularMatrixError as exc:
         return _no_start(f"{label} initialization: {exc}")
-    return _iterate(start, cfg, _fixed_q(stepper), None, problem)
+    return _iterate(start, cfg, advance, None, problem)
 
 
 def run_sdasf1_on(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
-    return _run_baseline_on(problem, cfg, sdasf1_init, step_sf1, "SF1")
+    return _run_baseline_on(problem, cfg, sdasf1_init, _fixed_q(step_sf1), "SF1")
 
 
 def run_sdasf2_on(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
-    return _run_baseline_on(problem, cfg, sdasf2_init, step_sf2, "SF2")
+    return _run_baseline_on(problem, cfg, sdasf2_init, _sf2_advance, "SF2")
 
-
-# ---------------------------------------------------------------------------
-# Rate-measurement helpers
-# ---------------------------------------------------------------------------
-
-
-def asymptotic_window(history: tuple[IterationRecord, ...] | list[IterationRecord]
-                      ) -> tuple[int, int] | None:
-    """Index range (inclusive) of records inside the asymptotic regime.
-
-    Starts at the first record whose absolute update falls below
-    ``1e-2 * ||X||`` and ends before updates sink under ``1e2 * eps * ||X||``
-    (roundoff stagnation).
-    """
-    eps = float(np.finfo(np.float64).eps)
-    lo = None
-    for idx, rec in enumerate(history):
-        if rec.abs_update_x < 1e-2 * max(rec.norm_x, 1e-300):
-            lo = idx
-            break
-    if lo is None:
-        return None
-    hi = lo
-    for idx in range(lo, len(history)):
-        rec = history[idx]
-        if rec.abs_update_x < 1e2 * eps * max(rec.norm_x, 1e-300):
-            break
-        hi = idx
-    return lo, hi

@@ -19,7 +19,7 @@ import numpy as np
 from .driver import QdaConfig, QdaResult, RunStatus, run_qda, run_sdasf1_on
 from .eig import nres1, nres2
 from .fileio import write_history_csv
-from .linalg import solve_transposed
+from .linalg import RankDeficientError, SingularMatrixError, solve_transposed
 from .sfq import CayleyPair, sfq_basis
 from .problems import CriticalSpec, gen_bse_like, gen_critical, gen_random_split
 
@@ -69,7 +69,7 @@ def _measure(experiment: str, algorithm: str, label: str, seed: int,
     try:
         r1 = nres1(h, basis, x_norm=xnorm)
         r2 = nres2(h, basis)
-    except Exception:
+    except (RankDeficientError, SingularMatrixError):
         r1, r2 = float("nan"), float("nan")
     return RunRow(experiment, algorithm, label, seed, result.status.value,
                   result.iterations, xnorm, r1, r2, elapsed)

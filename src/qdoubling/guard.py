@@ -79,16 +79,17 @@ def _swap_x(p: SfqPencil, j: int, ell: int, block: str) -> SfqPencil:
     d = p.X[j, ell]
     if abs(d) <= SINGULARITY_TOL * max(float(np.abs(p.X[j, :]).max()), 1e-300):
         raise ZeroPivotError(f"{block}[{j},{ell}] = {d} is too small to swap on")
-    h = p.E[:, ell].copy()
+    h = p.E[:, ell] / d
     u = p.X[:, ell].copy()
-    u[j] += 1.0                                   # x + e_j
+    u[j] += 1.0
+    u /= d                                        # (x + e_j) / d
     row_adj = -p.X[j, :].copy()                   # e_ell^T - e_j^T X
     row_adj[ell] += 1.0
     frow = p.F[j, :].copy()
-    x_new, f_new, e_new, y_new = sealed(p.X + np.outer(u / d, row_adj),
-                                        p.F - np.outer(u / d, frow),
-                                        p.E + np.outer(h / d, row_adj),
-                                        p.Y - np.outer(h / d, frow))
+    x_new, f_new, e_new, y_new = sealed(p.X + np.outer(u, row_adj),
+                                        p.F - np.outer(u, frow),
+                                        p.E + np.outer(h, row_adj),
+                                        p.Y - np.outer(h, frow))
     return replace(p, E=e_new, F=f_new, X=x_new, Y=y_new, Q1=p.Q1.swapped(ell, p.m + j))
 
 

@@ -230,7 +230,7 @@ class _Reducer:
         c = pick(mags[r])
         return r, c, float(mags[r, c])
 
-    def _eliminate(self, rows: slice, t: int, pivot: np.ndarray, other: np.ndarray):
+    def _eliminate(self, rows: slice, t: int, pivot: np.ndarray):
         """``w[rows] -= outer(pivot[rows, t] / pivot[t, t], w[t])`` for both matrices.
 
         The update runs over tiles of ``ELIMINATION_TILE`` rows of each
@@ -286,7 +286,7 @@ class _Reducer:
             raise BreakdownError(self.stage, f"A-side pivot {mag:.3e} at step {self.a_done + 1}")
         self._swap_rows(r0 + r, t)
         self._swap_cols(self.aw, self.col_a, c, t)
-        self._eliminate(slice(0, t), t, self.aw, self.bw)
+        self._eliminate(slice(0, t), t, self.aw)
         self.a_done += 1
 
     def b_step(self):
@@ -300,7 +300,7 @@ class _Reducer:
             raise BreakdownError(self.stage, f"B-side pivot {mag:.3e} at step {self.b_done + 1}")
         self._swap_rows(t + r, t)
         self._swap_cols(self.bw, self.col_b, t + c, t)
-        self._eliminate(slice(t + 1, self.size), t, self.bw, self.aw)
+        self._eliminate(slice(t + 1, self.size), t, self.bw)
         self.b_done += 1
 
     def finish(self) -> tuple[SfqPencil, float]:

@@ -205,27 +205,25 @@ def p_y_eye(pi: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scatter_basis(q: Permutation, block: np.ndarray, eye_first: bool,
-                   order: str = "C") -> np.ndarray:
-    """``Q^T [I; block]``, or ``Q^T [block; I]``, scattered straight into its
-    storage: row ``i`` of the stack lands on row ``q.image[i]``."""
+def _scatter_basis(q: Permutation, block: np.ndarray, order: str = "C") -> np.ndarray:
+    """``Q^T [I; block]`` scattered straight into its storage: row ``i`` of
+    the stack lands on row ``q.image[i]``."""
     k = block.shape[1]
     out = np.zeros((q.n, k), dtype=np.complex128, order=order)
-    eye_rows, block_rows = ((q.image[:k], q.image[k:]) if eye_first
-                            else (q.image[-k:], q.image[:-k]))
-    out[eye_rows, np.arange(k)] = 1.0
-    out[block_rows] = block
+    out[q.image[:k], np.arange(k)] = 1.0
+    out[q.image[k:]] = block
     return out
 
 
 def sfq_basis(p: SfqPencil, x: np.ndarray | None = None) -> np.ndarray:
     """``Q1^T [I; X]`` assembled by pure entry moves."""
-    return _scatter_basis(p.Q1, p.X if x is None else x, eye_first=True)
+    return _scatter_basis(p.Q1, p.X if x is None else x)
 
 
 def anti_basis(p: SfqPencil, y: np.ndarray | None = None) -> np.ndarray:
-    """``Q2^T [Y; I]`` assembled by pure entry moves."""
-    return _scatter_basis(p.Q2, p.Y if y is None else y, eye_first=False)
+    """``Q2^T [Y; I]``: the primal scatter of ``[I; Y]`` through the block
+    swap, ``Q2^T [Y; I] = (Pi^T Q2)^T [I; Y]``."""
+    return _scatter_basis(swap_perm(p.m, p.n).inverse().compose(p.Q2), p.Y if y is None else y)
 
 
 def swap_perm(m: int, n: int) -> Permutation:
@@ -341,7 +339,7 @@ def _orthonormal_basis(z: np.ndarray | SfqPencil) -> np.ndarray:
     """``U`` of ``z = U R``; a pencil stands for its ``sfq_basis``, which is
     built in Fortran order and factored in its own storage."""
     if isinstance(z, SfqPencil):
-        return qr_in_place(_scatter_basis(z.Q1, z.X, eye_first=True, order="F"))[0]
+        return qr_in_place(_scatter_basis(z.Q1, z.X, order="F"))[0]
     return thin_qr(z)[0]
 
 

@@ -16,7 +16,6 @@ from qdoubling import (
     gen_solved_sfq,
     select_kernel,
     step_sf1,
-    step_sf2,
     step_w,
     step_wt,
     swap_perm,
@@ -156,10 +155,10 @@ class TestSpecializations:
             assert np.linalg.norm(got - expected) <= 1e-13 * max(1.0, np.linalg.norm(expected))
 
     def test_sf2_scalar_example(self):
+        # SDASF2 is the W-rule on its own pencil, Q1 = I and Q2 the block swap
         p = scalar_pencil(1.0, 1.0, 2.0, 0.0, q2=swap_perm(1, 1))
         out = step_wt(p).next
-        nxt = step_sf2(np.eye(1, dtype=complex), np.eye(1, dtype=complex),
-                       2.0 * np.eye(1), np.zeros((1, 1))).next
+        nxt = step_w(p).next
         en, fn, xn, yn = nxt.E, nxt.F, nxt.X, nxt.Y
         assert out.E[0, 0] == pytest.approx(0.5) and en[0, 0] == pytest.approx(0.5)
         assert out.F[0, 0] == pytest.approx(-0.5) and fn[0, 0] == pytest.approx(-0.5)
@@ -174,7 +173,6 @@ class TestSpecializations:
                       Y=complex_normal(rng, n, n, 0.4) - np.eye(n),
                       Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n))
         out = step_w(p).next
-        assert_same_pencil(step_sf2(p.E, p.F, p.X, p.Y).next, out)
         en, fn, xn, yn = ref.step_sf2(p.E, p.F, p.X, p.Y)
         for got, expected in ((out.E, en), (out.F, fn), (out.X, xn), (out.Y, yn)):
             assert np.linalg.norm(got - expected) <= 1e-13 * max(1.0, np.linalg.norm(expected))
@@ -182,7 +180,9 @@ class TestSpecializations:
     def test_sf2_requires_square_x(self, rng):
         e, f = complex_normal(rng, 2, 2), complex_normal(rng, 2, 2)
         with pytest.raises(ValueError, match="^X has shape"):
-            step_sf2(e, f, complex_normal(rng, 2, 3), complex_normal(rng, 3, 2))
+            SfqPencil(m=2, n=2, E=e, F=f, X=complex_normal(rng, 2, 3),
+                      Y=complex_normal(rng, 3, 2), Q1=Permutation.identity(4),
+                      Q2=swap_perm(2, 2))
 
     def test_kernel_selection(self):
         assert select_kernel(3, 2) is Kernel.W

@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdoubling.experiments import FAILED, METRIC_ROWS, RunRow, bse_like, pivot_table
+import qdoubling.experiments
+from qdoubling import Permutation, QdaResult, RunStatus, SfqPencil
+from qdoubling.experiments import FAILED, METRIC_ROWS, RunRow, _measure, bse_like, pivot_table
 
 
 def make_row(algorithm, label, status="converged", nres2=1e-14):
@@ -88,3 +92,30 @@ class TestBseLikeExperiment:
         assert qda_plain[0].status == "converged"
         assert qda_plain[0].nres2 <= 1e-10
         assert list(tmp_path.glob("history_qda_*.csv"))
+
+
+class TestMeasure:
+    @staticmethod
+    def measured(x):
+        """The row ``_measure`` makes of a run that ended on ``Q1 = I`` and ``x``."""
+        n, m = x.shape
+        ident = Permutation.identity(m + n)
+        final = SfqPencil(m=m, n=n, E=np.eye(m), F=np.eye(n), X=x, Y=np.zeros((m, n)),
+                          Q1=ident, Q2=ident)
+        result = QdaResult(phi=final.X, psi=final.Y, q1=ident, q2=ident, history=(),
+                           status=RunStatus.CONVERGED, final=final)
+        return _measure("x", "qda", "seed=1", 1, np.eye(m + n), result, 0.0)
+
+    def test_rank_deficient_basis_gives_a_nan_row(self):
+        # [I; X] with one column 1e20 times the other: R's diagonal spans 20 decades
+        row = self.measured(np.diag([1e20, 1.0]))
+        assert row.norm_x_fro == 1e20
+        assert math.isnan(row.nres1) and math.isnan(row.nres2)
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def broken(h, z):
+            raise RuntimeError("not a residual failure")
+
+        monkeypatch.setattr(qdoubling.experiments, "nres2", broken)
+        with pytest.raises(RuntimeError, match="not a residual failure"):
+            self.measured(np.eye(2))
