@@ -22,8 +22,8 @@ Fresh arrays and row blocks
 :func:`frozen` copies what it is given into a read-only array, except an
 array its maker marked with :func:`sealed`; only the code that computed an
 array may seal it.  Kernels that stream over a tall matrix (:func:`abs_sums`,
-:func:`norm_inf`, :func:`two_est`, the residual safeguard) work in blocks of
-:data:`ROW_BLOCK` rows, so their temporaries do not grow with the matrix;
+:func:`norm_inf`, :func:`two_est`) work in blocks of :data:`ROW_BLOCK` rows,
+so their temporaries do not grow with the matrix;
 their sums match numpy's whole-array sums to rounding, not bit for bit.
 
 LU factorization
@@ -31,7 +31,9 @@ LU factorization
 :func:`lu_factor` and :meth:`LUFactors.solve` call LAPACK ``zgetrf`` /
 ``zgetrs`` without finiteness checks.  Partial pivoting picks the largest
 ``|Re| + |Im|`` in a column, not the largest modulus.  The singularity test
-runs on ``|diag(U)|`` after the factorization, so no warning is raised.
+runs on ``|diag(U)|`` after the factorization, so no warning is raised.  An
+:class:`LUFactors` may be shared across threads: each solve hands LAPACK its
+own copy of the pivot indices.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.linalg.lapack import zgetrf, zgetrs
+from scipy.linalg.lapack import zgeqrf, zgetrf, zgetrs, zungqr
 
 
 class SingularMatrixError(Exception):
@@ -153,20 +154,24 @@ class LUFactors:
         b = as_complex_matrix(b)
         if b.shape[0] != self.n:
             raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
-        return zgetrs(self.lu, self.piv, b, overwrite_b=overwrite_b)[0]
+        # scipy's wrapper shifts the pivots it is given to 1-based and back
+        # in place, so concurrent solves must not share one pivot array
+        return zgetrs(self.lu, self.piv.copy(), b, overwrite_b=overwrite_b)[0]
 
 
-def lu_factor(a: np.ndarray) -> LUFactors:
+def lu_factor(a: np.ndarray, overwrite_a: bool = False) -> LUFactors:
     """Row-pivoted LU factorization of a square matrix.
 
     Raises :class:`SingularMatrixError` carrying the index of the first pivot
-    with ``|U[k, k]| <= SINGULARITY_TOL * norm_inf(a)``.
+    with ``|U[k, k]| <= SINGULARITY_TOL * norm_inf(a)``.  With
+    ``overwrite_a``, a Fortran-ordered complex ``a`` that its maker no longer
+    needs becomes the factors; any other ``a`` is copied as without it.
     """
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"lu_factor needs a square matrix, got {a.shape}")
     scale = norm_inf(a)     # before zgetrf's copy, so the two are never held at once
-    lu, piv, _ = zgetrf(a)
+    lu, piv, _ = zgetrf(a, overwrite_a=overwrite_a)
     pivot_mags = np.abs(np.diagonal(lu))
     small = np.flatnonzero(pivot_mags <= SINGULARITY_TOL * scale)
     if small.size:
@@ -195,23 +200,42 @@ def thin_qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises :class:`RankDeficientError` when a diagonal entry of ``r`` falls
     below ``SINGULARITY_TOL`` times the largest one.  ``z`` is left as it is.
     """
-    z = as_complex_matrix(z)
-    if z.shape[0] < z.shape[1]:
-        raise ValueError(f"thin_qr needs rows >= cols, got {z.shape}")
-    return qr_in_place(np.array(z, order="F"))
+    qr, tau = _householder(np.array(as_complex_matrix(z), order="F"))
+    r = np.triu(qr[:qr.shape[1]])
+    return _lapack(zungqr, qr, tau), r
 
 
-def qr_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`thin_qr` of a tall Fortran-ordered complex array that its maker
-    no longer needs: LAPACK ``zgeqrf`` and ``zungqr`` turn its storage into ``u``,
-    so the matrix and its Q factor are never held at once."""
-    u, r = qr(a, mode="economic", overwrite_a=True, check_finite=False)
-    diag = np.abs(np.diag(r))
+def qr_in_place(a: np.ndarray) -> np.ndarray:
+    """``u`` of :func:`thin_qr` for a tall Fortran-ordered complex array that
+    its maker no longer needs: LAPACK ``zgeqrf`` and ``zungqr`` turn its
+    storage into ``u``, so the matrix and its Q factor are never held at once,
+    and the rank is checked on the factor's diagonal without copying ``r``."""
+    return _lapack(zungqr, *_householder(a))
+
+
+def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``zgeqrf`` of ``a`` in its storage (Householder vectors below
+    the diagonal, ``r`` on and above it) and the reflectors' scalars, after
+    the rank check of :func:`thin_qr`."""
+    if a.shape[0] < a.shape[1]:
+        raise ValueError(f"thin_qr needs rows >= cols, got {a.shape}")
+    qr, tau = _lapack(zgeqrf, a)
+    diag = np.abs(np.diagonal(qr))
     if diag.size and diag.min() <= SINGULARITY_TOL * max(diag.max(), 1e-300):
         raise RankDeficientError(
             f"rank-deficient matrix: |R| diagonal range [{diag.min():.3e}, {diag.max():.3e}]"
         )
-    return u, r
+    return qr, tau
+
+
+def _lapack(routine, *args):
+    """``routine(*args)`` in the storage of its first argument, with the
+    workspace size LAPACK asks for; its outputs before ``work`` and ``info``."""
+    lwork = int(routine(*args, lwork=-1, overwrite_a=True)[-2][0].real)
+    *out, _, info = routine(*args, lwork=lwork, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,22 +20,25 @@ half-plane one as its :class:`CayleyPair`, which forms the dense transform
 only on request.
 
 The residual safeguard (:func:`orthonormal_residual`) checks a basis
-against one pencil argument.  A pencil in this form is never assembled:
-``A_i U`` is a row gather of ``U`` by ``Q1`` and two block products,
-``B_i U`` likewise by ``Q2``, and the 2-norm estimates come from the blocks'
-row and column sums.  A dense :class:`GeneralPencil` and the Cayley pair of
-a half-plane pencil (:class:`CayleyPair`) share one loop over a few dozen
-rows at a time; a bare matrix ``H`` stands for ``(H, I)``.  The safeguard
-streams over blocks of rows, so it holds only a few arrays of the basis's
-size.
+against one pencil argument.  A pencil in this form is never assembled: the
+basis is kept in a row order in which the operands of ``A_i U`` and
+``B_i U`` are slices, the other rows are gathered a block at a time, and the
+2-norm estimates come from the blocks' row and column sums.  A dense
+:class:`GeneralPencil` and the Cayley pair of a half-plane pencil
+(:class:`CayleyPair`) share one loop over a few dozen rows at a time; a bare
+matrix ``H`` stands for ``(H, I)``.  The products are made one block of rows
+at a time, twice, so the safeguard holds the orthonormal basis, two m-by-m
+arrays and one block of rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from .linalg import (
     Permutation,
@@ -47,7 +50,6 @@ from .linalg import (
     qr_in_place,
     row_blocks,
     sealed,
-    thin_qr,
     two_est,
     two_est_of,
 )
@@ -109,9 +111,10 @@ class CayleyPair:
             raise ValueError("gamma must be negative and finite")
 
     def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        a, b = self.source.A[rows], self.source.B[rows]
-        gamma_b = self.gamma * b
-        return a - gamma_b, a + gamma_b
+        a = self.source.A[rows]
+        gamma_b = self.gamma * self.source.B[rows]
+        plus = a + gamma_b
+        return np.subtract(a, gamma_b, out=gamma_b), plus
 
     def pencil(self) -> GeneralPencil:
         """The dense pair, as a disk-split :class:`GeneralPencil`."""
@@ -315,57 +318,127 @@ def _two_est_a(p: SfqPencil) -> float:
                       max(float(e_rows.max()), float(x_rows.max()) + 1.0))
 
 
-#: Rows of a dense or Cayley pair the safeguard takes at a time: the rows
-#: and their temporaries stay well under one block of the basis's size.
-CAYLEY_ROWS = 32
+#: Rows of a pencil the safeguard takes at a time: the rows and their
+#: products stay well under one block of the basis's size.
+CAYLEY_ROWS = 24
 
 
-def _row_products(pair: GeneralPencil | CayleyPair, u: np.ndarray):
-    """``A U``, ``B U``, ``two_est(A)`` and ``two_est(B)`` of a pair, filled
-    from :data:`CAYLEY_ROWS` of its rows at a time."""
-    size = u.shape[0]
-    products = (np.empty_like(u, order="C"), np.empty_like(u, order="C"))
+def _pair_estimates(pair: GeneralPencil | CayleyPair, size: int) -> tuple[float, float]:
+    """``two_est(A)`` and ``two_est(B)`` of a pair, from :data:`CAYLEY_ROWS`
+    of its rows at a time."""
     norm1, norminf = np.zeros((2, size)), np.zeros(2)
     for rows in row_blocks(size, CAYLEY_ROWS):
         for k, block in enumerate(pair.rows(rows)):
-            np.matmul(block, u, out=products[k][rows])
             col, row = abs_sums(block)
             norm1[k] += col
             norminf[k] = max(norminf[k], row.max())
-    return (*products, *(two_est_of(c.max(), r) for c, r in zip(norm1, norminf)))
+    return tuple(two_est_of(c.max(), r) for c, r in zip(norm1, norminf))
 
 
-def _orthonormal_basis(z: np.ndarray | SfqPencil) -> np.ndarray:
-    """``U`` of ``z = U R``; a pencil stands for its ``sfq_basis``, which is
-    built in Fortran order and factored in its own storage."""
+def _operand_order(p: SfqPencil) -> tuple[Permutation, int]:
+    """A row order for the basis in which the product operands are slices.
+
+    ``A_i U`` multiplies the top of ``Q1 U`` and ``B_i U`` the bottom of
+    ``Q2 U``.  The order puts the rows only the first reads first, then the
+    rows both read, then those only the second reads, then the rest; it
+    returns the order and where the second operand starts.
+    """
+    in_a = np.zeros(p.size, dtype=bool)
+    in_a[p.Q1.image[:p.m]] = True
+    in_b = np.zeros(p.size, dtype=np.intp)
+    in_b[p.Q2.image[p.m:]] = 1
+    key = np.where(in_a, in_b, 3 - in_b)
+    return Permutation(np.argsort(key, kind="stable")), int(np.count_nonzero(key == 0))
+
+
+def _basis_rows(z: np.ndarray | SfqPencil, order: Permutation | None) -> np.ndarray:
+    """A fresh Fortran-ordered copy of the basis for :func:`qr_in_place`, its
+    rows gathered by ``order`` when there is one.  A pencil stands for its
+    ``sfq_basis``, scattered straight into that order."""
     if isinstance(z, SfqPencil):
-        return qr_in_place(_scatter_basis(z.Q1, z.X, order="F"))[0]
-    return thin_qr(z)[0]
-
-
-def _products_h(x: np.ndarray, y: np.ndarray, blocks: list[slice],
-                order: str = "C") -> np.ndarray:
-    """``x^H y`` summed over ``blocks`` of rows into one array of the given
-    memory order, with the bits of ``sum(x[b].conj().T @ y[b] for b in blocks)``."""
-    out = np.zeros((x.shape[1], y.shape[1]), dtype=np.complex128, order=order)
-    for blk in blocks:
-        out += x[blk].conj().T @ y[blk]
+        return _scatter_basis(z.Q1 if order is None else z.Q1.compose(order.inverse()),
+                              z.X, order="F")
+    z = as_complex_matrix(z)
+    if order is None:
+        return np.array(z, order="F")
+    out = np.empty(z.shape, dtype=np.complex128, order="F")
+    for rows in row_blocks(z.shape[0]):
+        out[rows] = z[order.image[rows]]
     return out
+
+
+def _fortran(rows: np.ndarray, product: np.ndarray | None = None) -> np.ndarray:
+    """``rows`` (or ``rows @ product``) in fresh Fortran-ordered storage, which
+    BLAS reads and updates in place."""
+    if product is None:
+        return np.array(rows, order="F")
+    out = np.empty((rows.shape[0], product.shape[1]), dtype=np.complex128, order="F")
+    return np.matmul(rows, product, out=out)
+
+
+def _pair_products(pair: GeneralPencil | CayleyPair, u: np.ndarray):
+    """``B U`` and ``A U`` of a dense or Cayley pair, :data:`CAYLEY_ROWS` rows
+    at a time, each block of rows formed as :meth:`CayleyPair.rows` forms it."""
+    def block(rows):
+        a, b = pair.rows(rows)
+        au = _fortran(a, u)
+        del a
+        return _fortran(b, u), au
+
+    for rows in row_blocks(u.shape[0], CAYLEY_ROWS):
+        yield block(rows)
+
+
+def _standard_products(h: np.ndarray, u: np.ndarray):
+    """``U`` and ``H U``, the products of the standard problem ``(H, I)``."""
+    for rows in row_blocks(u.shape[0], CAYLEY_ROWS):
+        yield _fortran(u[rows]), _fortran(h[rows], u)
+
+
+def _sfq_products(p: SfqPencil, v: np.ndarray, order: Permutation, split: int):
+    """``B_i U`` and ``A_i U`` from ``v``, the basis in :func:`_operand_order`.
+
+    ``A_i U = [E a; a_bot - X a]`` with ``a`` the top of ``Q1 U``, and
+    ``B_i U = [b_top - Y b; F b]`` with ``b`` the bottom of ``Q2 U``.  ``a``
+    and ``b`` are the slices ``v[:m]`` and ``v[split:split + n]`` up to a row
+    order, which the blocks' columns take on instead; ``a_bot`` and
+    ``b_top`` are gathered :data:`CAYLEY_ROWS` rows at a time.
+    """
+    m, n = p.m, p.n
+    at_row = order.inverse().image
+    a_op, a_cols = v[:m], p.Q1.inverse().image[order.image[:m]]
+    b_op, b_cols = v[split:split + n], p.Q2.inverse().image[order.image[split:split + n]] - m
+    a_bot, b_top = at_row[p.Q1.image[m:]], at_row[p.Q2.image[:m]]
+
+    # A gathered block is updated in its own (C) order, since updating a
+    # Fortran array by a C-ordered product takes a buffer, and copied after.
+    def top(rows):
+        bu = v[b_top[rows]]
+        bu -= p.Y[rows, b_cols] @ b_op
+        bu = _fortran(bu)
+        return bu, _fortran(p.E[rows, a_cols], a_op)
+
+    def bottom(rows):
+        au = v[a_bot[rows]]
+        au -= p.X[rows, a_cols] @ a_op
+        au = _fortran(au)
+        return _fortran(p.F[rows, b_cols], b_op), au
+
+    for rows in row_blocks(m, CAYLEY_ROWS):
+        yield top(rows)
+    for rows in row_blocks(n, CAYLEY_ROWS):
+        yield bottom(rows)
 
 
 def _sq_norm(r: np.ndarray) -> float:
     return float(np.vdot(r, r).real)
 
 
-def _pow2_scale(a: np.ndarray) -> float:
-    """Scale ``a`` in place by the power of two ``s`` (kept finite) taking
-    ``max|a|`` near 1, and return ``s``."""
-    big = float(np.max([np.abs(a[blk]).max(initial=0.0) for blk in row_blocks(a.shape[0])]))
-    if big == 0.0:
+def _pow2_scale(est: float) -> float:
+    """The power of two ``s`` (kept finite) with ``s * est`` in [1, 2)."""
+    if est == 0.0:
         return 1.0
-    s = math.ldexp(1.0, -max(math.frexp(big)[1], -1020))
-    a *= s
-    return s
+    return math.ldexp(1.0, min(1 - math.frexp(est)[1], 1020))
 
 
 def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPencil,
@@ -376,14 +449,14 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     least squares against ``B U``, and the result scaled by
     ``sqrt(p) * (two_est(A) + two_est(M) * two_est(B))``.  ``pencil`` is one of:
 
-    * an :class:`SfqPencil`, for its own ``(A_i, B_i)``: ``A_i U`` and
-      ``B_i U`` take a row gather and two block products each, and the
+    * an :class:`SfqPencil`, for its own ``(A_i, B_i)``: ``U`` is kept in a
+      row order in which the operands of both products are slices, and the
       2-norm estimates come from the blocks' row and column sums;
     * a :class:`GeneralPencil` ``(A, B)``, or a :class:`CayleyPair` for
       ``(A - gamma B, A + gamma B)``: its rows are taken (for the Cayley pair,
       formed exactly as :meth:`CayleyPair.pencil` forms them)
-      :data:`CAYLEY_ROWS` at a time and fill ``A U``, ``B U`` and both
-      estimates block by block;
+      :data:`CAYLEY_ROWS` at a time, first for both estimates, then for the
+      products;
     * a bare matrix ``H`` for the standard problem ``(H, I)``, where this is
       the conditioning-robust normalized residual.
 
@@ -391,31 +464,44 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     standing for its basis ``Q1^T [I; X]``, which is then built here and
     factored in place, so the basis and its ``U`` are never held at once.
 
-    Only ``U``, ``A U`` and ``B U`` are kept at the size of ``z``.  ``A U``
-    and ``B U`` are rescaled in place by powers of two, so no scale of A or B
-    makes the Gram matrix overflow or underflow; the Gram matrix, the
-    right-hand side and the residual are accumulated over blocks of rows
-    (:func:`~qdoubling.linalg.row_blocks`).  The Gram matrix is factored
-    before the right-hand side is formed, and the solution takes the
-    right-hand side's storage, so at most three m-by-m arrays are held.
+    Only ``U`` is kept at the size of ``z``.  ``A U`` and ``B U`` are made
+    :data:`CAYLEY_ROWS` rows at a time, twice: the first pass accumulates the
+    m-by-m Gram matrix ``G = (B U)^H B U`` and cross product
+    ``C = (B U)^H A U``, and the second the residual of ``M = G^{-1} C``.
+    ``G`` is factored in its own storage and ``M`` takes ``C``'s, so beside
+    ``U`` the safeguard holds two m-by-m arrays and one block of rows.  The
+    products are scaled by the powers of two that bring the estimates of
+    ``A`` and ``B`` near 1 (since ``U`` is orthonormal, ``two_est(A)`` bounds
+    every entry of ``A U``), so no scale of A or B makes ``G`` overflow or
+    underflow.
     """
-    u = _orthonormal_basis(z)
+    order, split = _operand_order(pencil) if isinstance(pencil, SfqPencil) else (None, 0)
+    u = qr_in_place(_basis_rows(z, order))
     if isinstance(pencil, SfqPencil):
-        au, bu = _times_a(pencil, u), _times_b(pencil, u)
-        a_est, b_est = _two_est_a(pencil), _two_est_a(dual(pencil))
+        ests = _two_est_a(pencil), _two_est_a(dual(pencil))
+        products = partial(_sfq_products, pencil, u, order, split)
     elif isinstance(pencil, (GeneralPencil, CayleyPair)):
-        au, bu, a_est, b_est = _row_products(pencil, u)
+        ests = _pair_estimates(pencil, u.shape[0])
+        products = partial(_pair_products, pencil, u)
     else:   # the standard problem (H, I): B U is U itself
         h = as_complex_matrix(pencil)
-        au, bu, a_est, b_est = h @ u, u, two_est(h), 1.0
-    sa = _pow2_scale(au)
-    sb = 1.0 if bu is u else _pow2_scale(bu)
+        ests = two_est(h), 1.0
+        products = partial(_standard_products, h, u)
+    sa, sb = (_pow2_scale(est) for est in ests)
     cols = u.shape[1]
-    del u   # from here on only A U and B U are needed
-    blocks = row_blocks(au.shape[0])
-    gram_lu = lu_factor(_products_h(bu, bu, blocks))
-    mray = gram_lu.solve(_products_h(bu, au, blocks, order="F"), overwrite_b=True)
-    del gram_lu
-    num = math.sqrt(sum(_sq_norm(au[blk] - bu[blk] @ mray) for blk in blocks))
-    den = np.sqrt(cols) * (a_est * sa + two_est(mray) * b_est * sb)
-    return num / den
+    gram = np.zeros((cols, cols), dtype=np.complex128, order="F")
+    cross = np.zeros_like(gram)
+    for bu, au in products():
+        bu *= sb
+        au *= sa
+        gram = zgemm(1.0, bu, bu, 1.0, gram, trans_a=2, overwrite_c=True)
+        cross = zgemm(1.0, bu, au, 1.0, cross, trans_a=2, overwrite_c=True)
+        del bu, au      # freed before the next block of rows is made
+    mray = lu_factor(gram, overwrite_a=True).solve(cross, overwrite_b=True)
+    sq = 0.0
+    for bu, au in products():
+        bu *= sb
+        au *= sa
+        sq += _sq_norm(zgemm(-1.0, bu, mray, 1.0, au, overwrite_c=True))
+        del bu, au
+    return math.sqrt(sq) / (math.sqrt(cols) * (ests[0] * sa + two_est(mray) * ests[1] * sb))

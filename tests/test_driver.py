@@ -87,6 +87,25 @@ class TestRunQda:
         assert np.abs(res.phi).max() <= tau
         assert np.abs(res.psi).max() <= tau
 
+    def test_a_solve_peaks_at_its_history_and_a_few_basis_blocks(self):
+        # beside the history the run holds one live pencil and a step's
+        # work, and at the end the residual safeguard: U and its two m-by-m
+        # arrays (2 blocks of the basis's size at m = n) and one block of
+        # rows, about 2.45 here; with A U and B U held whole it was 3.9
+        inst = gen_solved_sfq(m=150, n=150, rho_m=0.99, rho_n=0.99, seed=3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = run_sdasfq(inst.pencil, QdaConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status is RunStatus.CONVERGED
+        history = sum(rec.pencil.E.nbytes + rec.pencil.F.nbytes + rec.pencil.X.nbytes
+                      + rec.pencil.Y.nbytes for rec in res.history)
+        block = sfq_basis(res.final).nbytes
+        assert peak <= history + 2.75 * block
+
     def test_history_is_complete(self):
         inst = gen_random_split(m=6, n=6, alpha=8.0, eta=1.0, seed=6)
         g = cayley(inst.pencil, CayleyParams(-1.0))

@@ -1,11 +1,16 @@
 import gc
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdoubling
 from qdoubling import (
     Permutation,
     SfqPencil,
@@ -95,6 +100,49 @@ class TestLuSolve:
             tracemalloc.stop()
         assert peak <= 1.15 * a.nbytes
 
+    def test_overwriting_factor_takes_a_fortran_storage(self, rng):
+        a = complex_normal(rng, 7, 7)
+        want = lu_factor(a)
+        fortran = np.array(a, order="F")
+        got = lu_factor(fortran, overwrite_a=True)
+        assert np.shares_memory(got.lu, fortran)
+        assert got.lu.tobytes() == want.lu.tobytes()
+        np.testing.assert_array_equal(got.piv, want.piv)
+
+    def test_threads_may_share_one_factorization(self):
+        # scipy's zgetrs wrapper shifts the pivot array it is given to 1-based
+        # and back in place, so two threads solving with one shared array
+        # corrupted the heap (an abort) or returned wrong bits.  It runs in a
+        # subprocess, so that an abort fails this test and not the suite.
+        script = textwrap.dedent("""
+            import sys, threading
+            import numpy as np
+            sys.path.insert(0, sys.argv[1])
+            from qdoubling import lu_factor
+            rng = np.random.default_rng(5)
+            n = 200
+            factors = lu_factor(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            rhs = [rng.standard_normal((n, 50)) + 0j for _ in range(2)]
+            want = [factors.solve(b).tobytes() for b in rhs]
+            wrong = 0
+            for _ in range(100):
+                got = [None, None]
+                def solve(k):
+                    got[k] = factors.solve(rhs[k])
+                threads = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                wrong += sum(got[k].tobytes() != want[k] for k in range(2))
+            print(wrong)
+        """)
+        src = str(Path(qdoubling.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, src],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["0"]
+
     def test_condition_estimate_finite(self, rng):
         factors = lu_factor(complex_normal(rng, 6, 6))
         assert 1.0 <= factors.condition_estimate < np.inf
@@ -136,12 +184,18 @@ class TestThinQr:
         np.testing.assert_array_equal(z, kept)
 
     def test_in_place_factor_reuses_the_storage(self, rng):
-        # the basis and its Q factor are never held at once
+        # the basis and its Q factor are never held at once, and no R is made
         z = complex_normal(rng, 40, 7)
         a = np.array(z, order="F")
-        u, r = qr_in_place(a)
+        u = qr_in_place(a)
         assert np.shares_memory(u, a)
-        assert np.linalg.norm(u @ r - z) <= 1e-12 * np.linalg.norm(z)
+        assert u.tobytes() == thin_qr(z)[0].tobytes()
+        assert np.linalg.norm(u @ (u.conj().T @ z) - z) <= 1e-12 * np.linalg.norm(z)
+
+    def test_in_place_factor_checks_the_rank(self, rng):
+        col = complex_normal(rng, 5, 1)
+        with pytest.raises(RankDeficientError):
+            qr_in_place(np.array(np.hstack([col, 2 * col]), order="F"))
 
 
 class TestNorms:
