@@ -32,7 +32,6 @@ from .eig import (
     EigenspaceBases,
     bases_from_result,
     cayley,
-    cayley_map,
     nres1,
     nres2,
     rho_gamma,
@@ -63,14 +62,11 @@ from .problems import (
     JordanOverflowError,
     ProblemInstance,
     SolvedSfqInstance,
-    gamma_block,
     gen_bse_like,
     gen_critical,
     gen_random_split,
     gen_solved_sfq,
-    ground_truth_residual,
     jordan_power,
-    known_eigenpairs,
 )
 from .reduction import (
     Idea,

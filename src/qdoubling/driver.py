@@ -221,6 +221,7 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
             w_condition=outcome.w_condition, w_min_pivot=outcome.w_min_pivot,
             kernel=outcome.kernel, guard_events=greport, pencil=accepted,
         ))
+        del outcome     # after a guard action, the unguarded pencil goes before the next step
         diffs.append(delta)
         p = accepted
         if greport.acted:

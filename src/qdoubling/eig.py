@@ -47,10 +47,6 @@ def cayley(g: GeneralPencil, params: CayleyParams) -> GeneralPencil:
     return CayleyPair(g, params.gamma).pencil()
 
 
-def cayley_map(lam: complex, gamma: float) -> complex:
-    return (lam - gamma) / (lam + gamma)
-
-
 def rho_gamma(stable_eigs: Sequence[complex], anti_stable_eigs: Sequence[complex],
               gamma: float) -> float:
     """Worst-case contraction factor of the transformed doubling iteration.

@@ -202,11 +202,6 @@ def jordan_power(p: int, omega: complex, i: int) -> np.ndarray:
     return out
 
 
-def gamma_block(i: int, k: int, omega: complex) -> np.ndarray:
-    """The top-right k-by-k block of ``J_{2k}(omega) ** (2**i)``."""
-    return jordan_power(2 * k, omega, i)[:k, k:]
-
-
 def _random_triangular_with_radius(rng: np.random.Generator, size: int,
                                    radius: float) -> np.ndarray:
     """Upper triangular with spectral radius exactly ``radius`` (if size > 0)."""
@@ -336,54 +331,3 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> Sol
     pencil = SfqPencil(m=m, n=n, E=e0, F=f0, X=x0, Y=y0, Q1=q1, Q2=q2)
     return SolvedSfqInstance(pencil=pencil, phi=phi, psi=psi, m_mat=m_mat,
                              n_mat=n_mat, rho_m=rho_m, rho_n=rho_n, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Ground-truth helpers
-# ---------------------------------------------------------------------------
-
-
-def ground_truth_residual(inst: ProblemInstance) -> float:
-    """``||A Z - B Z M||_F / (||A||_F ||Z||_F)`` for instances with truth."""
-    if inst.true_basis_stable is None or inst.true_m is None:
-        raise ValueError("instance carries no ground-truth basis")
-    a, b = inst.pencil.A, inst.pencil.B
-    z = inst.true_basis_stable
-    res = a @ z - b @ z @ inst.true_m
-    return float(np.linalg.norm(res) / (np.linalg.norm(a) * np.linalg.norm(z)))
-
-
-def known_eigenpairs(inst: ProblemInstance, count: int):
-    """Eigenpairs ``(lam, z)`` recovered from the stored triangular factor.
-
-    Only available for the random split family.  Pairs are sorted by
-    decreasing separation of their eigenvalue from the rest of the spectrum,
-    so taking the first ``count`` gives the best-conditioned ones.
-    """
-    if inst.upper_t is None or inst.basis_full is None:
-        raise ValueError("instance does not carry a triangular factor")
-    t = inst.upper_t
-    u = inst.basis_full
-    size = t.shape[0]
-    lams = np.diag(t)
-    pairs = []
-    for k in range(size):
-        lam = lams[k]
-        others = np.abs(np.delete(lams, k) - lam)
-        gap = float(others.min()) if others.size else np.inf
-        v = np.zeros(size, dtype=np.complex128)
-        v[k] = 1.0
-        ok = True
-        for j in range(k - 1, -1, -1):
-            denom = t[j, j] - lam
-            if abs(denom) < 1e-8:
-                ok = False
-                break
-            v[j] = -(t[j, j + 1:k + 1] @ v[j + 1:k + 1]) / denom
-        if not ok:
-            continue
-        z = u @ v
-        z = z / np.linalg.norm(z)
-        pairs.append((gap, lam, z))
-    pairs.sort(key=lambda item: -item[0])
-    return [(lam, z) for _, lam, z in pairs[:count]]

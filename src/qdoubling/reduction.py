@@ -80,7 +80,7 @@ from scipy.linalg import solve_triangular
 
 from . import linalg
 from .linalg import Permutation, as_complex_matrix, sealed
-from .sfq import BreakdownError, GeneralPencil, SfqPencil, structured_a, structured_b
+from .sfq import BreakdownError, GeneralPencil, SfqPencil
 
 #: Pivot-zero threshold, relative to the largest initial entry magnitude of
 #: the matrix being eliminated.
@@ -372,7 +372,9 @@ def reinit(p: SfqPencil, idea: Idea = Idea.IDEA3,
     The reduction runs on ``(A_i Q1^T, B_i Q2^T)`` so the permutations it
     discovers are composed on top of the existing ones.
     """
-    g = GeneralPencil(A=sealed(structured_a(p)), B=sealed(structured_b(p)), m=p.m, n=p.n)
+    a = np.block([[p.E, np.zeros((p.m, p.n))], [-p.X, np.eye(p.n)]])    # A_i Q1^T
+    b = np.block([[np.eye(p.m), -p.Y], [np.zeros((p.n, p.m)), p.F]])    # B_i Q2^T
+    g = GeneralPencil(A=sealed(a), B=sealed(b), m=p.m, n=p.n)
     report = reduce_with_fallback(g, idea, variant)
     q = report.pencil
     composed = replace(q, Q1=q.Q1.compose(p.Q1), Q2=q.Q2.compose(p.Q2))

@@ -28,7 +28,7 @@ basis is kept in a row order in which the operands of ``A_i U`` and
 (:class:`CayleyPair`) share one loop over a few dozen rows at a time; a bare
 matrix ``H`` stands for ``(H, I)``.  The products are made one block of rows
 at a time, twice, so the safeguard holds the orthonormal basis, two m-by-m
-arrays and one block of rows.
+arrays and one block of rows; :func:`primal_eig_residual` streams them once.
 """
 
 from __future__ import annotations
@@ -161,16 +161,6 @@ class SfqPencil:
         return float(np.abs(self.Y).max(initial=0.0))
 
 
-def structured_a(p: SfqPencil) -> np.ndarray:
-    """The left factor ``[[E, 0], [-X, I]]`` (that is, ``A_i @ Q1.T``)."""
-    return np.block([[p.E, np.zeros((p.m, p.n))], [-p.X, np.eye(p.n)]])
-
-
-def structured_b(p: SfqPencil) -> np.ndarray:
-    """The left factor ``[[I, -Y], [0, F]]`` (that is, ``B_i @ Q2.T``)."""
-    return np.block([[np.eye(p.m), -p.Y], [np.zeros((p.n, p.m)), p.F]])
-
-
 def q_blocks_of(p: SfqPencil) -> np.ndarray:
     """The index vector ``pi`` of ``P = Q1 @ Q2.T``: ``P[i, pi[i]] = 1``."""
     return p.Q1.compose(p.Q2.inverse()).image
@@ -256,12 +246,15 @@ def dual(p: SfqPencil) -> SfqPencil:
 def primal_eig_residual(p: SfqPencil, x: np.ndarray, mpow: np.ndarray) -> float:
     """Residual of ``A_i Q1^T [I; X] = B_i Q1^T [I; X] M`` for a supplied M.
 
-    Normalized by ``max(1, ||[I; X]||_F)``.  ``A_i`` and ``B_i`` act through
-    their blocks, so only arrays of the basis's size are formed.
+    Normalized by ``max(1, ||[I; X]||_F)``.  The products stream through the
+    safeguard's :func:`_sfq_products`, so beside the basis (scattered once
+    into :func:`_operand_order`) only one block of rows is held.
     """
-    z = sfq_basis(p, as_complex_matrix(x))
-    res = _times_a(p, z) - _times_b(p, z) @ as_complex_matrix(mpow)
-    return float(np.linalg.norm(res)) / max(1.0, float(np.linalg.norm(z)))
+    x, mpow = as_complex_matrix(x), as_complex_matrix(mpow)
+    order, split = _operand_order(p)
+    v = _scatter_basis(p.Q1.compose(order.inverse()), x, order="F")
+    sq = sum(_sq_norm(au - bu @ mpow) for bu, au in _sfq_products(p, v, order, split))
+    return math.sqrt(sq) / max(1.0, math.sqrt(p.m + _sq_norm(x)))
 
 
 def primal_nme_residual(p0: SfqPencil, x: np.ndarray) -> float:
@@ -285,24 +278,6 @@ def dual_nme_residual(p0: SfqPencil, y: np.ndarray) -> float:
     pi = q_blocks_of(p0)
     rhs = p0.Y + p0.E @ p_y_eye(pi[:p0.m], y) @ lu_solve(bracket_w(p0.X, y, pi), p0.F)
     return float(np.linalg.norm(y - rhs)) / max(1.0, float(np.linalg.norm(y)))
-
-
-def _times_a(p: SfqPencil, u: np.ndarray) -> np.ndarray:
-    """``A_i u = [E ua_top; ua_bot - X ua_top]`` with ``ua = Q1 u``, a row gather;
-    the bottom is updated first, so one product temporary is held at a time."""
-    out = u[p.Q1.image]
-    out[p.m:] -= p.X @ out[:p.m]
-    out[:p.m] = p.E @ out[:p.m]
-    return out
-
-
-def _times_b(p: SfqPencil, u: np.ndarray) -> np.ndarray:
-    """``B_i u = [ub_top - Y ub_bot; F ub_bot]`` with ``ub = Q2 u``, a row gather;
-    the top is updated first, so one product temporary is held at a time."""
-    out = u[p.Q2.image]
-    out[:p.m] -= p.Y @ out[p.m:]
-    out[p.m:] = p.F @ out[p.m:]
-    return out
 
 
 def _two_est_a(p: SfqPencil) -> float:

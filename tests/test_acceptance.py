@@ -17,7 +17,6 @@ from qdoubling import (
     action_x,
     action_y,
     cayley,
-    cayley_map,
     closed_form_init,
     default_tau,
     dual,
@@ -26,7 +25,6 @@ from qdoubling import (
     gen_random_split,
     gen_solved_sfq,
     jordan_power,
-    known_eigenpairs,
     nres1,
     nres2,
     primal_eig_residual,
@@ -46,6 +44,7 @@ from qdoubling.reduction import Idea, Variant
 
 import doubling_reference as ref
 from conftest import NO_GUARD, random_sfq
+from ground_truth import cayley_map, known_eigenpairs
 
 EPS = float(np.finfo(np.float64).eps)
 

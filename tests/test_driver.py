@@ -166,6 +166,31 @@ class TestRunQda:
         assert alive[1] == [False] * 5
         assert res.init_report.pencil is None
 
+    def test_unguarded_iterate_is_released_before_the_next_step(self, monkeypatch):
+        # tau = 4 makes the guard act at iteration 3; the step's own X is then
+        # held by nothing the loop keeps, so it must be gone when step 4 starts
+        refs, alive = [], []
+        step_ = qdoubling.driver.step
+
+        def watched_step(p, kernel=None):
+            alive.append([ref() is not None for ref in refs])
+            outcome = step_(p, kernel)
+            refs.append(weakref.ref(outcome.next.X))
+            return outcome
+
+        monkeypatch.setattr(qdoubling.driver, "step", watched_step)
+        g = gen_random_split(m=6, n=7, alpha=8.0, eta=1e-2, seed=3).pencil
+        gc.disable()
+        try:
+            res = run_qda(CayleyPair(g, -1.0), QdaConfig(tau=4.0))
+        finally:
+            gc.enable()
+        acted = [rec.index for rec in res.history if rec.guard_events.acted]
+        assert res.status is RunStatus.CONVERGED and acted == [3]
+        assert alive[3][2] is False
+        # an iterate the guard left alone is the accepted pencil, kept by the history
+        assert alive[3][:2] == [True, True]
+
     def test_start_is_recovered_from_the_init_report(self, monkeypatch):
         seen = []
         reduce_ = qdoubling.driver.reduce_with_fallback

@@ -13,10 +13,8 @@ from qdoubling import (
     RankDeficientError,
     RunStatus,
     cayley,
-    cayley_map,
     gen_bse_like,
     gen_random_split,
-    known_eigenpairs,
     nres1,
     nres2,
     rho_gamma,
@@ -26,6 +24,7 @@ from qdoubling import (
 )
 
 from conftest import complex_normal
+from ground_truth import cayley_map, known_eigenpairs
 
 
 class TestCayley:

@@ -4,16 +4,15 @@ import pytest
 from qdoubling import (
     CriticalSpec,
     JordanOverflowError,
-    gamma_block,
     gen_bse_like,
     gen_critical,
     gen_random_split,
     gen_solved_sfq,
-    ground_truth_residual,
     jordan_power,
-    known_eigenpairs,
 )
 from qdoubling.problems import jordan_block
+
+from ground_truth import gamma_block, ground_truth_residual, known_eigenpairs
 
 
 class TestRandomSplit:

@@ -18,10 +18,8 @@ from qdoubling import (
     SfqPencil,
     Variant,
     cayley,
-    cayley_map,
     closed_form_init,
     gen_random_split,
-    known_eigenpairs,
     reduce_pencil,
     reduce_with_fallback,
     reinit,
@@ -30,6 +28,7 @@ from qdoubling.linalg import SingularMatrixError, solve_transposed
 
 from conftest import complex_normal, random_sfq
 from doubling_reference import assemble
+from ground_truth import cayley_map, known_eigenpairs
 
 ALL_REDUCTIONS = [(idea, variant)
                   for idea in (Idea.IDEA1, Idea.IDEA2, Idea.IDEA3)

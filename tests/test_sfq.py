@@ -19,7 +19,6 @@ from qdoubling import (
     dual_nme_residual,
     gen_random_split,
     gen_solved_sfq,
-    known_eigenpairs,
     primal_eig_residual,
     primal_nme_residual,
     q_blocks_of,
@@ -32,6 +31,7 @@ from qdoubling.sfq import CAYLEY_ROWS, orthonormal_residual
 
 from conftest import complex_normal, random_sfq
 from doubling_reference import assemble, perm_matrix
+from ground_truth import known_eigenpairs
 
 
 class TestAssemble:
@@ -183,6 +183,42 @@ class TestResiduals:
         base = primal_eig_residual(p0, phi, mmat)
         bumped = primal_eig_residual(p0, phi + 1e-3, mmat)
         assert base < 1e-10 < bumped
+
+    @pytest.mark.parametrize("m, n", [(25, 71), (71, 25), (48, 53)])
+    def test_streamed_matches_dense_products(self, m, n):
+        # A_i and B_i assembled densely; with CAYLEY_ROWS = 24 both sides span
+        # several row blocks.  A product of inner length k is within k eps of
+        # |A| |z| per entry, so each residual is within (N + m + 2) eps
+        # (||A|| + ||B|| ||M||) ||z|| of the exact one (Frobenius norms), and
+        # the two normalizers agree to a few eps
+        rng = np.random.default_rng(100 * m + n)
+        eps = np.finfo(float).eps
+        for _ in range(3):
+            p = random_sfq(rng, m, n)
+            x, mpow = complex_normal(rng, n, m, 0.4), complex_normal(rng, m, m, 0.4)
+            a, b = assemble(p)
+            z = perm_matrix(p.Q1).T @ np.vstack([np.eye(m), x])
+            norm_z = np.linalg.norm(z)
+            dense = np.linalg.norm(a @ z - b @ z @ mpow) / max(1.0, norm_z)
+            bound = (2 * (m + n + m + 2) * eps * norm_z / max(1.0, norm_z)
+                     * (np.linalg.norm(a) + np.linalg.norm(b) * np.linalg.norm(mpow))
+                     + 4 * eps * dense)
+            assert abs(primal_eig_residual(p, x, mpow) - dense) <= bound
+
+    def test_streamed_residual_holds_one_basis_block(self):
+        # beside the basis only a block of rows and its products are held
+        rng = np.random.default_rng(8)
+        m, n = 150, 170
+        p = random_sfq(rng, m, n)
+        x, mpow = complex_normal(rng, n, m, 0.4), complex_normal(rng, m, m, 0.4)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            primal_eig_residual(p, x, mpow)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (m + n) * m * 16
 
     def test_primal_nme_zero_case(self):
         p = SfqPencil(m=2, n=2, E=0.5 * np.eye(2), F=0.5 * np.eye(2),
