@@ -13,18 +13,54 @@ classical SDASF1 update, and with ``Q1 @ Q2.T`` equal to the block swap
 (m = n) to SDASF2: both baselines are the W-rule with Q frozen.  SDASF2 steps
 through :func:`step_w` on its own pencil; :func:`step_sf1` keeps the classical
 ``(e, f, x, y)`` signature, which a benchmark tracer wraps.
+
+Every step goes through one W-rule, whose products and solves fall into four
+phases of independent work.  A step of at least
+:data:`LANE_MIN_MULTIPLY_ADDS` multiply-adds runs each phase on two lanes
+(:func:`~qdoubling.linalg.lanes`): the calling thread and one helper thread,
+which belongs to that step and is joined when it returns or raises.  Each
+piece is the same numpy or LAPACK call on the same operands whichever lane
+takes it, so the next pencil and the W telemetry are bit-identical at any
+schedule, and a helper that has not started a piece is never waited for.
+The calls a benchmark tracer wraps (``compute_w`` / ``compute_wt``,
+:func:`lu_factor`, the solves and :func:`q_blocks_of`) stay on the calling
+thread; two solves with one factorization would not overlap anyway.
+
+The threshold was measured by timing the steps of whole solves serially and
+on two lanes, medians of five to seven alternating repetitions, on
+``gen_solved_sfq(m, m, 0.99, 0.99, 1)`` (N = 110 ... 600) and on the
+Cayley pairs of ``gen_random_split(m, n, 8, 1e-6, 1)`` (N = 110 ... 650),
+on a 2-vCPU host with one OpenBLAS thread (numpy 2.4, Python 3.11).  Around
+those timings two 300^3 GEMMs took 5.7-6.6 ms serially and 4.8-7.1 ms on
+two threads, so products overlapped little.  With nothing else running,
+two lanes lost up to N = 400 (0.62-0.98x), and from N = 450 up they gained
+1.31-1.57x on the split pencils and gave 0.86-1.03x on the solved ones.
+Beside one busy-looping process they gave 0.53-0.96x up to N = 450 and
+0.95-1.00x above.  Where the second vCPU is free, the same two GEMMs took
+3.0 against 5.6 ms and a step at m = n = 300 ran 1.35x faster (measured
+before this threshold existed).  At 2**26 multiply-adds a step with m = n
+and r = N/4 runs on two lanes from N of about 450 up: an ``eta_sweep``
+step (N = 110) stays serial, and every step of an N = 600 or 650 pencil
+runs on two lanes.
 """
 
 from __future__ import annotations
 
 import enum
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import Permutation, SingularMatrixError, lu_factor, sealed
+from .linalg import Permutation, SingularMatrixError, lanes, lu_factor, sealed
 from .sfq import BreakdownError, SfqPencil, bracket_w, dual, q_blocks_of, unit_parts
+
+
+#: Multiply-adds (``N^2 (n + r)``) from which a doubling step runs on two
+#: lanes; see the module docstring for how it was measured.
+LANE_MIN_MULTIPLY_ADDS = 1 << 26
 
 
 class Kernel(enum.Enum):
@@ -61,41 +97,59 @@ def _w_rule(p: SfqPencil, form_w: Callable[[np.ndarray], np.ndarray],
     ``G = (X Q11 - Q21) E = X[:, a] @ E[pi[a]] - Q21 E``,
     ``H = E (Q11 Y + Q12) = E[:, a] @ Y[pi[a]] + E Q12``, ``T = W^{-1} G`` and
     ``S = W^{-1} F`` (one LU); then ``E' = E[:, a] @ E[pi[a]] + H T``,
-    ``X' = X + F T``, ``Y' = Y + H S`` and ``F' = F S``.  Each temporary is
-    dropped once dead, T takes G's storage, and X and Y are added into fresh
-    products in place (``a + b == b + a`` exactly), so one step holds little
-    beyond ``p`` and the next pencil.
+    ``X' = X + F T``, ``Y' = Y + H S`` and ``F' = F S``.
+
+    The phases, each a call of :func:`lanes`: the caller forms and factors W
+    while G and H are shared; the caller solves for T and S while
+    ``E Q11 E`` is shared; then ``E' = E Q11 E + H T`` and X' are shared; then
+    Y' and F'.  T takes G's storage, X and Y are added into fresh products in
+    place (``a + b == b + a`` exactly), and the factors, T and H are dropped
+    once their phases no longer need them, so the factors never meet the
+    products with T: at m = n a step peaks at five m-by-m blocks above ``p``
+    on one lane and six on two, the next pencil's four included.
     """
     pi = q_blocks_of(p)
-    try:
-        factors = lu_factor(form_w(pi))
-    except SingularMatrixError as exc:
-        raise BreakdownError(f"doubling step ({solve} solve)", str(exc)) from exc
     (a, a_to), (b, b_to), (c, c_to), _ = unit_parts(pi, p.m)
-    e_rows = p.E[a_to]                          # Q11 E, less its zero rows
-    g = (e_rows.T @ p.X[:, a].T).T              # X Q11 E, Fortran-ordered for the solve
-    g[c] -= p.E[c_to]                           # - Q21 E
-    t = factors.solve(g, overwrite_b=True)      # T = W^{-1} G, in g's storage
-    del g
-    s = factors.solve(p.F)                      # S = W^{-1} F
-    condition, min_pivot = factors.condition_estimate, factors.min_pivot
-    del factors
-    e_cols = p.E[:, a]
-    h = e_cols @ p.Y[a_to]                      # E Q11 Y
-    h[:, b_to] += p.E[:, b]                     # + E Q12
-    e_next = e_cols @ e_rows                    # E Q11 E
-    del e_cols, e_rows
-    e_next += h @ t
-    x_next = p.F @ t
-    x_next += p.X
-    del t
-    y_next = h @ s
-    y_next += p.Y
-    del h
-    f_next = p.F @ s
+
+    def g_piece() -> np.ndarray:
+        g = (p.E[a_to].T @ p.X[:, a].T).T       # X Q11 E, Fortran-ordered for the solve
+        g[c] -= p.E[c_to]                       # - Q21 E
+        return g
+
+    def h_piece() -> np.ndarray:
+        h = p.E[:, a] @ p.Y[a_to]               # E Q11 Y
+        h[:, b_to] += p.E[:, b]                 # + E Q12
+        return h
+
+    big = (p.m + p.n) ** 2 * (p.n + a.size) >= LANE_MIN_MULTIPLY_ADDS
+    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="qdoubling-step")
+          if big else nullcontext()) as helper:
+        try:
+            factors, (g, h) = lanes(helper, (g_piece, h_piece), lambda: lu_factor(form_w(pi)))
+        except SingularMatrixError as exc:
+            raise BreakdownError(f"doubling step ({solve} solve)", str(exc)) from exc
+        # T = W^{-1} G in g's storage and S = W^{-1} F, beside E Q11 E
+        (t, s), (e_next,) = lanes(helper, (lambda: p.E[:, a] @ p.E[a_to],),
+                                  lambda: (factors.solve(g, overwrite_b=True), factors.solve(p.F)))
+        condition, min_pivot = factors.condition_estimate, factors.min_pivot
+        del factors, g
+        _, (e_next, x_next) = lanes(helper, (lambda: np.add(e_next, h @ t, out=e_next),
+                                             lambda: _product_plus(p.F, t, p.X)))
+        del t
+        held = [h]      # Y' takes H's last reference, so on one lane H is gone before F'
+        del h
+        _, (y_next, f_next) = lanes(helper, (lambda: _product_plus(held.pop(), s, p.Y),
+                                             lambda: p.F @ s))
     sealed(e_next, f_next, x_next, y_next)
     nxt = replace(p, E=e_next, F=f_next, X=x_next, Y=y_next)
     return StepOutcome(nxt, condition, min_pivot, kernel)
+
+
+def _product_plus(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``a @ b + c``, with ``c`` added into the fresh product."""
+    out = a @ b
+    out += c
+    return out
 
 
 def step_w(p: SfqPencil) -> StepOutcome:

@@ -34,12 +34,25 @@ LU factorization
 runs on ``|diag(U)|`` after the factorization, so no warning is raised.  An
 :class:`LUFactors` may be shared across threads: each solve hands LAPACK its
 own copy of the pivot indices.
+
+Two lanes
+---------
+:func:`lanes` runs independent pieces of work on the calling thread and on
+one helper thread, which claim them from one shared queue; numpy and LAPACK
+release the GIL inside each piece.  Each piece is the same call on the same
+operands whichever lane takes it, so its output does not depend on the
+schedule.  The helper runs in a copy of the caller's context, so
+``np.errstate`` holds on both lanes.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+from collections import deque
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 from scipy.linalg.lapack import zgeqrf, zgetrf, zgetrs, zungqr
@@ -318,3 +331,61 @@ def frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128, copy=True)
     out.setflags(write=False)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Two lanes: the calling thread and one helper thread
+# ---------------------------------------------------------------------------
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def lanes(helper: Optional[Executor], pieces: Sequence[Callable[[], T]],
+          own: Optional[Callable[[], R]] = None) -> tuple[Optional[R], list[T]]:
+    """``own()`` and every piece, each run once; returns ``own``'s result and
+    the pieces' results in their order.
+
+    The helper, if given, takes pieces from a shared queue while the calling
+    thread runs ``own`` and then takes pieces too; without a helper the
+    caller runs the pieces, then ``own``.  The caller never waits for a piece
+    the helper has not started: a helper still idle once the queue is empty
+    is cancelled.  If a lane raises, no lane takes a further piece, the
+    helper's current piece ends, and the error is raised; the caller's error
+    wins over the helper's.
+    """
+    queue = deque(enumerate(pieces))     # deque pops are thread-safe
+
+    def lane() -> list:
+        done = []       # a lane's own results, so that nothing outlives the call
+        try:
+            while True:
+                try:
+                    i, piece = queue.popleft()
+                except IndexError:
+                    return done
+                done.append((i, piece()))
+        except BaseException:
+            queue.clear()
+            raise
+
+    helped = None
+    if helper is not None and pieces:
+        helped = helper.submit(contextvars.copy_context().run, lane)
+    try:
+        # alone, the caller takes the pieces first: their temporaries are
+        # gone before own's results exist
+        done = lane() if helper is None else []
+        mine = own() if own is not None else None
+        done += lane()
+    except BaseException:
+        queue.clear()
+        if helped is not None and not helped.cancel():
+            wait([helped])
+        raise
+    if helped is not None and not helped.cancel():
+        done += helped.result()
+    results: list = [None] * len(pieces)
+    for i, value in done:
+        results[i] = value
+    return mine, results

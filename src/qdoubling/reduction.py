@@ -41,12 +41,13 @@ which one wins, and so ``Q1`` / ``Q2``, is a rounding-level choice: any
 change to the order or fusing of the update's arithmetic can flip it.
 
 A step whose update has at least ``LANE_MIN_ENTRIES`` entries (rows times
-N) runs on two lanes, the calling thread and one helper thread, which take
-the (matrix, tile) pieces of the update from one shared queue; numpy
-releases the GIL inside each piece's update and rescan.  A piece reads
+N) runs on two lanes (:func:`~qdoubling.linalg.lanes`), the calling thread
+and one helper thread, which take the (matrix, tile) pieces of the update
+from one shared queue; numpy releases the GIL inside each piece's update
+and rescan, and the helper keeps the caller's ``np.errstate``.  A piece reads
 only the multipliers and the pivot row, fixed before the step, and writes
 only its own tile, so every entry gets the same arithmetic whichever lane
-takes it: the output and ``pivot_growth`` (the maximum of the lanes'
+takes it: the output and ``pivot_growth`` (the maximum of the tiles'
 peaks) are bit-identical at any schedule.  Claiming is dynamic, so a lane
 the OS deschedules on a shared host does not stall the step.  The helper
 belongs to one :func:`reduce_pencil` call and is joined when it returns
@@ -69,9 +70,9 @@ two lanes.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import zip_longest
 from typing import Optional
 
@@ -244,37 +245,24 @@ class _Reducer:
 
         A tile reads only ``mult`` and row ``t``, which no tile writes, and
         writes only itself, so the tiles can go in any order: on a step of
-        at least ``LANE_MIN_ENTRIES`` entries the caller and the helper
-        thread each take tiles from one shared queue until none is left.
+        at least ``LANE_MIN_ENTRIES`` entries they are the pieces of
+        :func:`~qdoubling.linalg.lanes`.
         """
         mult = pivot[rows, t] / pivot[t, t]
-        # deque pops are thread-safe, so each tile is taken exactly once
-        tiles = deque((w, mag, lo) for lo in range(0, mult.size, ELIMINATION_TILE)
-                      for w, mag in ((self.aw, self.mag_a), (self.bw, self.mag_b)))
 
-        def lane() -> float:
-            peak = 0.0
-            while True:
-                try:
-                    w, mag, lo = tiles.popleft()
-                except IndexError:
-                    return peak
-                mult_tile = mult[lo:lo + ELIMINATION_TILE]
-                tile = slice(rows.start + lo, rows.start + lo + mult_tile.size)
-                w[tile] -= np.outer(mult_tile, w[t])
-                if w is pivot:
-                    w[tile, t] = 0.0
-                peak = max(peak, float(np.abs(w[tile], out=mag[tile]).max()))
+        def update(w: np.ndarray, mag: np.ndarray, lo: int) -> float:
+            mult_tile = mult[lo:lo + ELIMINATION_TILE]
+            tile = slice(rows.start + lo, rows.start + lo + mult_tile.size)
+            w[tile] -= np.outer(mult_tile, w[t])
+            if w is pivot:
+                w[tile, t] = 0.0
+            return float(np.abs(w[tile], out=mag[tile]).max())
 
-        if self.helper is not None and mult.size * self.size >= LANE_MIN_ENTRIES:
-            helped = self.helper.submit(lane)
-            try:
-                peak = lane()
-            finally:
-                helper_peak = helped.result()   # the step is whole before anything moves on
-            peak = max(peak, helper_peak)
-        else:
-            peak = lane()
+        tiles = [partial(update, w, mag, lo) for lo in range(0, mult.size, ELIMINATION_TILE)
+                 for w, mag in ((self.aw, self.mag_a), (self.bw, self.mag_b))]
+        laned = self.helper is not None and mult.size * self.size >= LANE_MIN_ENTRIES
+        _, peaks = linalg.lanes(self.helper if laned else None, tiles)
+        peak = max([0.0, *peaks])   # as a running maximum from 0: a NaN peak never wins
         self.growth = max(self.growth, peak / self.scale0)
 
     def a_step(self):

@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -31,3 +33,41 @@ def random_sfq(rng, m, n, scale=0.4, random_q=True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def draining_helper() -> tuple[type, list]:
+    """A one-thread executor stand-in, and the ids of the threads it runs on.
+
+    Its ``submit`` runs the call to its end on a fresh thread before it
+    returns, so a lane handed to it takes every piece before the caller's
+    lane starts.
+    """
+    threads = []
+
+    class Draining:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args, **kwargs) -> Future:
+            future = Future()
+
+            def run():
+                threads.append(threading.get_ident())
+                try:
+                    future.set_result(fn(*args, **kwargs))
+                except BaseException as exc:
+                    future.set_exception(exc)
+
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            return future
+
+    return Draining, threads

@@ -1,9 +1,15 @@
 import gc
+import sys
+import threading
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import qdoubling.doubling
+import qdoubling.linalg
 from qdoubling import (
     BreakdownError,
     Kernel,
@@ -20,9 +26,10 @@ from qdoubling import (
     step_wt,
     swap_perm,
 )
+from qdoubling.sfq import dual
 
 import doubling_reference as ref
-from conftest import complex_normal, random_sfq
+from conftest import complex_normal, draining_helper, random_sfq
 
 
 def scalar_pencil(e, f, x, y, q2=None):
@@ -107,7 +114,7 @@ class TestStepW:
     @pytest.mark.parametrize("kernel", [step_w, step_wt])
     def test_peak_memory_is_a_few_blocks(self, kernel):
         # the next pencil is 4 blocks; each temporary is dropped once used,
-        # so the step peaks near 6 (12 when all were kept to the end)
+        # so a step on one lane peaks near 5 (12 when all were kept to the end)
         p = gen_solved_sfq(m=120, n=120, rho_m=0.5, rho_n=0.5, seed=3).pencil
         gc.collect()
         tracemalloc.start()
@@ -116,7 +123,7 @@ class TestStepW:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * p.E.nbytes
+        assert peak <= 5.5 * p.E.nbytes
 
 
 def assert_same_pencil(got, want):
@@ -208,3 +215,173 @@ class TestCheckStop:
 
     def test_needs_history(self):
         assert not check_stop([], 1.0, 1e-5, StopMode.PLAIN)
+
+
+# ---------------------------------------------------------------------------
+# Two lanes
+# ---------------------------------------------------------------------------
+
+
+def force_step_lanes(monkeypatch, executor=ThreadPoolExecutor) -> list:
+    """Run every doubling step on two lanes; the list grows by one per phase
+    handed to the helper."""
+    phases = []
+
+    class Counting(executor):
+        def submit(self, *args, **kwargs):
+            phases.append(None)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(qdoubling.doubling, "LANE_MIN_MULTIPLY_ADDS", 0)
+    monkeypatch.setattr(qdoubling.doubling, "ThreadPoolExecutor", Counting)
+    return phases
+
+
+def lane_cases():
+    """(name, step) pairs covering m < n, m > n, r = 0, r = m, SDASF1 and SDASF2."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for m, n in ((13, 21), (21, 13)):
+        p = random_sfq(rng, m, n)
+        cases += [(f"step_w {m}x{n}", step_w, p), (f"step_wt {m}x{n}", step_wt, p)]
+    m, n = 9, 16
+    rolled = Permutation(np.roll(np.arange(m + n), -m))     # no 1 of P in Q11: r = 0
+    p = SfqPencil(m=m, n=n, E=complex_normal(rng, m, m, 0.4), F=complex_normal(rng, n, n, 0.4),
+                  X=complex_normal(rng, n, m, 0.4), Y=complex_normal(rng, m, n, 0.4),
+                  Q1=rolled, Q2=Permutation.identity(m + n))
+    cases += [("r = 0", step_w, p), ("r = 0, dual", step_wt, dual(p))]
+    p = random_sfq(rng, 16, 11, random_q=False)                 # Q1 = Q2 = I: r = m
+    cases += [("r = m", step_w, p),
+              ("sdasf1", lambda q: step_sf1(q.E, q.F, q.X, q.Y), p)]
+    n = 14
+    p = SfqPencil(m=n, n=n, E=complex_normal(rng, n, n, 0.4), F=complex_normal(rng, n, n, 0.4),
+                  X=complex_normal(rng, n, n, 0.4) + np.eye(n),
+                  Y=complex_normal(rng, n, n, 0.4) - np.eye(n),
+                  Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n))
+    cases.append(("sdasf2", step_w, p))
+    return cases
+
+
+def singular_w() -> SfqPencil:
+    """Q1 = Q2, X = Y = I: W = I - XY is singular."""
+    return SfqPencil(m=2, n=2, E=np.eye(2), F=np.eye(2), X=np.eye(2), Y=np.eye(2),
+                     Q1=Permutation.identity(4), Q2=Permutation.identity(4))
+
+
+class TestLanes:
+    def test_lanes_give_the_serial_bits(self, monkeypatch):
+        cases = lane_cases()
+        serial = [step(p) for _, step, p in cases]      # every case is below the threshold
+        phases = force_step_lanes(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # the lanes hand the GIL over as often as they can
+        try:
+            laned = [step(p) for _, step, p in cases]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(phases) == 4 * len(cases)
+        for (name, _, _), got, want in zip(cases, laned, serial):
+            assert (got.w_condition, got.w_min_pivot) == (want.w_condition, want.w_min_pivot)
+            for blk in "EFXY":
+                assert getattr(got.next, blk).tobytes() == getattr(want.next, blk).tobytes(), \
+                    (name, blk)
+
+    def test_small_steps_start_no_thread(self, monkeypatch):
+        made = []
+
+        class Counting(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(None)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(qdoubling.doubling, "ThreadPoolExecutor", Counting)
+        for _, step, p in lane_cases():
+            step(p)
+        assert not made
+        monkeypatch.setattr(qdoubling.doubling, "LANE_MIN_MULTIPLY_ADDS", 0)
+        step_w(lane_cases()[0][2])
+        assert made == [None]       # one helper for the whole step
+
+    def test_helper_is_joined_on_return_and_on_breakdown(self, monkeypatch):
+        phases = force_step_lanes(monkeypatch)
+        before = threading.active_count()
+        step_w(random_sfq(np.random.default_rng(2), 6, 7))
+        assert phases and threading.active_count() == before
+        phases.clear()
+        with pytest.raises(BreakdownError):
+            step_w(singular_w())
+        assert phases and threading.active_count() == before
+
+    def test_helper_error_surfaces_in_the_caller(self, monkeypatch):
+        # E near the overflow threshold: G = X Q11 E overflows, W = I - XY does not
+        helper, threads = draining_helper()
+        force_step_lanes(monkeypatch, helper)
+        p = random_sfq(np.random.default_rng(3), 8, 8, random_q=False)
+        p = SfqPencil(m=8, n=8, E=np.full((8, 8), 1e308, dtype=complex), F=p.F, X=p.X,
+                      Y=p.Y, Q1=p.Q1, Q2=p.Q2)
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            step_w(p)       # the helper takes G first, in the caller's error state
+        assert threads and threading.get_ident() not in threads
+        assert threading.active_count() == before
+
+    def test_traced_calls_stay_on_the_calling_thread(self, monkeypatch):
+        helper, threads = draining_helper()     # the helper takes every shared piece
+        force_step_lanes(monkeypatch, helper)
+        seen = {}
+
+        def on_thread(owner, name):
+            call = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, set()).add(threading.get_ident())
+                return call(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("compute_w", "compute_wt", "q_blocks_of", "lu_factor"):
+            on_thread(qdoubling.doubling, name)
+        on_thread(qdoubling.linalg.LUFactors, "solve")
+        for _, step, p in lane_cases():
+            step(p)
+        assert threads and threading.get_ident() not in threads
+        assert seen == {name: {threading.get_ident()} for name in
+                        ("compute_w", "compute_wt", "q_blocks_of", "lu_factor", "solve")}
+
+    def test_peak_memory_on_two_lanes(self, monkeypatch):
+        # the next pencil is 4 blocks of m x m (two basis blocks at m = n), and
+        # the phases hold at most two more: T, S and H beside E' and X' (or
+        # S and H beside the next pencil), never the factors beside the
+        # products with T
+        p = gen_solved_sfq(m=120, n=120, rho_m=0.5, rho_n=0.5, seed=3).pencil
+        force_step_lanes(monkeypatch)
+        factors, alive_at_products = [], []
+        factor, product_plus = qdoubling.doubling.lu_factor, qdoubling.doubling._product_plus
+
+        def tracked_factor(*args, **kwargs):
+            out = factor(*args, **kwargs)
+            factors.append(weakref.ref(out))
+            return out
+
+        def checked_product_plus(*args):
+            alive_at_products.append(any(ref() is not None for ref in factors))
+            return product_plus(*args)
+
+        monkeypatch.setattr(qdoubling.doubling, "lu_factor", tracked_factor)
+        monkeypatch.setattr(qdoubling.doubling, "_product_plus", checked_product_plus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        peaks = []
+        try:
+            for kernel in (step_w, step_wt) * 4:
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    kernel(p)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        finally:
+            sys.setswitchinterval(interval)
+        basis_block = 2 * p.E.nbytes
+        assert max(peaks) <= 4 * p.E.nbytes + 1.25 * basis_block
+        assert len(alive_at_products) == 2 * len(peaks) and not any(alive_at_products)

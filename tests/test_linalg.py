@@ -2,7 +2,11 @@ import gc
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +28,7 @@ from qdoubling.linalg import (
     ROW_BLOCK,
     abs_sums,
     frozen,
+    lanes,
     norm_inf,
     qr_in_place,
     sealed,
@@ -312,3 +317,95 @@ class TestSealed:
             p.X[0, 1] = 1.0
         with pytest.raises(ValueError):
             e[0, 0] = 1.0
+
+
+def in_thread(fn, timeout=60):
+    """``fn()`` on a fresh thread, joined with a timeout; its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive() and out
+    return out[0]
+
+
+class TestLanes:
+    def test_every_piece_runs_once_in_order(self):
+        # four callers with a helper each, eight threads on fewer cores, and
+        # the GIL handed over as often as it can be: a piece claimed twice or
+        # lost would show in the counts or the order of the results
+        def call(k):
+            runs = [0] * 300
+
+            def piece(i):
+                runs[i] += 1
+                return k, i
+
+            pieces = [partial(piece, i) for i in range(300)]
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                for _ in range(20):
+                    mine, results = lanes(helper, pieces, own=lambda: k)
+                    assert mine == k and results == [(k, i) for i in range(300)]
+            return runs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                counts = list(callers.map(call, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [[20] * 300] * 4
+
+    def test_an_idle_helper_is_not_waited_for(self):
+        release = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            blocked = helper.submit(release.wait, 60)    # the helper cannot start a lane
+            try:
+                assert in_thread(lambda: lanes(helper, [lambda: 1, lambda: 2])) == (None, [1, 2])
+                assert not release.is_set()
+            finally:
+                release.set()
+            assert blocked.result(timeout=60)
+
+    @pytest.mark.parametrize("helper_raises", [False, True])
+    def test_the_callers_error_wins_and_the_helper_is_drained(self, helper_raises):
+        started, release = threading.Event(), threading.Event()
+        ran = []
+
+        def slow_helper_piece():
+            started.set()
+            release.wait(60)
+            time.sleep(0.05)
+            ran.append("helper")
+            if helper_raises:
+                raise ValueError("helper")
+
+        def failing_own():
+            started.wait(60)
+            release.set()
+            raise KeyError("caller")
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            with pytest.raises(KeyError):
+                lanes(helper, [slow_helper_piece, lambda: ran.append("other")], own=failing_own)
+            # before the executor's shutdown: the helper's piece ended first,
+            # and no lane took the other
+            assert ran == ["helper"]
+
+    def test_a_helper_error_ends_the_callers_lane(self):
+        raised = threading.Event()
+        ran = []
+
+        def failing_helper_piece():
+            raised.set()
+            raise ValueError("helper")
+
+        def own():
+            raised.wait(60)
+            time.sleep(0.05)    # the helper's lane has ended by now
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            with pytest.raises(ValueError):
+                lanes(helper, [failing_helper_piece, lambda: ran.append("other")], own=own)
+        assert ran == []

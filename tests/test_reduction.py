@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,7 +27,7 @@ from qdoubling import (
 )
 from qdoubling.linalg import SingularMatrixError, solve_transposed
 
-from conftest import complex_normal, random_sfq
+from conftest import complex_normal, draining_helper, random_sfq
 from doubling_reference import assemble
 from ground_truth import cayley_map, known_eigenpairs
 
@@ -402,3 +403,21 @@ class TestLanes:
         steps = force_lanes(monkeypatch)
         assert_failed_attempts_are_freed(monkeypatch)
         assert steps
+
+    def test_helper_keeps_the_callers_error_state(self, monkeypatch):
+        # real entries near the overflow threshold: the first multipliers are
+        # finite, and the first rank-1 update, in the helper's tiles, overflows
+        a = 1e308 * np.random.default_rng(4).uniform(-1, 1, (40, 40))
+        g = GeneralPencil(A=a.astype(complex), B=np.eye(40, dtype=complex), m=20, n=20)
+        helper, threads = draining_helper()
+        monkeypatch.setattr(qdoubling.reduction, "LANE_MIN_ENTRIES", 0)
+        monkeypatch.setattr(qdoubling.reduction, "ThreadPoolExecutor", helper)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                reduce_pencil(g)       # the helper takes every tile, and none warns
+            assert threads
+            threads.clear()
+            with np.errstate(all="ignore", over="raise"), pytest.raises(FloatingPointError):
+                reduce_pencil(g)
+        assert threads and threading.get_ident() not in threads
