@@ -224,8 +224,7 @@ def _cmd_experiment(args) -> int:
     seeds = tuple(int(s) for s in args.seeds.split(",") if s)
     if not seeds:
         raise ValueError("--seeds names no seed")
-    if not args.gamma < 0:
-        raise ValueError("gamma must be negative")
+    CayleyPair.check_gamma(args.gamma)
     out = Path(args.out)
     if args.name == "critical_rate":
         params = {}    # the critical instances have a fixed size and no Cayley step

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -61,10 +62,11 @@ class QdaConfig:
     init_variant: Variant = Variant.A_FIRST
 
     def __post_init__(self):
-        if not self.rtol > 0:
-            raise ValueError("rtol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not 0 < self.rtol < math.inf:
+            raise ValueError("rtol must be positive and finite")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise ValueError("max_iter must be an integer of at least 1")
         if self.tau is not None and not self.tau > 1.0:
             raise ValueError("tau must exceed 1")
 
@@ -240,10 +242,11 @@ def run_sdasfq(p0: SfqPencil | list[SfqPencil], cfg: QdaConfig,
 
     The residual safeguard checks against ``reference`` (see
     :data:`Reference`) when given, and otherwise against ``p0``'s own blocks.
-    ``p0`` may come in a one-element list, which the loop empties, so that a
-    start the caller keeps no other reference to is freed once the first
-    step has replaced it; a plain argument stays referenced by the caller
-    until the call returns.
+    ``p0`` may come in a one-element list, which the loop empties: with a
+    ``reference`` given, as :func:`run_qda` does, a start held nowhere else
+    is then freed once the first step has replaced it.  Without one the start
+    is the safeguard's reference, as a plain argument is the caller's, until
+    the call returns.
     """
     start = p0 if isinstance(p0, list) else [p0]
     m, n = start[0].m, start[0].n

@@ -38,8 +38,7 @@ class CayleyParams:
     gamma: float = -1.0
 
     def __post_init__(self):
-        if not self.gamma < 0:
-            raise ValueError("gamma must be negative")
+        CayleyPair.check_gamma(self.gamma)
 
 
 def cayley(g: GeneralPencil, params: CayleyParams) -> GeneralPencil:

@@ -26,15 +26,15 @@ lower triangular), the B-side top-down (leading m-by-m upper triangular);
 a final scaling by the two triangular inverses produces the exact identity
 blocks.
 
-Each elimination step subtracts one rank-1 update from the rows it changes
-in both working matrices, tile by tile of rows.  The magnitudes ``|A|`` and
-``|B|`` live in two float arrays that are recomputed only on the rows a step
-updated, right after each tile's update, and those rows include every row a
-later pivot window can reach.  The pivot search takes the largest of them
-with ``np.argmax``'s tie rule (from the end of the window on the A side),
-and the pivot growth is the running maximum of the updated rows' peaks over
-the largest initial entry, which is still the maximum over all entries and
-all steps.
+Both matrices live in one N-by-2N working pencil ``[A | B]``, and each
+elimination step subtracts one rank-1 update from the rows it changes, tile
+by tile of rows across both halves.  The magnitudes live in one float array,
+recomputed only on the rows a step updated, right after each tile's update;
+those rows include every row a later pivot window can reach.  The pivot
+search takes the largest of them with ``np.argmax``'s tie rule (from the end
+of the window on the A side), and the pivot growth is the running maximum of
+the updated rows' peaks over the largest initial entry, which is still the
+maximum over all entries and all steps.
 Where two pivot candidates tie to within an ulp (the late steps of
 Cayley-transformed pencils with ``B = I``, whose candidates are all near 2),
 which one wins, and so ``Q1`` / ``Q2``, is a rounding-level choice: any
@@ -42,16 +42,16 @@ change to the order or fusing of the update's arithmetic can flip it.
 
 A step whose update has at least ``LANE_MIN_ENTRIES`` entries (rows times
 N) runs on two lanes (:func:`~qdoubling.linalg.lanes`), the calling thread
-and one helper thread, which take the (matrix, tile) pieces of the update
-from one shared queue; numpy releases the GIL inside each piece's update
-and rescan, and the helper keeps the caller's ``np.errstate``.  A piece reads
-only the multipliers and the pivot row, fixed before the step, and writes
-only its own tile, so every entry gets the same arithmetic whichever lane
-takes it: the output and ``pivot_growth`` (the maximum of the tiles'
-peaks) are bit-identical at any schedule.  Claiming is dynamic, so a lane
-the OS deschedules on a shared host does not stall the step.  The helper
-belongs to one :func:`reduce_pencil` call and is joined when it returns
-or raises; it starts at the first large step only.
+and one helper thread, which take the tiles of the update from one shared
+queue; numpy releases the GIL inside each tile's update and rescan, and the
+helper keeps the caller's ``np.errstate``.  A tile reads only the
+multipliers and the pivot row, fixed before the step, and writes only
+itself, so every entry gets the same arithmetic whichever lane takes it:
+the output and ``pivot_growth`` (the maximum of the tiles' peaks) are
+bit-identical at any schedule.  Claiming is dynamic, so a lane the OS
+deschedules on a shared host does not stall the step.  The helper belongs
+to one :func:`reduce_pencil` call and is joined when it returns or raises;
+it starts at the first large step only.
 
 The threshold was measured by timing one step serially and on two lanes,
 medians of nine alternating repetitions, on split Cayley pencils of
@@ -80,15 +80,15 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-from .linalg import Permutation, as_complex_matrix, sealed
+from .linalg import Permutation, sealed
 from .sfq import BreakdownError, GeneralPencil, SfqPencil
 
 #: Pivot-zero threshold, relative to the largest initial entry magnitude of
 #: the matrix being eliminated.
 PIVOT_TOL = 1e-13
 
-#: Rows per tile of an elimination step: the tiles of both working matrices
-#: and of their magnitudes stay in L2 between the update and the rescan.
+#: Rows per tile of an elimination step: a tile of the working pencil and
+#: of its magnitudes stays in L2 between the update and the rescan.
 ELIMINATION_TILE = 32
 
 #: Entries (rows times N) from which an elimination step's update runs on
@@ -166,33 +166,29 @@ def closed_form_init(g: GeneralPencil, q1: Permutation, q2: Permutation) -> SfqP
 class _Reducer:
     """Shared elimination engine for the three pivoted-reduction ideas.
 
-    Row operations apply to both working matrices (they make up the implicit
-    left factor); column swaps apply to one matrix only and are recorded in
-    its permutation.  A-side steps fix rows from the bottom, B-side steps
-    from the top, so completed rows and columns never move again.
+    Row operations apply to whole rows of the working pencil ``w = [A | B]``
+    (they make up the implicit left factor); a column swap applies to the
+    half at one column offset (0 or N) and is recorded in its permutation.
+    A-side steps fix rows from the bottom, B-side steps from the top, so
+    completed rows and columns never move again.
 
-    ``mag_a`` / ``mag_b`` hold ``|aw|`` / ``|bw|`` on every row a later pivot
-    window can reach.  They do not follow the swaps: a step's update covers
-    all rows between the two completed bands, and their magnitudes are
-    recomputed right after it, so the pivot search and the growth never
-    take a magnitude twice.
+    ``mag`` holds ``|w|`` on every row a later pivot window can reach.  It
+    does not follow the swaps: a step's update covers all rows between the
+    two completed bands, and their magnitudes are recomputed right after it,
+    so the pivot search and the growth never take a magnitude twice.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, m: int, n: int, banded: bool, stage: str,
+    def __init__(self, g: GeneralPencil, banded: bool, stage: str,
                  helper: Optional[Executor] = None):
-        self.m, self.n, self.size = m, n, m + n
+        self.m, self.n, self.size = g.m, g.n, g.size
         self.banded = banded
         self.helper = helper
-        self.aw = as_complex_matrix(a).copy()   # C order: updated rows are contiguous
-        self.bw = as_complex_matrix(b).copy()
-        self.mag_a = np.abs(self.aw)
-        self.mag_b = np.abs(self.bw)
+        self.w = np.concatenate((g.A, g.B), axis=1)   # C order: updated rows are contiguous
+        self.mag = np.abs(self.w)
         self.col_a = np.arange(self.size)
         self.col_b = np.arange(self.size)
-        self.a_done = 0
-        self.b_done = 0
-        peak_a = float(self.mag_a.max())
-        peak_b = float(self.mag_b.max())
+        self.a_done = self.b_done = 0
+        peak_a, peak_b = (float(half.max()) for half in np.hsplit(self.mag, 2))
         self.tol_a = PIVOT_TOL * max(peak_a, 1e-300)
         self.tol_b = PIVOT_TOL * max(peak_b, 1e-300)
         self.scale0 = max(peak_a, peak_b)
@@ -201,14 +197,12 @@ class _Reducer:
 
     def _swap_rows(self, i: int, j: int):
         if i != j:
-            self.aw[[i, j], :] = self.aw[[j, i], :]
-            self.bw[[i, j], :] = self.bw[[j, i], :]
+            self.w[[i, j]] = self.w[[j, i]]
 
-    @staticmethod
-    def _swap_cols(w: np.ndarray, cols: np.ndarray, i: int, j: int):
-        """Swap columns ``i`` and ``j`` of one working matrix and of its record."""
+    def _swap_cols(self, offset: int, cols: np.ndarray, i: int, j: int):
+        """Swap columns ``i`` and ``j`` of the half at ``offset`` and of its record."""
         if i != j:
-            w[:, [i, j]] = w[:, [j, i]]
+            self.w[:, [offset + i, offset + j]] = self.w[:, [offset + j, offset + i]]
             cols[[i, j]] = cols[[j, i]]
 
     @staticmethod
@@ -231,35 +225,34 @@ class _Reducer:
         c = pick(mags[r])
         return r, c, float(mags[r, c])
 
-    def _eliminate(self, rows: slice, t: int, pivot: np.ndarray):
-        """``w[rows] -= outer(pivot[rows, t] / pivot[t, t], w[t])`` for both matrices.
+    def _eliminate(self, rows: slice, t: int, col: int):
+        """``w[rows] -= outer(w[rows, col] / w[t, col], w[t])``, then zero ``w[rows, col]``.
 
-        The update runs over tiles of ``ELIMINATION_TILE`` rows of each
-        matrix, and each tile's magnitudes are recomputed and folded into the
-        growth while the tile is still in cache; every entry gets the same
-        one multiply and subtract as in a single update.  Entries outside
-        ``rows`` were counted when they were last written, so the growth
-        stays the maximum over all entries and all steps.  (Columns that are
-        zero in the pivot row do not change, but whole contiguous rows run
-        through ``np.abs`` faster than the strided rest.)
+        The update runs over tiles of ``ELIMINATION_TILE`` rows of both
+        halves at once, and each tile's magnitudes are recomputed and folded
+        into the growth while the tile is still in cache; every entry gets
+        the same one multiply and subtract as in a single update.  Entries
+        outside ``rows`` were counted when they were last written, so the
+        growth stays the maximum over all entries and all steps.  (Columns
+        that are zero in the pivot row do not change, but whole contiguous
+        rows run through ``np.abs`` faster than the strided rest.)
 
         A tile reads only ``mult`` and row ``t``, which no tile writes, and
         writes only itself, so the tiles can go in any order: on a step of
         at least ``LANE_MIN_ENTRIES`` entries they are the pieces of
         :func:`~qdoubling.linalg.lanes`.
         """
-        mult = pivot[rows, t] / pivot[t, t]
+        w, mag = self.w, self.mag
+        mult = w[rows, col] / w[t, col]
 
-        def update(w: np.ndarray, mag: np.ndarray, lo: int) -> float:
+        def update(lo: int) -> float:
             mult_tile = mult[lo:lo + ELIMINATION_TILE]
             tile = slice(rows.start + lo, rows.start + lo + mult_tile.size)
             w[tile] -= np.outer(mult_tile, w[t])
-            if w is pivot:
-                w[tile, t] = 0.0
+            w[tile, col] = 0.0
             return float(np.abs(w[tile], out=mag[tile]).max())
 
-        tiles = [partial(update, w, mag, lo) for lo in range(0, mult.size, ELIMINATION_TILE)
-                 for w, mag in ((self.aw, self.mag_a), (self.bw, self.mag_b))]
+        tiles = [partial(update, lo) for lo in range(0, mult.size, ELIMINATION_TILE)]
         laned = self.helper is not None and mult.size * self.size >= LANE_MIN_ENTRIES
         _, peaks = linalg.lanes(self.helper if laned else None, tiles)
         peak = max([0.0, *peaks])   # as a running maximum from 0: a NaN peak never wins
@@ -269,38 +262,38 @@ class _Reducer:
         """One bottom-up elimination step on the A side."""
         t = self.size - 1 - self.a_done
         r0 = max(self.b_done, self.m) if self.banded else self.b_done
-        r, c, mag = self._pivot(self.mag_a[r0:t + 1, :t + 1], from_end=True)
+        r, c, mag = self._pivot(self.mag[r0:t + 1, :t + 1], from_end=True)
         if mag <= self.tol_a:
             raise BreakdownError(self.stage, f"A-side pivot {mag:.3e} at step {self.a_done + 1}")
         self._swap_rows(r0 + r, t)
-        self._swap_cols(self.aw, self.col_a, c, t)
-        self._eliminate(slice(0, t), t, self.aw)
+        self._swap_cols(0, self.col_a, c, t)
+        self._eliminate(slice(0, t), t, t)
         self.a_done += 1
 
     def b_step(self):
         """One top-down elimination step on the B side."""
-        t = self.b_done
-        r1 = self.size - 1 - self.a_done
+        t, size = self.b_done, self.size
+        r1 = size - 1 - self.a_done
         if self.banded:
             r1 = min(r1, self.m - 1)
-        r, c, mag = self._pivot(self.mag_b[t:r1 + 1, t:], from_end=False)
+        r, c, mag = self._pivot(self.mag[t:r1 + 1, size + t:], from_end=False)
         if mag <= self.tol_b:
             raise BreakdownError(self.stage, f"B-side pivot {mag:.3e} at step {self.b_done + 1}")
         self._swap_rows(t + r, t)
-        self._swap_cols(self.bw, self.col_b, t + c, t)
-        self._eliminate(slice(t + 1, self.size), t, self.bw)
+        self._swap_cols(size, self.col_b, t + c, t)
+        self._eliminate(slice(t + 1, size), t, size + t)
         self.b_done += 1
 
     def finish(self) -> tuple[SfqPencil, float]:
         """Scale out the two triangular factors and extract the blocks."""
         m = self.m
-        lower = self.aw[m:, m:]
-        upper = self.bw[:m, :m]
+        a, b = np.hsplit(self.w, 2)
+        lower, upper = a[m:, m:], b[:m, :m]
         e0, y0, x0, f0 = sealed(
-            solve_triangular(upper, self.aw[:m, :m], check_finite=False),
-            -solve_triangular(upper, self.bw[:m, m:], check_finite=False),
-            -solve_triangular(lower, self.aw[m:, :m], lower=True, check_finite=False),
-            solve_triangular(lower, self.bw[m:, m:], lower=True, check_finite=False))
+            solve_triangular(upper, a[:m, :m], check_finite=False),
+            -solve_triangular(upper, b[:m, m:], check_finite=False),
+            -solve_triangular(lower, a[m:, :m], lower=True, check_finite=False),
+            solve_triangular(lower, b[m:, m:], lower=True, check_finite=False))
         pencil = SfqPencil(m=m, n=self.n, E=e0, F=f0, X=x0, Y=y0,
                            Q1=Permutation(self.col_a), Q2=Permutation(self.col_b))
         return pencil, self.growth
@@ -320,8 +313,8 @@ def reduce_pencil(g: GeneralPencil, idea: Idea = Idea.IDEA3,
     """Reduce ``g`` to Q-standard form with the requested idea and version."""
     # the helper thread starts at the first large step and is joined on the way out
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="qdoubling-reduction") as helper:
-        red = _Reducer(g.A, g.B, g.m, g.n, banded=idea is Idea.IDEA1,
-                       stage=f"{idea.value} ({variant.value})", helper=helper)
+        red = _Reducer(g, banded=idea is Idea.IDEA1, stage=f"{idea.value} ({variant.value})",
+                       helper=helper)
         for step in _schedule(idea, variant, [red.a_step] * g.n, [red.b_step] * g.m):
             step()
     pencil, growth = red.finish()

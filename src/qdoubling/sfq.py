@@ -107,7 +107,12 @@ class CayleyPair:
     gamma: float
 
     def __post_init__(self):
-        if not -np.inf < self.gamma < 0:
+        self.check_gamma(self.gamma)
+
+    @staticmethod
+    def check_gamma(gamma: float) -> None:
+        """Raise unless ``gamma`` is a valid shift: negative and finite."""
+        if not -np.inf < gamma < 0:
             raise ValueError("gamma must be negative and finite")
 
     def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,11 @@ from qdoubling.sfq import BreakdownError, SfqPencil
 class OuterReducer:
     """Complete-pivoting elimination with ``np.outer`` updates and rescans."""
 
-    def __init__(self, a, b, m, n, banded, stage, helper=None):
-        self.m, self.n, self.size = m, n, m + n
+    def __init__(self, g, banded, stage, helper=None):
+        self.m, self.n, self.size = g.m, g.n, g.size
         self.banded = banded
-        self.aw = np.array(a, dtype=np.complex128)
-        self.bw = np.array(b, dtype=np.complex128)
+        self.aw = np.array(g.A, dtype=np.complex128)
+        self.bw = np.array(g.B, dtype=np.complex128)
         self.col_a = np.arange(self.size)
         self.col_b = np.arange(self.size)
         self.a_done = 0

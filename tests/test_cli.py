@@ -228,10 +228,11 @@ class TestSolve:
         assert alive == [[False, False, False]]
 
     @pytest.mark.parametrize("flag", [("--tau", "0.5"), ("--tau", "nan"), ("--rtol", "0"),
-                                      ("--rtol", "nan"), ("--max-iter", "0"), ("--gamma", "1"),
-                                      ("--gamma=-inf",), ("--algorithm", "bogus"), ("--m", "one")],
-                             ids=["tau", "tau-nan", "rtol", "rtol-nan", "max-iter", "gamma",
-                                  "gamma-inf", "algorithm-bogus", "m-one"])
+                                      ("--rtol", "nan"), ("--rtol", "inf"), ("--max-iter", "0"),
+                                      ("--gamma", "1"), ("--gamma=-inf",), ("--algorithm", "bogus"),
+                                      ("--m", "one")],
+                             ids=["tau", "tau-nan", "rtol", "rtol-nan", "rtol-inf", "max-iter",
+                                  "gamma", "gamma-inf", "algorithm-bogus", "m-one"])
     def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, flag):
         self.write_instance(tmp_path)
         code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),

@@ -344,6 +344,21 @@ class TestRecovery:
         assert [rec.kernel for rec in res.history[2:]] == [switched] * (res.iterations - 2)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan, math.inf])
+    def test_rtol_must_be_positive_and_finite(self, rtol):
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            QdaConfig(rtol=rtol)
+
+    @pytest.mark.parametrize("max_iter", [0, 2.5, 3.0, True, "3"])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            QdaConfig(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_is_accepted(self):
+        assert QdaConfig(max_iter=np.int64(3)).max_iter == 3
+
+
 class TestInvariants:
     def test_primal_and_dual_eigen_invariants_under_iteration(self):
         # after k unguarded steps the pencil still annihilates both

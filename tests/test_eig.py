@@ -41,12 +41,12 @@ class TestCayley:
         np.testing.assert_array_equal(g.B, a - 2.0 * b)
 
     def test_rejects_nonnegative_gamma(self):
-        with pytest.raises(ValueError):
-            CayleyParams(1.0)
+        # the parameters and the pair apply one rule, so a bad gamma fails on construction
         g = GeneralPencil(A=np.eye(2), B=np.eye(2), m=1, n=1)
-        for gamma in (0.0, 1.0, float("nan")):
-            with pytest.raises(ValueError, match="gamma must be negative"):
-                CayleyPair(g, gamma)
+        for gamma in (0.0, 1.0, float("nan"), -float("inf")):
+            for make in (CayleyParams, lambda gamma: CayleyPair(g, gamma)):
+                with pytest.raises(ValueError, match="gamma must be negative and finite"):
+                    make(gamma)
 
     def test_spectral_correctness_on_generator(self):
         gamma = -1.0

@@ -97,17 +97,18 @@ class TestAgainstLoops:
 
     def test_reduction_triangular_solves(self):
         g = cayley(gen_random_split(12, 15, 8.0, 1e-3, seed=3).pencil, CayleyParams(-1.0))
-        red = _Reducer(g.A, g.B, g.m, g.n, banded=False, stage="test")
+        red = _Reducer(g, banded=False, stage="test")
         for step in _schedule(Idea.IDEA3, Variant.A_FIRST, [red.a_step] * g.n, [red.b_step] * g.m):
             step()
         p, _ = red.finish()
         m = g.m
-        lower, upper = red.aw[m:, m:], red.bw[:m, :m]
+        aw, bw = red.w[:, :g.size], red.w[:, g.size:]
+        lower, upper = aw[m:, m:], bw[:m, :m]
         for got, tri, rhs, solver in (
-            (p.E, upper, red.aw[:m, :m], loop_solve_upper),
-            (-p.Y, upper, red.bw[:m, m:], loop_solve_upper),
-            (-p.X, lower, red.aw[m:, :m], loop_solve_lower),
-            (p.F, lower, red.bw[m:, m:], loop_solve_lower),
+            (p.E, upper, aw[:m, :m], loop_solve_upper),
+            (-p.Y, upper, bw[:m, m:], loop_solve_upper),
+            (-p.X, lower, aw[m:, :m], loop_solve_lower),
+            (p.F, lower, bw[m:, m:], loop_solve_lower),
         ):
             ref = solver(tri, rhs)
             bound = 16 * tri.shape[0] * EPS * np.linalg.cond(tri)

@@ -70,7 +70,7 @@ def zero_band() -> GeneralPencil:
 
 def assert_failed_attempts_are_freed(monkeypatch):
     # a failed attempt's traceback holds its frames, and so its reducer
-    # (two N-by-N working matrices and their moduli) and the pencil
+    # (an N-by-2N working pencil and its moduli) and the pencil
     refs = []
     make = qdoubling.reduction._Reducer
 
