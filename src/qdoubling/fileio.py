@@ -2,8 +2,9 @@
 
 Matrices are stored as ``{"rows", "cols", "re", "im"}`` with row-major real
 and imaginary parts; permutations as ``{"size", "image"}`` with 0-based
-indices; any other payload is a ``ValueError``.  Every write makes its
-directory if missing, then goes through a temp file and an atomic rename.
+indices.  Sizes and indices must be JSON integers; any other payload is a
+``ValueError``.  Every write makes its directory if missing, then goes
+through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ def matrix_to_obj(a: np.ndarray) -> dict:
 
 def obj_to_matrix(obj: dict) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = obj["rows"], obj["cols"]
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
     except (KeyError, TypeError):
         raise ValueError('a matrix file must hold {"rows", "cols", "re", "im"}') from None
+    if type(rows) is not int or type(cols) is not int:     # not 2.5 as 2 nor true as 1
+        raise ValueError('a matrix file\'s "rows" and "cols" must be integers')
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(f"matrix payload length {re.size}/{im.size} does not "
                          f"match {rows}x{cols}")
@@ -75,10 +78,12 @@ def write_permutation(path: str | Path, p: Permutation) -> None:
 def read_permutation(path: str | Path) -> Permutation:
     obj = json.loads(Path(path).read_text())
     try:
-        size, image = int(obj["size"]), np.asarray(obj["image"], dtype=np.intp)
+        size, image = obj["size"], list(obj["image"])
     except (KeyError, TypeError):
         raise ValueError('a permutation file must hold {"size", "image"}') from None
-    if image.size != size:
+    if not all(type(k) is int for k in (size, *image)):     # not 1.9 as 1
+        raise ValueError('a permutation file\'s {"size", "image"} must be integers')
+    if len(image) != size:
         raise ValueError("permutation size does not match its image length")
     return Permutation(image)
 

@@ -26,14 +26,16 @@ array may seal it.  Kernels that stream over a tall matrix (:func:`abs_sums`,
 so their temporaries do not grow with the matrix;
 their sums match numpy's whole-array sums to rounding, not bit for bit.
 
-LU factorization
-----------------
+LU and QR factorizations
+------------------------
 :func:`lu_factor` and :meth:`LUFactors.solve` call LAPACK ``zgetrf`` /
 ``zgetrs`` without finiteness checks.  Partial pivoting picks the largest
 ``|Re| + |Im|`` in a column, not the largest modulus.  The singularity test
 runs on ``|diag(U)|`` after the factorization, so no warning is raised.  An
 :class:`LUFactors` may be shared across threads: each solve hands LAPACK its
-own copy of the pivot indices.
+own copy of the pivot indices.  The thin QR is one economic
+``scipy.linalg.qr`` call (``zgeqrf`` and ``zungqr``), its rank test on
+``|diag(R)|``.
 
 Two lanes
 ---------
@@ -55,7 +57,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
-from scipy.linalg.lapack import zgeqrf, zgetrf, zgetrs, zungqr
+from scipy.linalg import qr
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 
 class SingularMatrixError(Exception):
@@ -213,42 +216,22 @@ def thin_qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises :class:`RankDeficientError` when a diagonal entry of ``r`` falls
     below ``SINGULARITY_TOL`` times the largest one.  ``z`` is left as it is.
     """
-    qr, tau = _householder(np.array(as_complex_matrix(z), order="F"))
-    r = np.triu(qr[:qr.shape[1]])
-    return _lapack(zungqr, qr, tau), r
+    return qr_in_place(np.array(as_complex_matrix(z), order="F"))
 
 
-def qr_in_place(a: np.ndarray) -> np.ndarray:
-    """``u`` of :func:`thin_qr` for a tall Fortran-ordered complex array that
-    its maker no longer needs: LAPACK ``zgeqrf`` and ``zungqr`` turn its
-    storage into ``u``, so the matrix and its Q factor are never held at once,
-    and the rank is checked on the factor's diagonal without copying ``r``."""
-    return _lapack(zungqr, *_householder(a))
-
-
-def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK ``zgeqrf`` of ``a`` in its storage (Householder vectors below
-    the diagonal, ``r`` on and above it) and the reflectors' scalars, after
-    the rank check of :func:`thin_qr`."""
+def qr_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`thin_qr` of a tall Fortran-ordered complex array that its maker
+    no longer needs: LAPACK turns its storage into ``u``, so the matrix and
+    its Q factor are never held at once."""
     if a.shape[0] < a.shape[1]:
         raise ValueError(f"thin_qr needs rows >= cols, got {a.shape}")
-    qr, tau = _lapack(zgeqrf, a)
-    diag = np.abs(np.diagonal(qr))
+    u, r = qr(a, overwrite_a=True, mode="economic", check_finite=False)
+    diag = np.abs(np.diagonal(r))
     if diag.size and diag.min() <= SINGULARITY_TOL * max(diag.max(), 1e-300):
         raise RankDeficientError(
             f"rank-deficient matrix: |R| diagonal range [{diag.min():.3e}, {diag.max():.3e}]"
         )
-    return qr, tau
-
-
-def _lapack(routine, *args):
-    """``routine(*args)`` in the storage of its first argument, with the
-    workspace size LAPACK asks for; its outputs before ``work`` and ``info``."""
-    lwork = int(routine(*args, lwork=-1, overwrite_a=True)[-2][0].real)
-    *out, _, info = routine(*args, lwork=lwork, overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
-    return out[0] if len(out) == 1 else tuple(out)
+    return u, r
 
 
 # ---------------------------------------------------------------------------

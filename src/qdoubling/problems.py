@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import Permutation, SingularMatrixError, lu_factor, lu_solve, solve_transposed
-from .sfq import GeneralPencil, SfqPencil, p_y_eye
+from .sfq import GeneralPencil, SfqPencil, _scatter_basis, swap_perm
 
 
 class JordanOverflowError(Exception):
@@ -320,10 +320,11 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> Sol
     q2 = Permutation(rng.permutation(m + n))
     eye_m = np.eye(m, dtype=np.complex128)
     eye_n = np.eye(n, dtype=np.complex128)
-    pi = q1.compose(q2.inverse()).image         # P = Q1 Q2^T
-    g2, k2 = np.split(p_y_eye(pi, psi), [m])    # Q11 Psi + Q12, Q21 Psi + Q22
-    # P^T [I; Phi] = [Q11^T + Q21^T Phi; Q12^T + Q22^T Phi] takes rows pi^-1
-    k1, g1 = np.split(np.vstack([eye_m, phi])[np.argsort(pi)], [m])
+    p = q1.compose(q2.inverse())                # P = Q1 Q2^T
+    # P [Psi; I] = [Q11 Psi + Q12; Q21 Psi + Q22]
+    g2, k2 = np.split(_scatter_basis(p.compose(swap_perm(m, n)).inverse(), psi), [m])
+    # P^T [I; Phi] = [Q11^T + Q21^T Phi; Q12^T + Q22^T Phi]
+    k1, g1 = np.split(_scatter_basis(p, phi), [m])
     e0 = solve_transposed(eye_m - g2 @ n_mat @ g1 @ m_mat, (k1 - psi @ g1) @ m_mat)
     f0 = solve_transposed(eye_n - g1 @ m_mat @ g2 @ n_mat, (k2 - phi @ g2) @ n_mat)
     y0 = psi - e0 @ g2 @ n_mat

@@ -83,10 +83,6 @@ from . import linalg
 from .linalg import Permutation, sealed
 from .sfq import BreakdownError, GeneralPencil, SfqPencil
 
-#: Pivot-zero threshold, relative to the largest initial entry magnitude of
-#: the matrix being eliminated.
-PIVOT_TOL = 1e-13
-
 #: Rows per tile of an elimination step: a tile of the working pencil and
 #: of its magnitudes stays in L2 between the update and the rescan.
 ELIMINATION_TILE = 32
@@ -189,8 +185,8 @@ class _Reducer:
         self.col_b = np.arange(self.size)
         self.a_done = self.b_done = 0
         peak_a, peak_b = (float(half.max()) for half in np.hsplit(self.mag, 2))
-        self.tol_a = PIVOT_TOL * max(peak_a, 1e-300)
-        self.tol_b = PIVOT_TOL * max(peak_b, 1e-300)
+        self.tol_a = linalg.SINGULARITY_TOL * max(peak_a, 1e-300)
+        self.tol_b = linalg.SINGULARITY_TOL * max(peak_b, 1e-300)
         self.scale0 = max(peak_a, peak_b)
         self.growth = 1.0
         self.stage = stage

@@ -10,7 +10,7 @@ classical first standard form, and ``Q1 @ Q2.T`` equal to the block swap
 (with ``m = n``) recovers the second.
 
 ``P = Q1 @ Q2.T = [[Q11, Q12], [Q21, Q22]]`` is kept as its index vector
-``pi`` (``P[i, pi[i]] = 1``): ``P [Y; I]`` is a row gather, and
+``pi`` (``P[i, pi[i]] = 1``): ``P [Y; I]`` is a row scatter, and
 ``[-X, I] P [Y; I]`` one product over the r 1s of ``Q11`` with the other
 unit rows and columns scattered.  Every mirror (Y-side) formula is its primal
 applied to :func:`dual`.
@@ -190,19 +190,6 @@ def bracket_w(x: np.ndarray, y: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return w
 
 
-def p_y_eye(pi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows ``pi`` of ``[y; I]``: ``P [y; I] = [Q11 y + Q12; Q21 y + Q22]``
-    for the whole of ``pi``, its top block for ``pi[:m]``; gathered without
-    stacking ``[y; I]``."""
-    m = y.shape[0]
-    out = np.zeros((pi.size, y.shape[1]), dtype=np.complex128)
-    from_y = pi < m
-    out[from_y] = y[pi[from_y]]
-    from_eye = np.flatnonzero(~from_y)
-    out[from_eye, pi[from_eye] - m] = 1.0
-    return out
-
-
 def _scatter_basis(q: Permutation, block: np.ndarray, order: str = "C") -> np.ndarray:
     """``Q^T [I; block]`` scattered straight into its storage: row ``i`` of
     the stack lands on row ``q.image[i]``."""
@@ -280,8 +267,9 @@ def dual_nme_residual(p0: SfqPencil, y: np.ndarray) -> float:
     normalized by ``max(1, ||Y||_F)``.
     """
     y = as_complex_matrix(y)
-    pi = q_blocks_of(p0)
-    rhs = p0.Y + p0.E @ p_y_eye(pi[:p0.m], y) @ lu_solve(bracket_w(p0.X, y, pi), p0.F)
+    perm = p0.Q1.compose(p0.Q2.inverse())          # P = Q1 Q2^T
+    p_y = _scatter_basis(perm.compose(swap_perm(p0.m, p0.n)).inverse(), y)     # P [y; I]
+    rhs = p0.Y + p0.E @ p_y[:p0.m] @ lu_solve(bracket_w(p0.X, y, perm.image), p0.F)
     return float(np.linalg.norm(y - rhs)) / max(1.0, float(np.linalg.norm(y)))
 
 
@@ -332,9 +320,10 @@ def _operand_order(p: SfqPencil) -> tuple[Permutation, int]:
 
 
 def _basis_rows(z: np.ndarray | SfqPencil, order: Permutation | None) -> np.ndarray:
-    """A fresh Fortran-ordered copy of the basis for :func:`qr_in_place`, its
-    rows gathered by ``order`` when there is one.  A pencil stands for its
-    ``sfq_basis``, scattered straight into that order."""
+    """A fresh Fortran-ordered copy of the basis, which ``scipy.linalg.qr``
+    turns into ``U`` in :func:`qr_in_place`, its rows gathered by ``order``
+    when there is one.  A pencil stands for its ``sfq_basis``, scattered
+    straight into that order."""
     if isinstance(z, SfqPencil):
         return _scatter_basis(z.Q1 if order is None else z.Q1.compose(order.inverse()),
                               z.X, order="F")
@@ -456,7 +445,7 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     underflow.
     """
     order, split = _operand_order(pencil) if isinstance(pencil, SfqPencil) else (None, 0)
-    u = qr_in_place(_basis_rows(z, order))
+    u = qr_in_place(_basis_rows(z, order))[0]     # r goes before the Gram stage
     if isinstance(pencil, SfqPencil):
         ests = _two_est_a(pencil), _two_est_a(dual(pencil))
         products = partial(_sfq_products, pencil, u, order, split)

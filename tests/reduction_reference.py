@@ -10,8 +10,7 @@ schedule of each idea is the library's own.
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from qdoubling.linalg import Permutation
-from qdoubling.reduction import PIVOT_TOL
+from qdoubling.linalg import SINGULARITY_TOL, Permutation
 from qdoubling.sfq import BreakdownError, SfqPencil
 
 
@@ -27,8 +26,8 @@ class OuterReducer:
         self.col_b = np.arange(self.size)
         self.a_done = 0
         self.b_done = 0
-        self.tol_a = PIVOT_TOL * max(float(np.abs(self.aw).max()), 1e-300)
-        self.tol_b = PIVOT_TOL * max(float(np.abs(self.bw).max()), 1e-300)
+        self.tol_a = SINGULARITY_TOL * max(float(np.abs(self.aw).max()), 1e-300)
+        self.tol_b = SINGULARITY_TOL * max(float(np.abs(self.bw).max()), 1e-300)
         self.scale0 = max(float(np.abs(self.aw).max()), float(np.abs(self.bw).max()))
         self.growth = 1.0
         self.stage = stage

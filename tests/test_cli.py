@@ -12,6 +12,7 @@ import qdoubling.driver
 from qdoubling import CayleyPair, Permutation, gen_random_split
 from qdoubling.cli import main
 from qdoubling.fileio import (
+    matrix_to_obj,
     read_matrix,
     read_permutation,
     write_csv,
@@ -54,6 +55,15 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             read_matrix(path)
 
+    @pytest.mark.parametrize("sizes", [{"rows": 2.7}, {"rows": True, "cols": 2}, {"cols": 1.0}],
+                             ids=["rows-2.7", "rows-true", "cols-1.0"])
+    def test_matrix_sizes_must_be_integers(self, tmp_path, sizes):
+        # each of these used to load, its size truncated or a bool read as 1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 1, "re": [1, 2], "im": [0, 0], **sizes}))
+        with pytest.raises(ValueError, match='"rows" and "cols" must be integers'):
+            read_matrix(path)
+
     def test_csv_is_written_whole_with_crlf_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, [["a", "b"], [1, "x,y"], (2.5, "")])
@@ -73,6 +83,17 @@ class TestFileFormats:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match='"size", "image"'):
+            read_permutation(path)
+
+    @pytest.mark.parametrize("payload", [{"size": 3, "image": [0, 1.9, 2]},
+                                         {"size": 2, "image": [True, False]},
+                                         {"size": 2.0, "image": [1, 0]}],
+                             ids=["image-1.9", "image-bools", "size-2.0"])
+    def test_permutation_entries_must_be_integers(self, tmp_path, payload):
+        # each of these used to load: [0, 1.9, 2] as the identity
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="must be integers"):
             read_permutation(path)
 
     def test_write_makes_a_missing_directory(self, tmp_path):
@@ -248,6 +269,17 @@ class TestSolve:
                      "--m", "4", "--n", "5", "--out", str(tmp_path / "sol")])
         assert_one_error_line(code, capsys, tmp_path / "sol")
 
+    @pytest.mark.parametrize("cols", [True, 9.5], ids=["cols-true", "cols-9.5"])
+    def test_matrix_size_not_an_integer_is_one_error_line(self, tmp_path, capsys, cols):
+        # a 9.5 used to be read as the 9 columns the file holds
+        inst = self.write_instance(tmp_path)
+        (tmp_path / "B.json").write_text(json.dumps({**matrix_to_obj(inst.pencil.B),
+                                                     "cols": cols}))
+        code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
+                     "--matrix-b", str(tmp_path / "B.json"),
+                     "--m", "4", "--n", "5", "--out", str(tmp_path / "sol")])
+        assert "must be integers" in assert_one_error_line(code, capsys, tmp_path / "sol")
+
     def test_out_naming_a_file_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def never(*args):
             raise AssertionError("--out is checked before any input is read or solved")
@@ -306,16 +338,19 @@ class TestResidualCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["nres1"] <= 1e-12 and out["nres2"] <= 1e-13
 
+    # at rows-7.5 the file's full-rank 7-by-3 basis used to load, 7.5 read as 7
     @pytest.mark.parametrize("files", [{"B": 2 * np.eye(7)}, {"Z": np.ones((7, 3))},
-                                       {"Z": [1, 2]}],
-                             ids=["b-not-identity", "rank-deficient", "array-file"])
+                                       {"Z": [1, 2]},
+                                       {"Z": {"rows": 7.5, "cols": 3, "im": [0.0] * 21,
+                                              "re": np.eye(7, 3).ravel().tolist()}}],
+                             ids=["b-not-identity", "rank-deficient", "array-file", "rows-7.5"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, files):
         inst = gen_random_split(m=3, n=4, alpha=8.0, eta=1.0, seed=2)
         files = {"A": inst.pencil.A, "Z": inst.true_basis_stable, **files}
         args = ["residual"]
         for name, payload in files.items():
             path = tmp_path / f"{name}.json"
-            if isinstance(payload, list):
+            if isinstance(payload, (list, dict)):
                 path.write_text(json.dumps(payload))
             else:
                 write_matrix(path, payload)

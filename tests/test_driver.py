@@ -59,6 +59,17 @@ class TestRunQda:
         assert scaled.status is RunStatus.CONVERGED
         assert scaled.iterations == base.iterations
 
+    def test_a_singular_safeguard_never_converges(self):
+        # against B = 0 the safeguard's Gram matrix (B U)^H B U is zero and
+        # cannot be factored, so every iterate the stopping test passes is
+        # rejected, and the run that converges on its own ends at the limit
+        p0 = gen_solved_sfq(4, 5, 0.5, 0.5, seed=1).pencil
+        own = run_sdasfq(p0, QdaConfig(max_iter=12))
+        assert own.status is RunStatus.CONVERGED and own.iterations < 12
+        zero_b = GeneralPencil(A=np.eye(9), B=np.zeros((9, 9)), m=4, n=5)
+        res = run_sdasfq(p0, QdaConfig(max_iter=12), reference=zero_b)
+        assert res.status is RunStatus.MAX_ITER and res.iterations == 12
+
     def test_decoupled_diagonal_converges_fast(self):
         g = GeneralPencil(A=np.diag([0.5, 2.0]), B=np.eye(2), m=1, n=1)
         res = run_qda(g, QdaConfig())

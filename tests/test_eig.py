@@ -127,6 +127,14 @@ class TestNres:
         with pytest.raises(RankDeficientError):
             nres2(np.eye(6), np.hstack([col, col]))
 
+    def test_singular_r_is_rank_deficient(self):
+        # R's diagonal passes thin_qr's rank test, but R's last pivot is below
+        # the LU's singularity threshold relative to ||R||_inf = 1e14 + 1
+        z = np.array([[1.0, 1e14], [0.0, 1.0], [0.0, 0.0]])
+        thin_qr(z)
+        with pytest.raises(RankDeficientError, match="basis is numerically rank deficient"):
+            nres1(np.eye(3), z)
+
     def test_requires_identity_b(self, rng):
         g = GeneralPencil(A=complex_normal(rng, 4, 4),
                           B=complex_normal(rng, 4, 4), m=2, n=2)

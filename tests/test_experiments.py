@@ -6,7 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qdoubling.experiments
-from qdoubling import Permutation, QdaResult, RunStatus, SfqPencil
+from qdoubling import (
+    GeneralPencil,
+    Permutation,
+    QdaConfig,
+    QdaResult,
+    RunStatus,
+    SfqPencil,
+    run_sdasf1_on,
+)
 from qdoubling.experiments import FAILED, METRIC_ROWS, RunRow, _measure, bse_like, pivot_table
 
 
@@ -111,6 +119,16 @@ class TestMeasure:
         row = self.measured(np.diag([1e20, 1.0]))
         assert row.norm_x_fro == 1e20
         assert math.isnan(row.nres1) and math.isnan(row.nres2)
+
+    def test_a_run_without_a_final_pencil_gives_a_nan_row_and_failed_cells(self):
+        # with B's first m columns zero, SF1's closed-form start is singular
+        a, b = np.eye(4), np.diag([0.0, 0.0, 1.0, 1.0])
+        result = run_sdasf1_on(GeneralPencil(A=a, B=b, m=2, n=2), QdaConfig())
+        assert result.final is None
+        row = _measure("x", "sdasf1", "seed=1", 1, a, result, 0.5)
+        assert (row.status, row.iterations, row.cpu_seconds) == ("breakdown", 0, 0.5)
+        assert all(map(math.isnan, (row.norm_x_fro, row.nres1, row.nres2)))
+        assert [line[2] for line in pivot_table([row])[1:]] == [FAILED] * len(METRIC_ROWS)
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(h, z):
