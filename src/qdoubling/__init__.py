@@ -34,7 +34,6 @@ from .eig import (
     cayley,
     nres1,
     nres2,
-    rho_gamma,
     solve_halfplane,
 )
 from .guard import (
@@ -86,7 +85,6 @@ from .sfq import (
     dual,
     dual_nme_residual,
     orthonormal_residual,
-    primal_eig_residual,
     primal_nme_residual,
     q_blocks_of,
     sfq_basis,

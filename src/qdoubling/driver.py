@@ -162,9 +162,10 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
     that no caller keeps is freed once the first step has replaced it.
     ``advance(p, kernel)`` makes one step.  With a ``tau``, the guard keeps
     X and Y under it, and a breakdown is met by one re-reduction, then one
-    kernel switch, before it ends the run; ``tau`` None is the classical
-    loop, with neither.  A non-finite start ends the run before any step,
-    and a non-finite block or norm later ends it as a breakdown.
+    kernel switch, before it ends the run; a failed re-reduction inside the
+    guard ends it at once.  ``tau`` None is the classical loop, with
+    neither.  A non-finite start ends the run before any step, and a
+    non-finite block or norm later ends it as a breakdown.
     """
     p = start.pop()
     if not _all_finite(p):
@@ -205,7 +206,13 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
             message = f"non-finite iterate at iteration {it}"
             break
         if tau is not None:
-            accepted, greport = guard(outcome.next, tau)
+            try:
+                accepted, greport = guard(outcome.next, tau)
+            except BreakdownError as exc:
+                # the guard's own re-reduction failed: nothing is left to try
+                status = RunStatus.BREAKDOWN
+                message = f"iteration {it}: guard re-reduction: {exc}"
+                break
         else:
             accepted, greport = outcome.next, GuardReport()
         with np.errstate(over="ignore"):    # an overflowing norm ends the run below

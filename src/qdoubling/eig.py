@@ -10,14 +10,15 @@ driver the pencil's :class:`~qdoubling.sfq.CayleyPair`, which is formed
 densely only while the pencil is reduced.
 
 Also provides the two normalized residual metrics for standard eigenproblems
-(``B = I``): the raw one scaled by the magnitude of the computed X block,
-and the conditioning-robust one evaluated on an orthonormalized basis.
+(``B = I``): the raw one scaled by the magnitude of the computed X block
+(finite and at least 0), and the conditioning-robust one evaluated on an
+orthonormalized basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -46,21 +47,6 @@ def cayley(g: GeneralPencil, params: CayleyParams) -> GeneralPencil:
     return CayleyPair(g, params.gamma).pencil()
 
 
-def rho_gamma(stable_eigs: Sequence[complex], anti_stable_eigs: Sequence[complex],
-              gamma: float) -> float:
-    """Worst-case contraction factor of the transformed doubling iteration.
-
-    ``max(|gamma - lam| / |gamma + lam|)`` over the stable eigenvalues and
-    ``max(|gamma + lam| / |gamma - lam|)`` over the anti-stable ones.
-    """
-    worst = 0.0
-    for lam in stable_eigs:
-        worst = max(worst, abs(gamma - lam) / abs(gamma + lam))
-    for lam in anti_stable_eigs:
-        worst = max(worst, abs(gamma + lam) / abs(gamma - lam))
-    return worst
-
-
 def _standard_matrix(h) -> np.ndarray:
     if isinstance(h, GeneralPencil):
         if not np.array_equal(h.B, np.eye(h.size)):
@@ -76,9 +62,12 @@ def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
     block Rayleigh quotient ``M = (Z^H Z)^{-1} Z^H H Z`` and the 2-norms
     replaced by their sqrt(one*inf) estimates.  ``x_norm`` is the Frobenius
     norm of the trailing X block when the basis came from the solver;
-    otherwise ``||Z||_F`` is used.  The ``max(1, .)`` floor keeps the metric
-    finite for exactly decoupled problems where X = 0.
+    otherwise ``||Z||_F`` is used, and a given one must be finite and at
+    least 0.  The ``max(1, .)`` floor keeps the metric finite for exactly
+    decoupled problems where X = 0.
     """
+    if x_norm is not None and not 0.0 <= x_norm < np.inf:
+        raise ValueError(f"x_norm must be finite and at least 0, got {x_norm}")
     hm = _standard_matrix(h)
     z = as_complex_matrix(z)
     hz = hm @ z

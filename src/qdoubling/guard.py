@@ -118,7 +118,8 @@ def guard(p: SfqPencil, tau: float) -> tuple[SfqPencil, GuardReport]:
     """Apply swap actions (then, if needed, one re-reduction) until no entry
     of X or Y exceeds ``tau``.
 
-    At most ``m + n`` swaps are made before the re-reduction.  Returns the
+    At most ``m + n`` swaps are made before the re-reduction, whose failure
+    raises :class:`~qdoubling.sfq.BreakdownError`.  Returns the
     possibly updated pencil and a report of what was done.  A still-violating
     pencil after escalation is returned as best effort.
     Each action's ``max_before`` is the magnitude of the violation it fixes

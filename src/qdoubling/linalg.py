@@ -246,12 +246,14 @@ class Permutation:
     image: np.ndarray
 
     def __post_init__(self):
-        img = np.asarray(self.image, dtype=np.intp)
+        img = np.asarray(self.image)
         if img.ndim != 1:
             raise ValueError("permutation image must be a 1-D index vector")
+        if img.size and img.dtype.kind not in "iu":     # not 0.7 as 0, nor True as 1
+            raise ValueError(f"permutation image entries must be integers, not {img.dtype}")
+        img = img.astype(np.intp)
         if not np.array_equal(np.sort(img), np.arange(img.size)):
             raise ValueError("permutation image is not a bijection on {0..n-1}")
-        img = img.copy()
         img.setflags(write=False)
         object.__setattr__(self, "image", img)
 

@@ -71,7 +71,7 @@ class CriticalSpec:
         for size, omega in self.blocks:
             if size < 1:
                 raise ValueError("block sizes must be at least 1")
-            if abs(abs(omega) - 1.0) > 1e-14:
+            if not abs(abs(omega) - 1.0) <= 1e-14:     # NaN is not on it
                 raise ValueError(f"omega = {omega} is not on the unit circle")
         if not (0.0 < self.rho_stable < 1.0 and 0.0 < self.rho_anti < 1.0):
             raise ValueError("rho_stable and rho_anti must lie in (0, 1)")

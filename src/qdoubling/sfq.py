@@ -28,7 +28,7 @@ basis is kept in a row order in which the operands of ``A_i U`` and
 (:class:`CayleyPair`) share one loop over a few dozen rows at a time; a bare
 matrix ``H`` stands for ``(H, I)``.  The products are made one block of rows
 at a time, twice, so the safeguard holds the orthonormal basis, two m-by-m
-arrays and one block of rows; :func:`primal_eig_residual` streams them once.
+arrays and one block of rows.
 """
 
 from __future__ import annotations
@@ -233,20 +233,6 @@ def dual(p: SfqPencil) -> SfqPencil:
 # ---------------------------------------------------------------------------
 # Residual functionals
 # ---------------------------------------------------------------------------
-
-
-def primal_eig_residual(p: SfqPencil, x: np.ndarray, mpow: np.ndarray) -> float:
-    """Residual of ``A_i Q1^T [I; X] = B_i Q1^T [I; X] M`` for a supplied M.
-
-    Normalized by ``max(1, ||[I; X]||_F)``.  The products stream through the
-    safeguard's :func:`_sfq_products`, so beside the basis (scattered once
-    into :func:`_operand_order`) only one block of rows is held.
-    """
-    x, mpow = as_complex_matrix(x), as_complex_matrix(mpow)
-    order, split = _operand_order(p)
-    v = _scatter_basis(p.Q1.compose(order.inverse()), x, order="F")
-    sq = sum(_sq_norm(au - bu @ mpow) for bu, au in _sfq_products(p, v, order, split))
-    return math.sqrt(sq) / max(1.0, math.sqrt(p.m + _sq_norm(x)))
 
 
 def primal_nme_residual(p0: SfqPencil, x: np.ndarray) -> float:

@@ -27,7 +27,6 @@ from qdoubling import (
     jordan_power,
     nres1,
     nres2,
-    primal_eig_residual,
     reduce_pencil,
     reduce_with_fallback,
     run_qda,
@@ -44,7 +43,7 @@ from qdoubling.reduction import Idea, Variant
 
 import doubling_reference as ref
 from conftest import NO_GUARD, random_sfq
-from ground_truth import cayley_map, known_eigenpairs
+from ground_truth import cayley_map, known_eigenpairs, primal_eig_residual
 
 EPS = float(np.finfo(np.float64).eps)
 

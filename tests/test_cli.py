@@ -87,10 +87,12 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("payload", [{"size": 3, "image": [0, 1.9, 2]},
                                          {"size": 2, "image": [True, False]},
-                                         {"size": 2.0, "image": [1, 0]}],
-                             ids=["image-1.9", "image-bools", "size-2.0"])
+                                         {"size": 2.0, "image": [1, 0]},
+                                         {"size": 2, "image": [0, 10**23]}],
+                             ids=["image-1.9", "image-bools", "size-2.0", "image-past-intp"])
     def test_permutation_entries_must_be_integers(self, tmp_path, payload):
-        # each of these used to load: [0, 1.9, 2] as the identity
+        # each of these but the last used to load: [0, 1.9, 2] as the identity;
+        # the last raised OverflowError, which the CLI does not catch
         path = tmp_path / "p.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="must be integers"):
@@ -145,6 +147,11 @@ class TestGen:
         code = main(["gen", "--family", family, *flag, "--out", str(out)])
         err = assert_one_error_line(code, capsys, out)
         assert flag[0].removeprefix("--").replace("-", "_") in err
+
+    def test_nan_omega_is_off_the_unit_circle(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        code = main(["gen", "--family", "critical", "--blocks", "2:nan", "--out", str(out)])
+        assert "is not on the unit circle" in assert_one_error_line(code, capsys, out)
 
     def test_malformed_block_names_the_item_and_the_form(self, tmp_path, capsys):
         assert main(["gen", "--family", "critical", "--blocks", "2:1+0j;3",
@@ -356,6 +363,16 @@ class TestResidualCommand:
                 write_matrix(path, payload)
             args += [{"A": "--matrix-a", "B": "--matrix-b", "Z": "--basis"}[name], str(path)]
         assert_one_error_line(main(args), capsys)
+
+    @pytest.mark.parametrize("x_norm", ["--x-norm=inf", "--x-norm=nan", "--x-norm=-1"])
+    def test_x_norm_must_be_finite_and_nonnegative(self, tmp_path, capsys, x_norm):
+        # each used to print a residual and exit 0, inf as "nres1": 0.0
+        inst = gen_random_split(m=3, n=4, alpha=8.0, eta=1.0, seed=2)
+        write_matrix(tmp_path / "A.json", inst.pencil.A)
+        write_matrix(tmp_path / "Z.json", inst.true_basis_stable)
+        code = main(["residual", "--matrix-a", str(tmp_path / "A.json"),
+                     "--basis", str(tmp_path / "Z.json"), x_norm])
+        assert "x_norm must be finite" in assert_one_error_line(code, capsys)
 
 
 class TestExperimentCommand:

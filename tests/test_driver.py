@@ -1,4 +1,5 @@
 import gc
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -22,6 +23,7 @@ from qdoubling import (
     QdaConfig,
     RunStatus,
     SfqPencil,
+    StepOutcome,
     cayley,
     dual,
     gen_bse_like,
@@ -41,7 +43,7 @@ from qdoubling import (
     step,
 )
 
-from conftest import NO_GUARD, complex_normal
+from conftest import NO_GUARD, complex_normal, random_sfq
 from doubling_reference import assemble
 
 
@@ -353,6 +355,32 @@ class TestRecovery:
         assert len(kernels) > 3 and kernels[3:] == [switched] * (len(kernels) - 3)
         assert res.status is RunStatus.CONVERGED
         assert [rec.kernel for rec in res.history[2:]] == [switched] * (res.iterations - 2)
+
+    def test_failed_guard_reinit_is_a_breakdown(self, monkeypatch):
+        # the second step returns test_escalates_to_reinit's pencil, which is
+        # still over tau = 1.05 after all m + n swaps, so the guard re-reduces;
+        # that re-reduction fails, and the run ends with no further recovery
+        steps, step_ = [], qdoubling.driver.step
+        forced = random_sfq(np.random.default_rng(4), 3, 3, scale=1.0)
+
+        def forced_step(p, kernel=None):
+            steps.append(kernel)
+            if len(steps) == 2:
+                return StepOutcome(next=forced, w_condition=1.0, w_min_pivot=1.0, kernel=kernel)
+            return step_(p, kernel)
+
+        def failing_reinit(*args):
+            raise BreakdownError("initialization", "all reduction attempts failed")
+
+        monkeypatch.setattr(qdoubling.driver, "step", forced_step)
+        monkeypatch.setattr(importlib.import_module("qdoubling.guard"), "reinit", failing_reinit)
+        res = run_sdasfq(random_sfq(np.random.default_rng(5), 3, 3, scale=0.1),
+                         QdaConfig(tau=1.05))
+        assert res.status is RunStatus.BREAKDOWN
+        assert res.message == ("iteration 2: guard re-reduction: breakdown in "
+                               "initialization: all reduction attempts failed")
+        assert len(steps) == 2 and res.iterations == 1
+        assert res.final is res.history[0].pencil
 
 
 class TestConfig:

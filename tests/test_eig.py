@@ -17,14 +17,13 @@ from qdoubling import (
     gen_random_split,
     nres1,
     nres2,
-    rho_gamma,
     run_qda,
     solve_halfplane,
     thin_qr,
 )
 
 from conftest import complex_normal
-from ground_truth import cayley_map, known_eigenpairs
+from ground_truth import cayley_map, known_eigenpairs, rho_gamma
 
 
 class TestCayley:
@@ -134,6 +133,14 @@ class TestNres:
         thin_qr(z)
         with pytest.raises(RankDeficientError, match="basis is numerically rank deficient"):
             nres1(np.eye(3), z)
+
+    @pytest.mark.parametrize("x_norm", [np.inf, np.nan, -1.0])
+    def test_x_norm_must_be_finite_and_nonnegative(self, x_norm):
+        # inf used to give a residual of 0.0, nan and -1 a scale of 1
+        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        z = np.eye(3, 1) + 0.1
+        with pytest.raises(ValueError, match="x_norm must be finite and at least 0"):
+            nres1(a, z, x_norm=x_norm)
 
     def test_requires_identity_b(self, rng):
         g = GeneralPencil(A=complex_normal(rng, 4, 4),

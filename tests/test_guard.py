@@ -15,6 +15,7 @@ from qdoubling import (
 )
 
 from conftest import random_sfq
+from ground_truth import primal_eig_residual
 
 
 def with_block(p, name, value):
@@ -90,7 +91,7 @@ class TestActions:
         # the assembled pencils before and after share the same row space:
         # after the action, P (A S^T, B) holds for some nonsingular P, so the
         # generalized eigen-relations survive; we check with a prescribed pair
-        from qdoubling import gen_solved_sfq, primal_eig_residual
+        from qdoubling import gen_solved_sfq
 
         inst = gen_solved_sfq(m=3, n=4, rho_m=0.5, rho_n=0.5, seed=6)
         p = inst.pencil

@@ -283,6 +283,18 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(np.array([0, 0, 1]))
 
+    # each image but the last used to be read as an index vector: [0.7, 1.2]
+    # as [0, 1], the bools as [1, 0]; the last raised OverflowError
+    @pytest.mark.parametrize("image", [[0.7, 1.2], [True, False], np.array([1.0, 0.0]),
+                                       [0, 10**23]],
+                             ids=["fractions", "bools", "float-array", "past-intp"])
+    def test_rejects_an_image_of_non_integers(self, image):
+        with pytest.raises(ValueError, match="permutation image entries must be integers"):
+            Permutation(image)
+
+    def test_empty_image_is_the_empty_permutation(self):
+        assert Permutation([]) == Permutation.identity(0)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=30), st.randoms(use_true_random=False))
     def test_compose_matches_matrix_product(self, n, pyrandom):

@@ -12,7 +12,7 @@ from qdoubling import (
 )
 from qdoubling.problems import jordan_block
 
-from ground_truth import gamma_block, ground_truth_residual, known_eigenpairs
+from ground_truth import gamma_block, ground_truth_residual, known_eigenpairs, primal_eig_residual
 
 
 class TestRandomSplit:
@@ -184,10 +184,16 @@ class TestCritical:
             CriticalSpec(m_prime=1, n_prime=1, blocks=((1, 1.5 + 0j),),
                          rho_stable=0.3, rho_anti=0.3)
 
+    def test_rejects_nan_omega(self):
+        # used to pass here and fail later, in the pencil's finite check
+        with pytest.raises(ValueError, match="is not on the unit circle"):
+            CriticalSpec(m_prime=1, n_prime=1, blocks=((1, complex("nan")),),
+                         rho_stable=0.3, rho_anti=0.3)
+
 
 class TestSolvedSfq:
     def test_solution_is_exact(self):
-        from qdoubling import primal_eig_residual, primal_nme_residual
+        from qdoubling import primal_nme_residual
         inst = gen_solved_sfq(m=5, n=6, rho_m=0.6, rho_n=0.7, seed=11)
         assert primal_nme_residual(inst.pencil, inst.phi) <= 1e-12
         assert primal_eig_residual(inst.pencil, inst.phi, inst.m_mat) <= 1e-13

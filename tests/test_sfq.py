@@ -19,7 +19,6 @@ from qdoubling import (
     dual_nme_residual,
     gen_random_split,
     gen_solved_sfq,
-    primal_eig_residual,
     primal_nme_residual,
     q_blocks_of,
     sfq_basis,
@@ -31,7 +30,7 @@ from qdoubling.sfq import CAYLEY_ROWS, orthonormal_residual
 
 from conftest import complex_normal, random_sfq
 from doubling_reference import assemble, perm_matrix
-from ground_truth import known_eigenpairs
+from ground_truth import known_eigenpairs, primal_eig_residual
 
 
 class TestAssemble:
