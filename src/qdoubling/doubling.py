@@ -197,11 +197,11 @@ class StopMode(enum.Enum):
 
 def check_stop(diffs: Sequence[float], x_norm: float, rtol: float,
                mode: StopMode = StopMode.KAHAN) -> bool:
-    """Decide termination from the update-norm history.
+    """Decide termination from the last two update norms.
 
-    ``diffs`` holds ``||X_i - X_{i-1}||_F`` in order.  The plain rule needs
-    one difference; the Kahan rule needs two and a strictly positive
-    denominator, falling back to the plain rule otherwise.
+    ``diffs`` ends with ``||X_i - X_{i-1}||_F``; the driver passes its last
+    two records' norms.  The plain rule reads the last; the Kahan rule reads
+    both and needs a strictly positive denominator, else it falls back.
     """
     if not diffs:
         return False

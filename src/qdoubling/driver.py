@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -35,7 +34,7 @@ import numpy as np
 from .doubling import (Kernel, StepOutcome, StopMode, check_stop, select_kernel, step,
                        step_sf1, step_w)
 from .guard import GuardReport, default_tau, guard
-from .linalg import Permutation, RankDeficientError, SingularMatrixError
+from .linalg import Permutation, RankDeficientError, SingularMatrixError, check_count
 from .reduction import Idea, InitReport, Variant, closed_form_init, reduce_with_fallback, reinit
 from .sfq import (
     BreakdownError,
@@ -64,9 +63,7 @@ class QdaConfig:
     def __post_init__(self):
         if not 0 < self.rtol < math.inf:
             raise ValueError("rtol must be positive and finite")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 1):
-            raise ValueError("max_iter must be an integer of at least 1")
+        check_count(self.max_iter, "max_iter")
         if self.tau is not None and not self.tau > 1.0:
             raise ValueError("tau must exceed 1")
 
@@ -163,22 +160,20 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
     ``advance(p, kernel)`` makes one step.  With a ``tau``, the guard keeps
     X and Y under it, and a breakdown is met by one re-reduction, then one
     kernel switch, before it ends the run; a failed re-reduction inside the
-    guard ends it at once.  ``tau`` None is the classical loop, with
-    neither.  A non-finite start ends the run before any step, and a
-    non-finite block or norm later ends it as a breakdown.
+    guard ends it at once.  Each re-reduction starts from the config's idea
+    and variant, and no recovery spends an iteration.  ``tau`` None is the
+    classical loop, with neither.  A non-finite start ends the run before
+    any step, and a non-finite block or norm later ends it as a breakdown.
     """
     p = start.pop()
     if not _all_finite(p):
         return _no_start("non-finite start pencil")
-    diffs: list[float] = []
     history: list[IterationRecord] = []
     status = RunStatus.MAX_ITER
     message = ""
-    recover = tau is not None
     reinit_used = kernel_switched = False
-    it = 0
-    while it < cfg.max_iter:
-        it += 1
+    while len(history) < cfg.max_iter:
+        it = len(history) + 1
         kernel = select_kernel(p.m, p.n)
         if kernel_switched:
             kernel = Kernel.WTILDE if kernel is Kernel.W else Kernel.W
@@ -186,17 +181,15 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
             outcome = advance(p, kernel)
         except BreakdownError as exc:
             # Recovery policy: one re-reduction, then one kernel switch.
-            if recover and not reinit_used:
+            if tau is not None and not reinit_used:
                 reinit_used = True
                 try:
                     p = reinit(p, cfg.init_idea, cfg.init_variant).pencil
-                    it -= 1
                     continue
                 except BreakdownError:
                     pass
-            if recover and not kernel_switched:
+            if tau is not None and not kernel_switched:
                 kernel_switched = True
-                it -= 1
                 continue
             status = RunStatus.BREAKDOWN
             message = f"iteration {it}: {exc}"
@@ -207,7 +200,7 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
             break
         if tau is not None:
             try:
-                accepted, greport = guard(outcome.next, tau)
+                accepted, greport = guard(outcome.next, tau, cfg.init_idea, cfg.init_variant)
             except BreakdownError as exc:
                 # the guard's own re-reduction failed: nothing is left to try
                 status = RunStatus.BREAKDOWN
@@ -231,11 +224,10 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
             kernel=outcome.kernel, guard_events=greport, pencil=accepted,
         ))
         del outcome     # after a guard action, the unguarded pencil goes before the next step
-        diffs.append(delta)
         p = accepted
         if greport.acted:
             continue  # coordinates changed; the update norm is not comparable
-        if check_stop(diffs, norm_x, cfg.rtol, cfg.stop_mode):
+        if check_stop([rec.abs_update_x for rec in history[-2:]], norm_x, cfg.rtol, cfg.stop_mode):
             if _safeguard_ok(p, cfg.rtol, reference):
                 status = RunStatus.CONVERGED
                 break
@@ -256,8 +248,7 @@ def run_sdasfq(p0: SfqPencil | list[SfqPencil], cfg: QdaConfig,
     the call returns.
     """
     start = p0 if isinstance(p0, list) else [p0]
-    m, n = start[0].m, start[0].n
-    return _iterate(start, cfg, step, cfg.tau_for(m, n),
+    return _iterate(start, cfg, step, cfg.tau_for(start[0].m, start[0].n),
                     start[0] if reference is None else reference)
 
 

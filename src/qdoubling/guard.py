@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import SINGULARITY_TOL, sealed
-from .reduction import reinit
+from .linalg import SINGULARITY_TOL, check_count, sealed
+from .reduction import Idea, Variant, reinit
 from .sfq import SfqPencil, dual
 
 
@@ -28,8 +28,8 @@ class ZeroPivotError(Exception):
 
 def default_tau(m: int, n: int) -> float:
     """Entry-magnitude cap ``max(1e3, 10 * sqrt(n * m + 1))``."""
-    if m < 1 or n < 1:
-        raise ValueError("block sizes must be at least 1")
+    check_count(m, "m")
+    check_count(n, "n")
     return max(1.0e3, 10.0 * float(np.sqrt(float(n) * float(m) + 1.0)))
 
 
@@ -114,14 +114,16 @@ def action_y(p: SfqPencil, j: int, ell: int) -> SfqPencil:
     return dual(_swap_x(dual(p), j, ell, "Y"))
 
 
-def guard(p: SfqPencil, tau: float) -> tuple[SfqPencil, GuardReport]:
+def guard(p: SfqPencil, tau: float, idea: Idea = Idea.IDEA3,
+          variant: Variant = Variant.A_FIRST) -> tuple[SfqPencil, GuardReport]:
     """Apply swap actions (then, if needed, one re-reduction) until no entry
     of X or Y exceeds ``tau``.
 
-    At most ``m + n`` swaps are made before the re-reduction, whose failure
-    raises :class:`~qdoubling.sfq.BreakdownError`.  Returns the
-    possibly updated pencil and a report of what was done.  A still-violating
-    pencil after escalation is returned as best effort.
+    At most ``m + n`` swaps are made before the re-reduction, which
+    :func:`~qdoubling.reduction.reinit` starts from ``idea`` and ``variant``
+    and whose failure raises :class:`~qdoubling.sfq.BreakdownError`.  Returns
+    the possibly updated pencil and a report of what was done.  A
+    still-violating pencil after escalation is returned as best effort.
     Each action's ``max_before`` is the magnitude of the violation it fixes
     and its ``max_after`` that of the next violation, so X and Y are scanned
     once per action; only a pencil left compliant needs one more max scan.
@@ -147,7 +149,7 @@ def guard(p: SfqPencil, tau: float) -> tuple[SfqPencil, GuardReport]:
         actions.append(GuardAction(kind=kind, pivot=(fixed.row, fixed.col),
                                    max_before=fixed.magnitude, max_after=after))
     if violation is not None:
-        report = reinit(current)
+        report = reinit(current, idea, variant)
         current = report.pencil
         actions.append(GuardAction(kind="reinit", pivot=None, max_before=violation.magnitude,
                                    max_after=max(report.max_abs_x, report.max_abs_y)))

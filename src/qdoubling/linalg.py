@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 from collections import deque
 from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
@@ -85,6 +86,12 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
+
+
+def check_count(value, name: str, least: int = 1) -> None:
+    """Raise unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 #: Rows per block in the kernels that stream over a tall matrix, so that no

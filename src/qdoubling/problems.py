@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import Permutation, SingularMatrixError, lu_factor, lu_solve, solve_transposed
+from .linalg import Permutation, SingularMatrixError, check_count, lu_factor, solve_transposed
 from .sfq import GeneralPencil, SfqPencil, _scatter_basis, swap_perm
 
 
@@ -64,13 +64,12 @@ class CriticalSpec:
     rho_anti: float
 
     def __post_init__(self):
-        if self.m_prime < 0 or self.n_prime < 0:
-            raise ValueError("m_prime and n_prime must be nonnegative")
+        check_count(self.m_prime, "m_prime", least=0)
+        check_count(self.n_prime, "n_prime", least=0)
         if not self.blocks:
             raise ValueError("at least one circle block is required")
         for size, omega in self.blocks:
-            if size < 1:
-                raise ValueError("block sizes must be at least 1")
+            check_count(size, "block size")
             if not abs(abs(omega) - 1.0) <= 1e-14:     # NaN is not on it
                 raise ValueError(f"omega = {omega} is not on the unit circle")
         if not (0.0 < self.rho_stable < 1.0 and 0.0 < self.rho_anti < 1.0):
@@ -103,6 +102,8 @@ def gen_random_split(m: int, n: int, alpha: float, eta: float, seed: int) -> Pro
     ``U[:, :m]`` then has an increasingly ill-conditioned leading block as
     ``eta`` shrinks.
     """
+    check_count(m, "m")
+    check_count(n, "n")
     if not 2 < alpha < math.inf:
         raise ValueError("alpha must be finite and exceed 2 to keep the split away from the axis")
     if not 0 < eta < math.inf:
@@ -145,8 +146,7 @@ def gen_bse_like(n: int, gap_scale: float, seed: int,
     eigenvectors nearly vertical, i.e. the classical basis form nearly
     inadmissible.  No ground-truth spectra are recorded.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_count(n, "n")
     if not 0 < gap_scale < math.inf:
         raise ValueError("gap_scale must be positive and finite")
     if not math.isfinite(coupling_scale):
@@ -174,9 +174,7 @@ def gen_bse_like(n: int, gap_scale: float, seed: int,
 
 
 def jordan_block(p: int, omega: complex) -> np.ndarray:
-    j = np.eye(p, dtype=np.complex128) * omega
-    j += np.diag(np.ones(p - 1), 1) if p > 1 else 0.0
-    return j
+    return np.eye(p, dtype=np.complex128) * omega + np.eye(p, k=1)
 
 
 def jordan_power(p: int, omega: complex, i: int) -> np.ndarray:
@@ -186,9 +184,9 @@ def jordan_power(p: int, omega: complex, i: int) -> np.ndarray:
     Raises :class:`JordanOverflowError` if any coefficient magnitude would
     exceed 1e300.
     """
-    if p < 1 or i < 0:
-        raise ValueError("need p >= 1 and i >= 0")
-    power = 2 ** i
+    check_count(p, "p")
+    check_count(i, "i", least=0)
+    power = 2 ** int(i)     # a numpy integer would wrap from i = 63 on
     gammas = np.zeros(p, dtype=np.complex128)
     for j in range(1, min(p, power + 1) + 1):      # binom(2^i, j-1) = 0 beyond
         term = complex(math.comb(power, j - 1)) * omega ** (power - j + 1)
@@ -259,16 +257,14 @@ def gen_critical(spec: CriticalSpec, seed: int) -> ProblemInstance:
     jb[m:m + np_, m:m + np_] = n_stb
     p = _well_conditioned(rng, size)
     u = _well_conditioned(rng, size)
-    a = solve_transposed(u, lu_solve(p, ja))
-    b = solve_transposed(u, lu_solve(p, jb))
+    p_lu = lu_factor(p)     # one factorization serves both blocks
+    a, b = (solve_transposed(u, p_lu.solve(j)) for j in (ja, jb))
     true_m = np.zeros((m, m), dtype=np.complex128)
     true_m[:mp, :mp] = m_stb
     true_m[mp:, mp:] = j1
     circle = np.concatenate([np.full(2 * sz, om, dtype=np.complex128)
                              for sz, om in spec.blocks])
-    anti = np.array([], dtype=np.complex128)
-    if np_:
-        anti = 1.0 / np.diag(n_stb)
+    anti = 1.0 / np.diag(n_stb)
     pencil = GeneralPencil(A=a, B=b, m=m, n=n)
     return ProblemInstance(
         pencil=pencil, seed=seed,
@@ -302,6 +298,8 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> Sol
     with O(1) constants, which makes the instance suitable for measuring
     asymptotic convergence rates.
     """
+    check_count(m, "m")
+    check_count(n, "n")
     if not (0 < rho_m and 0 < rho_n and rho_m * rho_n < 1):
         raise ValueError("need rho_m * rho_n < 1")
     rng = np.random.default_rng([seed])
@@ -318,15 +316,13 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> Sol
     n_mat = _diagonal_radius(n, rho_n)
     q1 = Permutation(rng.permutation(m + n))
     q2 = Permutation(rng.permutation(m + n))
-    eye_m = np.eye(m, dtype=np.complex128)
-    eye_n = np.eye(n, dtype=np.complex128)
     p = q1.compose(q2.inverse())                # P = Q1 Q2^T
     # P [Psi; I] = [Q11 Psi + Q12; Q21 Psi + Q22]
     g2, k2 = np.split(_scatter_basis(p.compose(swap_perm(m, n)).inverse(), psi), [m])
     # P^T [I; Phi] = [Q11^T + Q21^T Phi; Q12^T + Q22^T Phi]
     k1, g1 = np.split(_scatter_basis(p, phi), [m])
-    e0 = solve_transposed(eye_m - g2 @ n_mat @ g1 @ m_mat, (k1 - psi @ g1) @ m_mat)
-    f0 = solve_transposed(eye_n - g1 @ m_mat @ g2 @ n_mat, (k2 - phi @ g2) @ n_mat)
+    e0 = solve_transposed(np.eye(m) - g2 @ n_mat @ g1 @ m_mat, (k1 - psi @ g1) @ m_mat)
+    f0 = solve_transposed(np.eye(n) - g1 @ m_mat @ g2 @ n_mat, (k2 - phi @ g2) @ n_mat)
     y0 = psi - e0 @ g2 @ n_mat
     x0 = phi - f0 @ g1 @ m_mat
     pencil = SfqPencil(m=m, n=n, E=e0, F=f0, X=x0, Y=y0, Q1=q1, Q2=q2)

@@ -44,6 +44,7 @@ from .linalg import (
     Permutation,
     abs_sums,
     as_complex_matrix,
+    check_count,
     frozen,
     lu_factor,
     lu_solve,
@@ -72,14 +73,14 @@ class GeneralPencil:
     n: int
 
     def __post_init__(self):
+        check_count(self.m, "m")
+        check_count(self.n, "n")
         a = frozen(self.A)
         b = frozen(self.B)
         if a.shape != b.shape or a.shape[0] != a.shape[1]:
             raise ValueError(f"pencil matrices must be square and equal: {a.shape} vs {b.shape}")
         if self.m + self.n != a.shape[0]:
             raise ValueError(f"m + n = {self.m + self.n} does not match size {a.shape[0]}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("both split sizes must be at least 1")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("pencil matrices contain non-finite entries")
         object.__setattr__(self, "A", a)
@@ -142,6 +143,8 @@ class SfqPencil:
 
     def __post_init__(self):
         m, n = self.m, self.n
+        check_count(m, "m")
+        check_count(n, "n")
         for name, mat, shape in (
             ("E", self.E, (m, m)),
             ("F", self.F, (n, n)),

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as CI runs the suite: numpy and scipy each bundle an
+# OpenBLAS, and their thread pools slow each other down at the default
+# counts.  Set before numpy loads; a value the caller exported is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import math
 import threading
 from concurrent.futures import Future

@@ -18,12 +18,14 @@ from qdoubling import (
     CayleyPair,
     CayleyParams,
     GeneralPencil,
+    Idea,
     Kernel,
     Permutation,
     QdaConfig,
     RunStatus,
     SfqPencil,
     StepOutcome,
+    Variant,
     cayley,
     dual,
     gen_bse_like,
@@ -316,13 +318,14 @@ class TestRecovery:
 
     M, N = 6, 7
 
-    def forced_breakdown(self, monkeypatch, reinit_fails):
+    def forced_breakdown(self, monkeypatch, reinit_fails, cfg=QdaConfig(), breaking=(3,)):
+        """Run with ``driver.step`` raising at the calls numbered in ``breaking``."""
         kernels, reinits = [], []
         step_, reinit_ = qdoubling.driver.step, qdoubling.driver.reinit
 
         def failing_step(p, kernel=None):
             kernels.append(kernel)
-            if len(kernels) == 3:
+            if len(kernels) in breaking:
                 raise BreakdownError("doubling step (W solve)", "forced")
             return step_(p, kernel)
 
@@ -335,7 +338,7 @@ class TestRecovery:
         monkeypatch.setattr(qdoubling.driver, "step", failing_step)
         monkeypatch.setattr(qdoubling.driver, "reinit", counted_reinit)
         g = gen_random_split(m=self.M, n=self.N, alpha=8.0, eta=1e-2, seed=3).pencil
-        res = run_qda(CayleyPair(g, -1.0), QdaConfig())
+        res = run_qda(CayleyPair(g, -1.0), cfg)
         return res, kernels, len(reinits)
 
     def test_breakdown_is_met_by_one_reinit(self, monkeypatch):
@@ -356,11 +359,30 @@ class TestRecovery:
         assert res.status is RunStatus.CONVERGED
         assert [rec.kernel for rec in res.history[2:]] == [switched] * (res.iterations - 2)
 
+    @pytest.mark.parametrize("reinit_fails", [False, True])
+    def test_a_recovery_spends_no_iteration(self, monkeypatch, reinit_fails):
+        # the broken third step is made again after the re-reduction or the
+        # kernel switch, and the run still makes all max_iter steps
+        res, kernels, reinits = self.forced_breakdown(monkeypatch, reinit_fails,
+                                                      QdaConfig(max_iter=4))
+        assert reinits == 1 and len(kernels) == 5
+        assert res.status is RunStatus.MAX_ITER
+        assert [rec.index for rec in res.history] == [1, 2, 3, 4]
+
+    def test_a_run_whose_every_recovery_fails_ends_at_the_broken_step(self, monkeypatch):
+        res, kernels, reinits = self.forced_breakdown(monkeypatch, reinit_fails=True,
+                                                      breaking=(3, 4))
+        assert reinits == 1 and len(kernels) == 4
+        assert res.status is RunStatus.BREAKDOWN
+        assert res.message == "iteration 3: breakdown in doubling step (W solve): forced"
+        assert [rec.index for rec in res.history] == [1, 2]
+
     def test_failed_guard_reinit_is_a_breakdown(self, monkeypatch):
         # the second step returns test_escalates_to_reinit's pencil, which is
-        # still over tau = 1.05 after all m + n swaps, so the guard re-reduces;
-        # that re-reduction fails, and the run ends with no further recovery
-        steps, step_ = [], qdoubling.driver.step
+        # still over tau = 1.05 after all m + n swaps, so the guard re-reduces
+        # from the run's idea and variant; that re-reduction fails, and the
+        # run ends with no further recovery
+        steps, reinits, step_ = [], [], qdoubling.driver.step
         forced = random_sfq(np.random.default_rng(4), 3, 3, scale=1.0)
 
         def forced_step(p, kernel=None):
@@ -369,13 +391,15 @@ class TestRecovery:
                 return StepOutcome(next=forced, w_condition=1.0, w_min_pivot=1.0, kernel=kernel)
             return step_(p, kernel)
 
-        def failing_reinit(*args):
+        def failing_reinit(p, *args):
+            reinits.append(args)
             raise BreakdownError("initialization", "all reduction attempts failed")
 
         monkeypatch.setattr(qdoubling.driver, "step", forced_step)
         monkeypatch.setattr(importlib.import_module("qdoubling.guard"), "reinit", failing_reinit)
         res = run_sdasfq(random_sfq(np.random.default_rng(5), 3, 3, scale=0.1),
-                         QdaConfig(tau=1.05))
+                         QdaConfig(tau=1.05, init_idea=Idea.IDEA1, init_variant=Variant.B_FIRST))
+        assert reinits == [(Idea.IDEA1, Variant.B_FIRST)]
         assert res.status is RunStatus.BREAKDOWN
         assert res.message == ("iteration 2: guard re-reduction: breakdown in "
                                "initialization: all reduction attempts failed")
