@@ -260,7 +260,7 @@ def _cmd_residual(args) -> int:
     z = read_matrix(args.basis)
     if args.matrix_b is not None:
         b = read_matrix(args.matrix_b)
-        if not np.array_equal(b, np.eye(b.shape[0], dtype=complex)):
+        if not np.array_equal(b, np.eye(a.shape[0])):
             raise ValueError("residual metrics need B = I")
     print(json.dumps({"nres1": nres1(a, z, x_norm=args.x_norm), "nres2": nres2(a, z)}))
     return 0

@@ -127,16 +127,13 @@ def critical_rate(seeds: Sequence[int] = (2,),
         t0 = time.perf_counter()
         result = run_qda(inst.pencil, QdaConfig())
         elapsed = time.perf_counter() - t0
-        errs = []
-        z = inst.true_basis_stable
-        for rec in result.history:
-            qz = z[rec.pencil.Q1.image, :]
-            phi = solve_transposed(qz[:inst.pencil.m], qz[inst.pencil.m:])
-            errs.append(float(np.linalg.norm(rec.pencil.X - phi)))
         per_iter = []
-        for idx, rec in enumerate(result.history):
-            ratio = errs[idx] / errs[idx - 1] if idx else float("nan")
-            per_iter.append({"i": rec.index, "errX": errs[idx],
+        for rec in result.history:
+            qz = inst.true_basis_stable[rec.pencil.Q1.image, :]
+            phi = solve_transposed(qz[:inst.pencil.m], qz[inst.pencil.m:])
+            err = float(np.linalg.norm(rec.pencil.X - phi))
+            ratio = err / per_iter[-1]["errX"] if per_iter else float("nan")
+            per_iter.append({"i": rec.index, "errX": err,
                              "errRatio": ratio, "wMinPivot": rec.w_min_pivot})
         tables.append({"seed": seed, "status": result.status.value,
                        "iterations": result.iterations,

@@ -2,7 +2,8 @@
 
 Matrices are stored as ``{"rows", "cols", "re", "im"}`` with row-major real
 and imaginary parts; permutations as ``{"size", "image"}`` with 0-based
-indices.  Sizes and indices must be JSON integers; any other payload is a
+indices.  Sizes and indices must be JSON integers, sizes at least 0, and
+``re``/``im`` flat lists of JSON numbers; any other payload is a
 ``ValueError``.  Every write makes its directory if missing, then goes
 through a temp file and an atomic rename.
 """
@@ -46,13 +47,18 @@ def matrix_to_obj(a: np.ndarray) -> dict:
 
 def obj_to_matrix(obj: dict) -> np.ndarray:
     try:
-        rows, cols = obj["rows"], obj["cols"]
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
+        rows, cols, parts = obj["rows"], obj["cols"], (obj["re"], obj["im"])
     except (KeyError, TypeError):
         raise ValueError('a matrix file must hold {"rows", "cols", "re", "im"}') from None
-    if type(rows) is not int or type(cols) is not int:     # not 2.5 as 2 nor true as 1
-        raise ValueError('a matrix file\'s "rows" and "cols" must be integers')
+    if not all(type(k) is int and k >= 0 for k in (rows, cols)):     # not 2.5 as 2 nor true as 1
+        raise ValueError('a matrix file\'s "rows" and "cols" must be integers of at least 0')
+    # not true as 1, "1.5" as 1.5, a bare 5 as [5] nor [[1]] as [1]
+    if not all(type(p) is list and all(type(v) in (int, float) for v in p) for p in parts):
+        raise ValueError('a matrix file\'s "re" and "im" must be flat lists of numbers')
+    try:
+        re, im = (np.array(p, dtype=np.float64) for p in parts)
+    except OverflowError:       # an integer past the float64 range
+        raise ValueError("matrix file contains non-finite entries") from None
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(f"matrix payload length {re.size}/{im.size} does not "
                          f"match {rows}x{cols}")

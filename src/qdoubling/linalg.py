@@ -230,8 +230,8 @@ def qr_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`thin_qr` of a tall Fortran-ordered complex array that its maker
     no longer needs: LAPACK turns its storage into ``u``, so the matrix and
     its Q factor are never held at once."""
-    if a.shape[0] < a.shape[1]:
-        raise ValueError(f"thin_qr needs rows >= cols, got {a.shape}")
+    if not 0 < a.shape[1] <= a.shape[0]:     # no empty basis reaches LAPACK
+        raise ValueError(f"thin_qr needs 1 <= cols <= rows, got shape {a.shape}")
     u, r = qr(a, overwrite_a=True, mode="economic", check_finite=False)
     diag = np.abs(np.diagonal(r))
     if diag.size and diag.min() <= SINGULARITY_TOL * max(diag.max(), 1e-300):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import block_diag, toeplitz
 
 from .linalg import Permutation, SingularMatrixError, check_count, lu_factor, solve_transposed
 from .sfq import GeneralPencil, SfqPencil, _scatter_basis, swap_perm
@@ -180,7 +181,9 @@ def jordan_block(p: int, omega: complex) -> np.ndarray:
 def jordan_power(p: int, omega: complex, i: int) -> np.ndarray:
     """Closed-form ``J_p(omega) ** (2**i)`` (upper-triangular Toeplitz).
 
-    The first superdiagonal coefficients are ``binom(2^i, j-1) * omega**(2^i-j+1)``.
+    Entry ``(k, k + j - 1)`` is ``binom(2^i, j-1) * omega**(2^i-j+1)``; the
+    result is ``scipy.linalg.toeplitz`` of a first column that is zero below
+    its diagonal entry and a first row of these coefficients.
     Raises :class:`JordanOverflowError` if any coefficient magnitude would
     exceed 1e300.
     """
@@ -194,22 +197,25 @@ def jordan_power(p: int, omega: complex, i: int) -> np.ndarray:
             raise JordanOverflowError(
                 f"entry {j} of J_{p}({omega})^{power} exceeds 1e300")
         gammas[j - 1] = term
-    out = np.zeros((p, p), dtype=np.complex128)
-    for j in range(p):
-        out[np.arange(p - j), np.arange(j, p)] = gammas[j]
-    return out
+    # both arguments: toeplitz(gammas) alone would conjugate the lower triangle
+    return toeplitz(np.concatenate([gammas[:1], np.zeros(p - 1)]), gammas)
+
+
+def _on_circle(rng: np.random.Generator, size: int, radius: float, low: float) -> np.ndarray:
+    """``size`` values with moduli in ``radius * [low, 1)``, the first exactly
+    ``radius``, and uniform phases; the moduli are drawn before the phases."""
+    moduli = radius * (low + (1 - low) * rng.random(size))
+    moduli[:1] = radius
+    return moduli * np.exp(2j * np.pi * rng.random(size))
 
 
 def _random_triangular_with_radius(rng: np.random.Generator, size: int,
                                    radius: float) -> np.ndarray:
-    """Upper triangular with spectral radius exactly ``radius`` (if size > 0)."""
-    if size == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    moduli = radius * (0.3 + 0.7 * rng.random(size))
-    moduli[0] = radius
-    phases = np.exp(2j * np.pi * rng.random(size))
-    t = 0.3 * np.triu(_complex_normal(rng, size, size), 1)
-    return t + np.diag(moduli * phases)
+    """Upper triangular with spectral radius exactly ``radius`` (if size > 0):
+    an :func:`_on_circle` diagonal with moduli in ``radius * [0.3, 1)``, then
+    a strict upper part of 0.3 times complex normal entries."""
+    diag = _on_circle(rng, size, radius, 0.3)
+    return 0.3 * np.triu(_complex_normal(rng, size, size), 1) + np.diag(diag)
 
 
 def _well_conditioned(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -239,38 +245,23 @@ def gen_critical(spec: CriticalSpec, seed: int) -> ProblemInstance:
     size = m + n
     m_stb = _random_triangular_with_radius(rng, mp, spec.rho_stable)
     n_stb = _random_triangular_with_radius(rng, np_, spec.rho_anti)
-    j1_blocks = [jordan_block(sz, om) for sz, om in spec.blocks]
-    j1 = np.zeros((n0, n0), dtype=np.complex128)
-    gamma0 = np.zeros((n0, n0), dtype=np.complex128)
-    at = 0
-    for (sz, _), blk in zip(spec.blocks, j1_blocks):
-        j1[at:at + sz, at:at + sz] = blk
-        gamma0[at + sz - 1, at] = 1.0
-        at += sz
-    ja = np.zeros((size, size), dtype=np.complex128)
-    ja[:mp, :mp] = m_stb
-    ja[mp:m, mp:m] = j1
-    ja[mp:m, m + np_:] = gamma0
-    ja[m:m + np_, m:m + np_] = np.eye(np_)
-    ja[m + np_:, m + np_:] = j1
-    jb = np.eye(size, dtype=np.complex128)
-    jb[m:m + np_, m:m + np_] = n_stb
+    j1 = block_diag(*(jordan_block(sz, om) for sz, om in spec.blocks))
+    true_m = block_diag(m_stb, j1)
+    ja = block_diag(true_m, np.eye(np_), j1)
+    sizes = np.array([sz for sz, _ in spec.blocks])
+    ends = np.cumsum(sizes)
+    ja[mp + ends - 1, m + np_ + ends - sizes] = 1.0     # the corners e_{m_j} e_1^T
+    jb = block_diag(np.eye(m), n_stb, np.eye(n0))
     p = _well_conditioned(rng, size)
     u = _well_conditioned(rng, size)
     p_lu = lu_factor(p)     # one factorization serves both blocks
     a, b = (solve_transposed(u, p_lu.solve(j)) for j in (ja, jb))
-    true_m = np.zeros((m, m), dtype=np.complex128)
-    true_m[:mp, :mp] = m_stb
-    true_m[mp:, mp:] = j1
-    circle = np.concatenate([np.full(2 * sz, om, dtype=np.complex128)
-                             for sz, om in spec.blocks])
-    anti = 1.0 / np.diag(n_stb)
-    pencil = GeneralPencil(A=a, B=b, m=m, n=n)
     return ProblemInstance(
-        pencil=pencil, seed=seed,
+        pencil=GeneralPencil(A=a, B=b, m=m, n=n), seed=seed,
         true_basis_stable=u[:, :m].copy(), true_m=true_m,
-        stable_eigs=np.diag(m_stb).copy(), anti_stable_eigs=anti,
-        circle_eigs=circle, basis_full=u,
+        stable_eigs=np.diag(m_stb).copy(), anti_stable_eigs=1.0 / np.diag(n_stb),
+        circle_eigs=np.repeat([complex(om) for _, om in spec.blocks], 2 * sizes),
+        basis_full=u,
     )
 
 
@@ -305,15 +296,8 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> Sol
     rng = np.random.default_rng([seed])
     phi = 0.3 * _complex_normal(rng, n, m) / np.sqrt(m)
     psi = 0.3 * _complex_normal(rng, m, n) / np.sqrt(n)
-
-    def _diagonal_radius(size: int, radius: float) -> np.ndarray:
-        moduli = radius * (0.4 + 0.6 * rng.random(size))
-        moduli[0] = radius
-        phases = np.exp(2j * np.pi * rng.random(size))
-        return np.diag(moduli * phases)
-
-    m_mat = _diagonal_radius(m, rho_m)
-    n_mat = _diagonal_radius(n, rho_n)
+    m_mat = np.diag(_on_circle(rng, m, rho_m, 0.4))
+    n_mat = np.diag(_on_circle(rng, n, rho_n, 0.4))
     q1 = Permutation(rng.permutation(m + n))
     q2 = Permutation(rng.permutation(m + n))
     p = q1.compose(q2.inverse())                # P = Q1 Q2^T

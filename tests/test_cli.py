@@ -23,11 +23,12 @@ from qdoubling.fileio import (
 from conftest import complex_normal
 
 
-def assert_one_error_line(code, capsys, out=None):
-    """Exit code 1, one ``error:`` line and no traceback on stderr, and no
-    ``out`` directory made; returns the line."""
-    err = capsys.readouterr().err
-    assert code == 1
+def assert_one_error_line(code, capture, out=None):
+    """Exit code 1, nothing on stdout, one ``error:`` line and no traceback on
+    stderr, and no ``out`` directory made; returns the line.  ``capture`` is
+    ``capsys``, or ``capfd`` where a library might print from C."""
+    stdout, err = capture.readouterr()
+    assert code == 1 and stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert out is None or not out.exists()
@@ -55,13 +56,38 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             read_matrix(path)
 
-    @pytest.mark.parametrize("sizes", [{"rows": 2.7}, {"rows": True, "cols": 2}, {"cols": 1.0}],
-                             ids=["rows-2.7", "rows-true", "cols-1.0"])
+    @pytest.mark.parametrize("sizes", [{"rows": 2.7}, {"rows": True, "cols": 2}, {"cols": 1.0},
+                                       {"rows": -2, "cols": -1}],
+                             ids=["rows-2.7", "rows-true", "cols-1.0", "negative"])
     def test_matrix_sizes_must_be_integers(self, tmp_path, sizes):
-        # each of these used to load, its size truncated or a bool read as 1
+        # each of these used to load, its size truncated or a bool read as 1;
+        # the negative pair got numpy's reshape message
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"rows": 2, "cols": 1, "re": [1, 2], "im": [0, 0], **sizes}))
         with pytest.raises(ValueError, match='"rows" and "cols" must be integers'):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("payload", [{"re": [True, False]}, {"re": ["1.5", "2"]},
+                                         {"rows": 1, "re": 5, "im": 0},
+                                         {"rows": 1, "re": [[1]], "im": [[0]]},
+                                         {"im": None}],
+                             ids=["bools", "strings", "bare-number", "nested", "null"])
+    def test_matrix_entries_must_be_flat_lists_of_numbers(self, tmp_path, payload):
+        # each of these but the last used to load: [true, false] as [1, 0],
+        # "1.5" as 1.5, 5 as [5] and [[1]] as [1]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 1, "re": [1, 2], "im": [0, 0],
+                                    **payload}))
+        with pytest.raises(ValueError, match='"re" and "im" must be flat lists of numbers'):
+            read_matrix(path)
+
+    # JSON's Infinity, and an integer past the float64 range, which used to
+    # raise an OverflowError that the CLI does not catch
+    @pytest.mark.parametrize("entry", [float("inf"), 10**400], ids=["infinity", "past-float64"])
+    def test_matrix_file_entries_must_be_finite(self, tmp_path, entry):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 2, "re": [1, entry], "im": [0, 0]}))
+        with pytest.raises(ValueError, match="non-finite entries"):
             read_matrix(path)
 
     def test_csv_is_written_whole_with_crlf_rows(self, tmp_path):
@@ -96,6 +122,12 @@ class TestFileFormats:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="must be integers"):
+            read_permutation(path)
+
+    def test_permutation_size_must_match_its_image(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"size": 3, "image": [1, 0]}))
+        with pytest.raises(ValueError, match="size does not match its image length"):
             read_permutation(path)
 
     def test_write_makes_a_missing_directory(self, tmp_path):
@@ -195,6 +227,20 @@ class TestSolve:
             rows = list(csv.reader(fh))
         assert rows[0][:3] == ["i", "absUpdateX", "relUpdateX"]
         assert len(rows) >= 2
+
+    def test_a_failed_residual_is_reported_in_the_summary(self, tmp_path, monkeypatch):
+        def rank_deficient(*args):
+            raise qdoubling.RankDeficientError("basis is numerically rank deficient")
+
+        monkeypatch.setattr(qdoubling.cli, "nres2", rank_deficient)
+        self.write_instance(tmp_path)
+        code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),
+                     "--matrix-b", str(tmp_path / "B.json"),
+                     "--m", "4", "--n", "5", "--gamma", "-1", "--out", str(tmp_path / "sol")])
+        assert code == 0
+        summary = json.loads((tmp_path / "sol" / "summary.json").read_text())
+        assert summary["residualError"] == "basis is numerically rank deficient"
+        assert "nres2" not in summary and summary["nres1"] <= 1e-10
 
     def test_sdasf1_on_stressed_instance_fails_or_blows_up(self, tmp_path):
         self.write_instance(tmp_path, m=10, n=12, eta=1e-7, seed=1)
@@ -345,13 +391,19 @@ class TestResidualCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["nres1"] <= 1e-12 and out["nres2"] <= 1e-13
 
-    # at rows-7.5 the file's full-rank 7-by-3 basis used to load, 7.5 read as 7
+    # at rows-7.5 the file's full-rank 7-by-3 basis used to load, 7.5 read as 7;
+    # at b-identity-2x2 the 2-by-2 B was taken for the 7-by-7 identity; the
+    # basis of no columns reached ZGETRF, whose complaint went to stdout
+    # (which capfd sees), and then failed in f2py's argument check
     @pytest.mark.parametrize("files", [{"B": 2 * np.eye(7)}, {"Z": np.ones((7, 3))},
                                        {"Z": [1, 2]},
                                        {"Z": {"rows": 7.5, "cols": 3, "im": [0.0] * 21,
-                                              "re": np.eye(7, 3).ravel().tolist()}}],
-                             ids=["b-not-identity", "rank-deficient", "array-file", "rows-7.5"])
-    def test_bad_input_is_one_error_line(self, tmp_path, capsys, files):
+                                              "re": np.eye(7, 3).ravel().tolist()}},
+                                       {"B": np.eye(2)},
+                                       {"Z": {"rows": 7, "cols": 0, "re": [], "im": []}}],
+                             ids=["b-not-identity", "rank-deficient", "array-file", "rows-7.5",
+                                  "b-identity-2x2", "no-columns"])
+    def test_bad_input_is_one_error_line(self, tmp_path, capfd, files):
         inst = gen_random_split(m=3, n=4, alpha=8.0, eta=1.0, seed=2)
         files = {"A": inst.pencil.A, "Z": inst.true_basis_stable, **files}
         args = ["residual"]
@@ -362,7 +414,7 @@ class TestResidualCommand:
             else:
                 write_matrix(path, payload)
             args += [{"A": "--matrix-a", "B": "--matrix-b", "Z": "--basis"}[name], str(path)]
-        assert_one_error_line(main(args), capsys)
+        assert_one_error_line(main(args), capfd)
 
     @pytest.mark.parametrize("x_norm", ["--x-norm=inf", "--x-norm=nan", "--x-norm=-1"])
     def test_x_norm_must_be_finite_and_nonnegative(self, tmp_path, capsys, x_norm):

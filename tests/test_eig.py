@@ -10,8 +10,10 @@ from qdoubling import (
     CayleyParams,
     GeneralPencil,
     QdaConfig,
+    QdaResult,
     RankDeficientError,
     RunStatus,
+    bases_from_result,
     cayley,
     gen_bse_like,
     gen_random_split,
@@ -142,6 +144,20 @@ class TestNres:
         with pytest.raises(ValueError, match="x_norm must be finite and at least 0"):
             nres1(a, z, x_norm=x_norm)
 
+    @pytest.mark.parametrize("metric", [nres1, nres2])
+    def test_a_pencil_with_identity_b_stands_for_its_a(self, rng, metric):
+        inst = gen_random_split(m=4, n=5, alpha=8.0, eta=1.0, seed=8)
+        z = inst.true_basis_stable + 1e-6 * complex_normal(rng, 9, 4)
+        assert metric(inst.pencil, z) == metric(inst.pencil.A, z)
+
+    @pytest.mark.parametrize("metric", [nres1, nres2])
+    def test_empty_basis_is_refused_before_lapack(self, capfd, metric):
+        # it used to reach ZGETRF, whose complaint went to stdout, and then
+        # fail in f2py's argument check
+        with pytest.raises(ValueError, match="1 <= cols <= rows"):
+            metric(np.eye(3), np.zeros((3, 0)))
+        assert capfd.readouterr() == ("", "")
+
     def test_requires_identity_b(self, rng):
         g = GeneralPencil(A=complex_normal(rng, 4, 4),
                           B=complex_normal(rng, 4, 4), m=2, n=2)
@@ -150,6 +166,12 @@ class TestNres:
 
 
 class TestSolveHalfplane:
+    def test_no_final_pencil_has_no_bases(self):
+        result = QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
+                           status=RunStatus.BREAKDOWN, message="no start")
+        with pytest.raises(ValueError, match="no pencil to extract bases from"):
+            bases_from_result(result)
+
     def test_two_by_two_diagonal(self):
         g = GeneralPencil(A=np.diag([-1.0, 2.0]), B=np.eye(2), m=1, n=1)
         bases = solve_halfplane(g, CayleyParams(-1.0), QdaConfig())

@@ -198,6 +198,16 @@ class TestThinQr:
         assert u.tobytes() == thin_qr(z)[0].tobytes()
         assert np.linalg.norm(u @ (u.conj().T @ z) - z) <= 1e-12 * np.linalg.norm(z)
 
+    @pytest.mark.parametrize("shape, match", [((2, 3), "1 <= cols <= rows"),
+                                              ((4, 0), "1 <= cols <= rows"),
+                                              ((0, 0), "1 <= cols <= rows"),
+                                              ((4,), "expected a 2-D matrix")],
+                             ids=["wide", "no-columns", "empty", "vector"])
+    def test_refuses_a_shape_with_no_thin_factor(self, shape, match):
+        # a basis of no columns used to reach LAPACK, which printed to stdout
+        with pytest.raises(ValueError, match=match):
+            thin_qr(np.ones(shape))
+
     def test_in_place_factor_checks_the_rank(self, rng):
         col = complex_normal(rng, 5, 1)
         with pytest.raises(RankDeficientError):
@@ -291,6 +301,14 @@ class TestPermutation:
     def test_rejects_an_image_of_non_integers(self, image):
         with pytest.raises(ValueError, match="permutation image entries must be integers"):
             Permutation(image)
+
+    def test_rejects_an_image_that_is_not_a_vector(self):
+        with pytest.raises(ValueError, match="must be a 1-D index vector"):
+            Permutation(np.array([[1], [0]]))
+
+    def test_composes_only_equal_sizes(self):
+        with pytest.raises(ValueError, match="different sizes"):
+            Permutation.identity(3).compose(Permutation.identity(2))
 
     def test_empty_image_is_the_empty_permutation(self):
         assert Permutation([]) == Permutation.identity(0)

@@ -184,6 +184,10 @@ class TestCritical:
             CriticalSpec(m_prime=1, n_prime=1, blocks=((1, 1.5 + 0j),),
                          rho_stable=0.3, rho_anti=0.3)
 
+    def test_rejects_no_blocks(self):
+        with pytest.raises(ValueError, match="at least one circle block is required"):
+            CriticalSpec(m_prime=1, n_prime=1, blocks=(), rho_stable=0.3, rho_anti=0.3)
+
     def test_rejects_nan_omega(self):
         # used to pass here and fail later, in the pencil's finite check
         with pytest.raises(ValueError, match="is not on the unit circle"):
@@ -197,6 +201,11 @@ class TestSolvedSfq:
         inst = gen_solved_sfq(m=5, n=6, rho_m=0.6, rho_n=0.7, seed=11)
         assert primal_nme_residual(inst.pencil, inst.phi) <= 1e-12
         assert primal_eig_residual(inst.pencil, inst.phi, inst.m_mat) <= 1e-13
+
+    @pytest.mark.parametrize("rho_m, rho_n", [(1.0, 1.0), (4.0, 0.5), (0.0, 0.5)])
+    def test_rejects_radii_off_their_range(self, rho_m, rho_n):
+        with pytest.raises(ValueError, match=r"need rho_m \* rho_n < 1"):
+            gen_solved_sfq(m=2, n=3, rho_m=rho_m, rho_n=rho_n, seed=0)
 
     def test_radii_prescribed(self):
         inst = gen_solved_sfq(m=4, n=4, rho_m=0.55, rho_n=0.65, seed=2)

@@ -247,6 +247,18 @@ class TestGeneralPencil:
             GeneralPencil(A=np.eye(3), B=a, m=1, n=2)
 
 
+    def test_split_must_add_up_to_the_size(self):
+        with pytest.raises(ValueError, match=r"m \+ n = 2 does not match size 3"):
+            GeneralPencil(A=np.eye(3), B=np.eye(3), m=1, n=1)
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q2"])
+def test_sfq_pencil_permutations_have_the_pencil_size(rng, name):
+    p = random_sfq(rng, 2, 3)
+    with pytest.raises(ValueError, match=r"Q1 and Q2 must be permutations of size m \+ n"):
+        replace(p, **{name: Permutation.identity(4)})
+
+
 class TestOrthonormalResidualScaling:
     @staticmethod
     def pencil_and_basis():
