@@ -9,7 +9,7 @@ two invariant-subspace bases are read off from the converged pencil.
 driver the pencil's :class:`~qdoubling.sfq.CayleyPair`, which is formed
 densely only while the pencil is reduced.
 
-Also provides the two normalized residual metrics for standard eigenproblems
+Also provides the two normalized residual metrics of a basis for a square H
 (``B = I``): the raw one scaled by the magnitude of the computed X block
 (finite and at least 0), and the conditioning-robust one evaluated on an
 orthonormalized basis.
@@ -47,16 +47,16 @@ def cayley(g: GeneralPencil, params: CayleyParams) -> GeneralPencil:
     return CayleyPair(g, params.gamma).pencil()
 
 
-def _standard_matrix(h) -> np.ndarray:
-    if isinstance(h, GeneralPencil):
-        if not np.array_equal(h.B, np.eye(h.size)):
-            raise ValueError("normalized residuals are defined for B = I only")
-        return h.A
-    return as_complex_matrix(h)
+def _standard_operands(h, z) -> tuple[np.ndarray, np.ndarray]:
+    h, z = as_complex_matrix(h), as_complex_matrix(z)
+    if h.shape[0] != h.shape[1] or z.shape[0] != h.shape[0]:
+        raise ValueError("normalized residuals need a square H and a basis of its rows, "
+                         f"got H of shape {h.shape} and a basis of shape {z.shape}")
+    return h, z
 
 
 def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
-    """Raw normalized eigen-residual of a basis ``z`` for ``H`` (``B = I``).
+    """Raw normalized eigen-residual of a basis ``z`` for the square ``H``.
 
     ``||H Z - Z M||_F / (max(1, ||X||_F) (||H||_2 + ||M||_2))`` with the
     block Rayleigh quotient ``M = (Z^H Z)^{-1} Z^H H Z`` and the 2-norms
@@ -68,8 +68,7 @@ def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
     """
     if x_norm is not None and not 0.0 <= x_norm < np.inf:
         raise ValueError(f"x_norm must be finite and at least 0, got {x_norm}")
-    hm = _standard_matrix(h)
-    z = as_complex_matrix(z)
+    hm, z = _standard_operands(h, z)
     hz = hm @ z
     # (Z^H Z)^{-1} Z^H = R^{-1} U^H via thin QR: solving with R instead of the
     # Gram matrix halves the condition number's exponent, which matters
@@ -86,7 +85,7 @@ def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
 
 def nres2(h, z: np.ndarray) -> float:
     """Conditioning-robust normalized residual: evaluated on orthonormal Z."""
-    return orthonormal_residual(_standard_matrix(h), z)
+    return orthonormal_residual(*_standard_operands(h, z))
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,12 @@ def bases_from_result(result: QdaResult) -> EigenspaceBases:
                            source=result)
 
 
-def solve_halfplane(g: GeneralPencil, params: Optional[CayleyParams],
+def solve_halfplane(g: GeneralPencil, params: CayleyParams,
                     cfg: QdaConfig = QdaConfig()) -> EigenspaceBases:
-    """Transform (unless ``params`` is None), run the doubling solver, extract.
+    """Transform, run the doubling solver, extract.
 
     The driver forms the transform for the reduction only, so after the
     reduction the solve holds what it returns plus one basis-sized working
-    set.  Passing ``params=None`` declares the pencil already disk-split and
-    skips the transform.  Driver failures surface in ``source.status``.
+    set.  Driver failures surface in ``source.status``.
     """
-    problem = g if params is None else CayleyPair(g, params.gamma)
-    return bases_from_result(run_qda(problem, cfg))
+    return bases_from_result(run_qda(CayleyPair(g, params.gamma), cfg))

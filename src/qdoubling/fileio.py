@@ -1,11 +1,11 @@
 """On-disk formats: JSON matrices and permutations, manifests, CSV tables.
 
 Matrices are stored as ``{"rows", "cols", "re", "im"}`` with row-major real
-and imaginary parts; permutations as ``{"size", "image"}`` with 0-based
-indices.  Sizes and indices must be JSON integers, sizes at least 0, and
-``re``/``im`` flat lists of JSON numbers; any other payload is a
-``ValueError``.  Every write makes its directory if missing, then goes
-through a temp file and an atomic rename.
+and imaginary parts; permutations, which are written only, as ``{"size",
+"image"}`` with 0-based indices.  A matrix file's sizes must be JSON
+integers of at least 0 and ``re``/``im`` flat lists of JSON numbers; any
+other payload is a ``ValueError``.  Every write makes its directory if
+missing, then goes through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -79,19 +79,6 @@ def read_matrix(path: str | Path) -> np.ndarray:
 def write_permutation(path: str | Path, p: Permutation) -> None:
     obj = {"size": int(p.n), "image": [int(k) for k in p.image]}
     _atomic_write_text(Path(path), json.dumps(obj))
-
-
-def read_permutation(path: str | Path) -> Permutation:
-    obj = json.loads(Path(path).read_text())
-    try:
-        size, image = obj["size"], list(obj["image"])
-    except (KeyError, TypeError):
-        raise ValueError('a permutation file must hold {"size", "image"}') from None
-    if not all(type(k) is int for k in (size, *image)):     # not 1.9 as 1
-        raise ValueError('a permutation file\'s {"size", "image"} must be integers')
-    if len(image) != size:
-        raise ValueError("permutation size does not match its image length")
-    return Permutation(image)
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:

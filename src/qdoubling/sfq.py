@@ -204,14 +204,17 @@ def _scatter_basis(q: Permutation, block: np.ndarray, order: str = "C") -> np.nd
 
 
 def sfq_basis(p: SfqPencil, x: np.ndarray | None = None) -> np.ndarray:
-    """``Q1^T [I; X]`` assembled by pure entry moves."""
+    """``Q1^T [I; X]`` assembled by pure entry moves; a given ``x`` takes
+    the place of ``X`` and must have its shape."""
+    if x is not None and np.shape(x) != p.X.shape:
+        raise ValueError(f"x has shape {np.shape(x)}, expected {p.X.shape}")
     return _scatter_basis(p.Q1, p.X if x is None else x)
 
 
-def anti_basis(p: SfqPencil, y: np.ndarray | None = None) -> np.ndarray:
+def anti_basis(p: SfqPencil) -> np.ndarray:
     """``Q2^T [Y; I]``: the primal scatter of ``[I; Y]`` through the block
     swap, ``Q2^T [Y; I] = (Pi^T Q2)^T [I; Y]``."""
-    return _scatter_basis(swap_perm(p.m, p.n).inverse().compose(p.Q2), p.Y if y is None else y)
+    return _scatter_basis(swap_perm(p.m, p.n).inverse().compose(p.Q2), p.Y)
 
 
 def swap_perm(m: int, n: int) -> Permutation:

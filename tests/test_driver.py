@@ -431,7 +431,7 @@ class TestInvariants:
         cfg = QdaConfig(max_iter=6, rtol=1e-300, tau=NO_GUARD)
         res = run_sdasfq(inst.pencil, cfg)
         z1 = sfq_basis(inst.pencil, inst.phi)
-        z2 = anti_basis(inst.pencil, inst.psi)
+        z2 = anti_basis(replace(inst.pencil, Y=inst.psi))
         mpow, npow = inst.m_mat, inst.n_mat
         for rec in res.history:
             mpow = mpow @ mpow

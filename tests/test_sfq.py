@@ -1,4 +1,5 @@
 import gc
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -104,9 +105,16 @@ class TestBases:
                     (sfq_basis(p), p.Q1, [np.eye(m), p.X]),
                     (sfq_basis(p, x), p.Q1, [np.eye(m), x]),
                     (anti_basis(p), p.Q2, [p.Y, np.eye(n)]),
-                    (anti_basis(p, y), p.Q2, [y, np.eye(n)])):
+                    (anti_basis(replace(p, Y=y)), p.Q2, [y, np.eye(n)])):
                 want = np.vstack(stack).astype(complex)[q.inverse().image]
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 4)], ids=["one-row", "transposed"])
+    def test_a_given_x_must_match_the_x_block(self, shape):
+        # a 1-by-3 x was broadcast to every row, a 3-by-4 one gave a 7-by-4 basis
+        p = gen_solved_sfq(3, 4, 0.5, 0.5, 0).pencil
+        with pytest.raises(ValueError, match=re.escape(f"x has shape {shape}, expected (4, 3)")):
+            sfq_basis(p, np.ones(shape, dtype=complex))
 
 
 class TestDual:
