@@ -23,15 +23,15 @@ from typing import Optional
 import numpy as np
 
 from .driver import QdaConfig, QdaResult, run_qda
-from .linalg import (
-    RankDeficientError,
-    SingularMatrixError,
-    as_complex_matrix,
-    lu_solve,
-    thin_qr,
-    two_est,
+from .linalg import RankDeficientError, SingularMatrixError, lu_solve, thin_qr, two_est
+from .sfq import (
+    CayleyPair,
+    GeneralPencil,
+    _standard_operands,
+    anti_basis,
+    orthonormal_residual,
+    sfq_basis,
 )
-from .sfq import CayleyPair, GeneralPencil, anti_basis, orthonormal_residual, sfq_basis
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,6 @@ class CayleyParams:
 def cayley(g: GeneralPencil, params: CayleyParams) -> GeneralPencil:
     """Map a half-plane split to a disk split: ``(A - gB, A + gB)``."""
     return CayleyPair(g, params.gamma).pencil()
-
-
-def _standard_operands(h, z) -> tuple[np.ndarray, np.ndarray]:
-    h, z = as_complex_matrix(h), as_complex_matrix(z)
-    if h.shape[0] != h.shape[1] or z.shape[0] != h.shape[0]:
-        raise ValueError("normalized residuals need a square H and a basis of its rows, "
-                         f"got H of shape {h.shape} and a basis of shape {z.shape}")
-    return h, z
 
 
 def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
@@ -85,7 +77,7 @@ def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
 
 def nres2(h, z: np.ndarray) -> float:
     """Conditioning-robust normalized residual: evaluated on orthonormal Z."""
-    return orthonormal_residual(*_standard_operands(h, z))
+    return orthonormal_residual(h, z)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ swap between the structured identity block and the offending column turns
 the pencil into an equivalent one in which that entry is replaced by its
 reciprocal.  The swap is a rank-one update of all four blocks plus a
 transposition recorded in ``Q1``.  A swap on Y is the same swap applied to
-the dual pencil (where Y is the X-block), so it records its transposition in
-``Q2``.  If ``m + n`` swaps cannot bring the iterate under control, the
-guard escalates to a full re-reduction.
+the dual pencil (where Y is the X-block), recording its transposition in
+``Q2``; X and Y are scanned as one pair, and one call makes either swap.  If
+``m + n`` swaps cannot tame the iterate, the guard re-reduces the pencil.
 """
 
 from __future__ import annotations
@@ -59,19 +59,16 @@ class Violation:
 
 
 def find_violation(p: SfqPencil, tau: float) -> Optional[Violation]:
-    """Largest entry of X or Y above ``tau``, ties broken toward X, row-major."""
-    ax = np.abs(p.X)
-    ay = np.abs(p.Y)
-    best_x = float(ax.max(initial=0.0))
-    best_y = float(ay.max(initial=0.0))
-    best = max(best_x, best_y)
-    if best <= tau:
+    """Largest entry of X or Y above ``tau``, ties broken toward X, row-major;
+    X wins only if its peak is at least Y's, so never beside a NaN peak."""
+    scans = [(name, np.abs(block)) for name, block in (("X", p.X), ("Y", p.Y))]
+    peaks = [float(mag.max(initial=0.0)) for _, mag in scans]
+    if max(peaks) <= tau:
         return None
-    if best_x >= best_y:
-        r, c = np.unravel_index(int(np.argmax(ax)), ax.shape)
-        return Violation("X", int(r), int(c), best_x)
-    r, c = np.unravel_index(int(np.argmax(ay)), ay.shape)
-    return Violation("Y", int(r), int(c), best_y)
+    k = 0 if peaks[0] >= peaks[1] else 1
+    (name, mag), peak = scans[k], peaks[k]
+    r, c = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    return Violation(name, int(r), int(c), peak)
 
 
 def _swap_x(p: SfqPencil, j: int, ell: int, block: str) -> SfqPencil:
@@ -135,12 +132,8 @@ def guard(p: SfqPencil, tau: float, idea: Idea = Idea.IDEA3,
         if violation is None:
             return current, GuardReport(tuple(actions))
         fixed = violation
-        if fixed.which == "X":
-            current = action_x(current, fixed.row, fixed.col)
-            kind = "action_x"
-        else:
-            current = action_y(current, fixed.row, fixed.col)
-            kind = "action_y"
+        kind, action = ("action_x", action_x) if fixed.which == "X" else ("action_y", action_y)
+        current = action(current, fixed.row, fixed.col)
         violation = find_violation(current, tau)
         if violation is None:
             after = max(current.max_abs_x(), current.max_abs_y())

@@ -279,15 +279,21 @@ class SolvedSfqInstance:
     seed: int
 
 
+def _solved_blocks(psi, k1, g1, g2, m_mat, n_mat) -> tuple[np.ndarray, np.ndarray]:
+    """``E0`` from ``E0 (I - G2 N G1 M) = (K1 - Psi G1) M``, and ``Y0 = Psi - E0 G2 N``;
+    the same call on ``(Phi, K2, G2, G1, N, M)`` gives the mirror ``(F0, X0)``."""
+    e0 = solve_transposed(np.eye(len(m_mat)) - g2 @ n_mat @ g1 @ m_mat, (k1 - psi @ g1) @ m_mat)
+    return e0, psi - e0 @ g2 @ n_mat
+
+
 def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> SolvedSfqInstance:
     """Pencil in Q-standard form whose solution pair is prescribed exactly.
 
     Draw small random ``Phi``, ``Psi`` and diagonal coefficient matrices with
     spectral radii exactly ``rho_m`` and ``rho_n``, then solve the coupled
-    fixed-point relations backwards for ``(E0, F0, X0, Y0)``.  Because the
-    coefficient matrices are normal, iterate norms track the spectral radii
-    with O(1) constants, which makes the instance suitable for measuring
-    asymptotic convergence rates.
+    fixed-point relations backwards for ``(E0, Y0)`` and their mirror ``(F0, X0)``.
+    Because the coefficient matrices are normal, iterate norms track the spectral
+    radii with O(1) constants, so the instance measures asymptotic convergence rates.
     """
     check_count(m, "m")
     check_count(n, "n")
@@ -305,10 +311,8 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> Sol
     g2, k2 = np.split(_scatter_basis(p.compose(swap_perm(m, n)).inverse(), psi), [m])
     # P^T [I; Phi] = [Q11^T + Q21^T Phi; Q12^T + Q22^T Phi]
     k1, g1 = np.split(_scatter_basis(p, phi), [m])
-    e0 = solve_transposed(np.eye(m) - g2 @ n_mat @ g1 @ m_mat, (k1 - psi @ g1) @ m_mat)
-    f0 = solve_transposed(np.eye(n) - g1 @ m_mat @ g2 @ n_mat, (k2 - phi @ g2) @ n_mat)
-    y0 = psi - e0 @ g2 @ n_mat
-    x0 = phi - f0 @ g1 @ m_mat
+    e0, y0 = _solved_blocks(psi, k1, g1, g2, m_mat, n_mat)
+    f0, x0 = _solved_blocks(phi, k2, g2, g1, n_mat, m_mat)
     pencil = SfqPencil(m=m, n=n, E=e0, F=f0, X=x0, Y=y0, Q1=q1, Q2=q2)
     return SolvedSfqInstance(pencil=pencil, phi=phi, psi=psi, m_mat=m_mat,
                              n_mat=n_mat, rho_m=rho_m, rho_n=rho_n, seed=seed)

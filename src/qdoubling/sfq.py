@@ -13,7 +13,7 @@ classical first standard form, and ``Q1 @ Q2.T`` equal to the block swap
 ``pi`` (``P[i, pi[i]] = 1``): ``P [Y; I]`` is a row scatter, and
 ``[-X, I] P [Y; I]`` one product over the r 1s of ``Q11`` with the other
 unit rows and columns scattered.  Every mirror (Y-side) formula is its primal
-applied to :func:`dual`.
+applied to :func:`dual`, or one helper called on the mirrored operands.
 
 A solver takes a disk-split problem as a :class:`GeneralPencil` and a
 half-plane one as its :class:`CayleyPair`, which forms the dense transform
@@ -26,7 +26,7 @@ basis is kept in a row order in which the operands of ``A_i U`` and
 2-norm estimates come from the blocks' row and column sums.  A dense
 :class:`GeneralPencil` and the Cayley pair of a half-plane pencil
 (:class:`CayleyPair`) share one loop over a few dozen rows at a time; a bare
-matrix ``H`` stands for ``(H, I)``.  The products are made one block of rows
+square ``H`` stands for ``(H, I)``.  The products are made one block of rows
 at a time, twice, so the safeguard holds the orthonormal basis, two m-by-m
 arrays and one block of rows.
 """
@@ -362,8 +362,9 @@ def _sfq_products(p: SfqPencil, v: np.ndarray, order: Permutation, split: int):
     ``A_i U = [E a; a_bot - X a]`` with ``a`` the top of ``Q1 U``, and
     ``B_i U = [b_top - Y b; F b]`` with ``b`` the bottom of ``Q2 U``.  ``a``
     and ``b`` are the slices ``v[:m]`` and ``v[split:split + n]`` up to a row
-    order, which the blocks' columns take on instead; ``a_bot`` and
-    ``b_top`` are gathered :data:`CAYLEY_ROWS` rows at a time.
+    order, which the blocks' columns take on instead.  ``b_top - Y b`` and
+    ``a_bot - X a`` are one mirrored helper, which gathers its rows of ``v``
+    :data:`CAYLEY_ROWS` at a time.
     """
     m, n = p.m, p.n
     at_row = order.inverse().image
@@ -373,22 +374,26 @@ def _sfq_products(p: SfqPencil, v: np.ndarray, order: Permutation, split: int):
 
     # A gathered block is updated in its own (C) order, since updating a
     # Fortran array by a C-ordered product takes a buffer, and copied after.
-    def top(rows):
-        bu = v[b_top[rows]]
-        bu -= p.Y[rows, b_cols] @ b_op
-        bu = _fortran(bu)
-        return bu, _fortran(p.E[rows, a_cols], a_op)
-
-    def bottom(rows):
-        au = v[a_bot[rows]]
-        au -= p.X[rows, a_cols] @ a_op
-        au = _fortran(au)
-        return _fortran(p.F[rows, b_cols], b_op), au
+    def gathered(at, block, rows, cols, op):
+        out = v[at[rows]]
+        out -= block[rows, cols] @ op
+        return _fortran(out)
 
     for rows in row_blocks(m, CAYLEY_ROWS):
-        yield top(rows)
+        yield gathered(b_top, p.Y, rows, b_cols, b_op), _fortran(p.E[rows, a_cols], a_op)
     for rows in row_blocks(n, CAYLEY_ROWS):
-        yield bottom(rows)
+        au = gathered(a_bot, p.X, rows, a_cols, a_op)
+        yield _fortran(p.F[rows, b_cols], b_op), au
+        del au      # freed before the next block of rows is made
+
+
+def _standard_operands(h, z) -> tuple[np.ndarray, np.ndarray]:
+    """``(h, z)`` as complex matrices, refused unless h is square and z has its rows."""
+    h, z = as_complex_matrix(h), as_complex_matrix(z)
+    if h.shape[0] != h.shape[1] or z.shape[0] != h.shape[0]:
+        raise ValueError("normalized residuals need a square H and a basis of its rows, "
+                         f"got H of shape {h.shape} and a basis of shape {z.shape}")
+    return h, z
 
 
 def _sq_norm(r: np.ndarray) -> float:
@@ -418,8 +423,8 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
       formed exactly as :meth:`CayleyPair.pencil` forms them)
       :data:`CAYLEY_ROWS` at a time, first for both estimates, then for the
       products;
-    * a bare matrix ``H`` for the standard problem ``(H, I)``, where this is
-      the conditioning-robust normalized residual.
+    * a bare square ``H`` for the standard problem ``(H, I)`` and a basis of
+      its rows, where this is the conditioning-robust normalized residual.
 
     None forms a dense N-by-N matrix.  ``z`` may be an :class:`SfqPencil`
     standing for its basis ``Q1^T [I; X]``, which is then built here and
@@ -445,7 +450,7 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
         ests = _pair_estimates(pencil, u.shape[0])
         products = partial(_pair_products, pencil, u)
     else:   # the standard problem (H, I): B U is U itself
-        h = as_complex_matrix(pencil)
+        h, u = _standard_operands(pencil, u)
         ests = two_est(h), 1.0
         products = partial(_standard_products, h, u)
     sa, sb = (_pow2_scale(est) for est in ests)

@@ -56,6 +56,21 @@ class TestFindViolation:
         v = find_violation(with_block(with_block(p, "X", x), "Y", y), 1000.0)
         assert v.which == "X"
 
+    def test_y_wins_with_the_larger_peak(self, rng):
+        p = random_sfq(rng, 3, 4, scale=0.1)
+        x = p.X.copy(); x[3, 2] = 2000.0
+        y = p.Y.copy(); y[1, 3] = 3000.0
+        v = find_violation(with_block(with_block(p, "X", x), "Y", y), 1000.0)
+        assert (v.which, v.row, v.col, v.magnitude) == ("Y", 1, 3, 3000.0)
+
+    @pytest.mark.parametrize("name", ["X", "Y"])
+    def test_equal_maxima_in_a_block_go_to_the_first_in_row_major_order(self, rng, name):
+        p = random_sfq(rng, 3, 4, scale=0.1)
+        block = getattr(p, name).copy()
+        block[2, 0] = block[1, 2] = block[1, 1] = 5000.0
+        v = find_violation(with_block(p, name, block), 1000.0)
+        assert (v.which, v.row, v.col, v.magnitude) == (name, 1, 1, 5000.0)
+
 
 class TestActions:
     def test_action_x_scalar(self):

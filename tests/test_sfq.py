@@ -267,6 +267,16 @@ def test_sfq_pencil_permutations_have_the_pencil_size(rng, name):
         replace(p, **{name: Permutation.identity(4)})
 
 
+@pytest.mark.parametrize("h_shape, z_shape", [((3, 4), (3, 1)), ((4, 4), (5, 1))],
+                         ids=["3x4", "basis-of-5-rows"])
+def test_a_bare_h_must_be_square_with_a_basis_of_its_rows(rng, h_shape, z_shape):
+    # these used to end in numpy's matmul complaint, which names neither shape
+    h, z = complex_normal(rng, *h_shape), complex_normal(rng, *z_shape)
+    shapes = f"got H of shape {h_shape} and a basis of shape {z_shape}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        orthonormal_residual(h, z)
+
+
 class TestOrthonormalResidualScaling:
     @staticmethod
     def pencil_and_basis():
