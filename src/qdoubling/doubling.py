@@ -22,9 +22,19 @@ which belongs to that step and is joined when it returns or raises.  Each
 piece is the same numpy or LAPACK call on the same operands whichever lane
 takes it, so the next pencil and the W telemetry are bit-identical at any
 schedule, and a helper that has not started a piece is never waited for.
+The phases split each step's work about evenly between the lanes.  On
+``gen_solved_sfq(300, 300, 0.99, 0.99, 1)`` (r = 157, one OpenBLAS thread,
+medians of 30 serial calls) forming W and its LU took 4.5 ms, G and H
+1.9-2.0 ms each, ``E Q11 E`` 1.6 ms and each solve 5.7 ms:
+
+1. the caller forms and factors W; the helper takes ``E Q11 E``, G and H;
+2. the caller solves for T; the helper solves for S with the same factors;
+3. E' and X' are shared;
+4. Y' and F' are shared.
+
 The calls a benchmark tracer wraps (``compute_w`` / ``compute_wt``,
-:func:`lu_factor`, the solves and :func:`q_blocks_of`) stay on the calling
-thread; two solves with one factorization would not overlap anyway.
+:func:`lu_factor`, the T solve and :func:`q_blocks_of`) stay on the calling
+thread; the S solve is the one traced call the helper may take.
 
 The threshold was measured by timing the steps of whole solves serially and
 on two lanes, medians of five to seven alternating repetitions, on
@@ -38,10 +48,11 @@ two lanes lost up to N = 400 (0.62-0.98x), and from N = 450 up they gained
 Beside one busy-looping process they gave 0.53-0.96x up to N = 450 and
 0.95-1.00x above.  Where the second vCPU is free, the same two GEMMs took
 3.0 against 5.6 ms and a step at m = n = 300 ran 1.35x faster (measured
-before this threshold existed).  At 2**26 multiply-adds a step with m = n
-and r = N/4 runs on two lanes from N of about 450 up: an ``eta_sweep``
-step (N = 110) stays serial, and every step of an N = 600 or 650 pencil
-runs on two lanes.
+before this threshold existed).  These timings predate the phase split
+above: both solves then ran on the caller.  At 2**26 multiply-adds a step
+with m = n and r = N/4 runs on two lanes from N of about 450 up: an
+``eta_sweep`` step (N = 110) stays serial, and every step of an N = 600 or
+650 pencil runs on two lanes.
 """
 
 from __future__ import annotations
@@ -100,13 +111,15 @@ def _w_rule(p: SfqPencil, form_w: Callable[[np.ndarray], np.ndarray],
     ``X' = X + F T``, ``Y' = Y + H S`` and ``F' = F S``.
 
     The phases, each a call of :func:`lanes`: the caller forms and factors W
-    while G and H are shared; the caller solves for T and S while
-    ``E Q11 E`` is shared; then ``E' = E Q11 E + H T`` and X' are shared; then
-    Y' and F'.  T takes G's storage, X and Y are added into fresh products in
-    place (``a + b == b + a`` exactly), and the factors, T and H are dropped
-    once their phases no longer need them, so the factors never meet the
-    products with T: at m = n a step peaks at five m-by-m blocks above ``p``
-    on one lane and six on two, the next pencil's four included.
+    while ``E Q11 E``, G and H are shared (on one lane, where the shared
+    pieces run first, ``E Q11 E`` comes before G and H exist); the caller
+    solves for T while S is shared; then ``E' = E Q11 E + H T`` and X' are
+    shared; then Y' and F'.  T takes G's storage, X and Y are added into
+    fresh products in place (``a + b == b + a`` exactly), and the factors, T
+    and H are dropped once their phases no longer need them, so the factors
+    never meet the products with T: at m = n a step peaks at five m-by-m
+    blocks above ``p`` on one lane and six on two, the next pencil's four
+    included.
     """
     pi = q_blocks_of(p)
     (a, a_to), (b, b_to), (c, c_to), _ = unit_parts(pi, p.m)
@@ -125,12 +138,14 @@ def _w_rule(p: SfqPencil, form_w: Callable[[np.ndarray], np.ndarray],
     with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="qdoubling-step")
           if big else nullcontext()) as helper:
         try:
-            factors, (g, h) = lanes(helper, (g_piece, h_piece), lambda: lu_factor(form_w(pi)))
+            factors, (e_next, g, h) = lanes(helper, (lambda: p.E[:, a] @ p.E[a_to],
+                                                     g_piece, h_piece),
+                                            lambda: lu_factor(form_w(pi)))
         except SingularMatrixError as exc:
             raise BreakdownError(f"doubling step ({solve} solve)", str(exc)) from exc
-        # T = W^{-1} G in g's storage and S = W^{-1} F, beside E Q11 E
-        (t, s), (e_next,) = lanes(helper, (lambda: p.E[:, a] @ p.E[a_to],),
-                                  lambda: (factors.solve(g, overwrite_b=True), factors.solve(p.F)))
+        # T = W^{-1} G in g's storage beside S = W^{-1} F
+        t, (s,) = lanes(helper, (lambda: factors.solve(p.F),),
+                        lambda: factors.solve(g, overwrite_b=True))
         condition, min_pivot = factors.condition_estimate, factors.min_pivot
         del factors, g
         _, (e_next, x_next) = lanes(helper, (lambda: np.add(e_next, h @ t, out=e_next),

@@ -3,7 +3,8 @@
 Prints one ``name sha256`` line per output: the four generators, the four
 solvers under the default and one non-default configuration (every result
 field and every guard action), the files ``qdoubling solve`` writes, the
-three experiments and the benchmark's instance families, all at small sizes.
+three experiments and the benchmark's instance families at small sizes, and
+one instance of each family at full size, where the solvers run on two lanes.
 Run it on two checkouts of ``src/`` and ``diff`` the outputs to show that a
 change keeps every output bit for bit::
 
@@ -210,7 +211,24 @@ def benchmark_families():
                                                    bases.anti_stable_basis, bases.source)
 
 
-SECTIONS = (generators, solvers, cli_solve, experiments, benchmark_families)
+def full_size():
+    """One instance of each benchmark family at the benchmark's size, where
+    the doubling steps and the reduction run on two lanes: a split pencil
+    (N = 650) by ``solve_halfplane`` and by SDASF1 on its Cayley transform,
+    and a solved pencil (N = 600) by ``run_sdasfq``."""
+    gamma = CayleyParams(-1.0)
+    inst = gen_random_split(300, 350, 8.0, 1e-6, 1)
+    bases = solve_halfplane(inst.pencil, gamma, QdaConfig())
+    yield "full_size/split/bases", (bases.stable_basis, bases.anti_stable_basis)
+    yield from _result_fields("full_size/split/qda", bases.source)
+    yield from _result_fields("full_size/split/sf1",
+                              run_sdasf1_on(cayley(inst.pencil, gamma), QdaConfig()))
+    result = run_sdasfq(gen_solved_sfq(300, 300, 0.99, 0.99, 1).pencil, QdaConfig())
+    yield "full_size/solved/basis", bases_from_result(result).stable_basis
+    yield from _result_fields("full_size/solved/sfq", result)
+
+
+SECTIONS = (generators, solvers, cli_solve, experiments, benchmark_families, full_size)
 
 
 def fingerprint(sections=SECTIONS):

@@ -262,6 +262,14 @@ def lane_cases():
     return cases
 
 
+def assert_same_steps(cases, got, want) -> None:
+    """Each step outcome in ``got`` has the bits of its twin in ``want``."""
+    for (name, _, _), g, w in zip(cases, got, want):
+        assert (g.w_condition, g.w_min_pivot) == (w.w_condition, w.w_min_pivot)
+        for blk in "EFXY":
+            assert getattr(g.next, blk).tobytes() == getattr(w.next, blk).tobytes(), (name, blk)
+
+
 def singular_w() -> SfqPencil:
     """Q1 = Q2, X = Y = I: W = I - XY is singular."""
     return SfqPencil(m=2, n=2, E=np.eye(2), F=np.eye(2), X=np.eye(2), Y=np.eye(2),
@@ -280,11 +288,7 @@ class TestLanes:
         finally:
             sys.setswitchinterval(interval)
         assert len(phases) == 4 * len(cases)
-        for (name, _, _), got, want in zip(cases, laned, serial):
-            assert (got.w_condition, got.w_min_pivot) == (want.w_condition, want.w_min_pivot)
-            for blk in "EFXY":
-                assert getattr(got.next, blk).tobytes() == getattr(want.next, blk).tobytes(), \
-                    (name, blk)
+        assert_same_steps(cases, laned, serial)
 
     def test_small_steps_start_no_thread(self, monkeypatch):
         made = []
@@ -325,27 +329,50 @@ class TestLanes:
         assert threads and threading.get_ident() not in threads
         assert threading.active_count() == before
 
-    def test_traced_calls_stay_on_the_calling_thread(self, monkeypatch):
+    def test_traced_calls_stay_on_the_caller_but_the_s_solve(self, monkeypatch):
         helper, threads = draining_helper()     # the helper takes every shared piece
         force_step_lanes(monkeypatch, helper)
         seen = {}
 
-        def on_thread(owner, name):
+        def on_thread(owner, name, label=None):
             call = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                seen.setdefault(name, set()).add(threading.get_ident())
+                seen.setdefault(label(*args) if label else name, set()).add(threading.get_ident())
                 return call(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
         for name in ("compute_w", "compute_wt", "q_blocks_of", "lu_factor"):
             on_thread(qdoubling.doubling, name)
-        on_thread(qdoubling.linalg.LUFactors, "solve")
+        # S = W^{-1} F solves with a sealed block of the pencil, T = W^{-1} G with a fresh G
+        on_thread(qdoubling.linalg.LUFactors, "solve",
+                  lambda _, b: "T" if b.flags.writeable else "S")
         for _, step, p in lane_cases():
             step(p)
-        assert threads and threading.get_ident() not in threads
-        assert seen == {name: {threading.get_ident()} for name in
-                        ("compute_w", "compute_wt", "q_blocks_of", "lu_factor", "solve")}
+        me = threading.get_ident()
+        assert threads and me not in threads
+        assert seen.pop("S") <= set(threads)
+        assert seen == {name: {me} for name in
+                        ("compute_w", "compute_wt", "q_blocks_of", "lu_factor", "T")}
+
+    def test_the_two_solves_share_one_factorization_at_once(self, monkeypatch):
+        # each solve waits at the barrier for the other, so T and S run on two
+        # threads at the same time with the same LUFactors
+        cases = lane_cases()
+        serial = [step(p) for _, step, p in cases]
+        force_step_lanes(monkeypatch)
+        together = threading.Barrier(2, timeout=10)
+        solve, threads = qdoubling.linalg.LUFactors.solve, set()
+
+        def paired_solve(*args, **kwargs):
+            together.wait()
+            threads.add(threading.get_ident())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qdoubling.linalg.LUFactors, "solve", paired_solve)
+        laned = [step(p) for _, step, p in cases]
+        assert len(threads) >= 2
+        assert_same_steps(cases, laned, serial)
 
     def test_peak_memory_on_two_lanes(self, monkeypatch):
         # the next pencil is 4 blocks of m x m (two basis blocks at m = n), and
