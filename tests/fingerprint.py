@@ -207,8 +207,9 @@ def benchmark_families():
         for seed in (1, 2):
             inst = gen_random_split(6, 8, 8.0, eta, seed)
             bases = solve_halfplane(inst.pencil, gamma, QdaConfig())
-            yield f"eta_sweep/{eta:.0e}/s{seed}", (inst, bases.stable_basis,
-                                                   bases.anti_stable_basis, bases.source)
+            name = f"eta_sweep/{eta:.0e}/s{seed}"
+            yield name, (inst, bases.stable_basis, bases.anti_stable_basis)
+            yield from _result_fields(f"{name}/qda", bases.source)
 
 
 def full_size():
