@@ -25,7 +25,7 @@ from .driver import (
     run_sdasf1_on,
     run_sdasf2_on,
 )
-from .eig import nres1, nres2
+from .eig import bases_from_result, nres1, nres2
 from .experiments import bse_like, critical_rate, eta_sweep, pivot_table
 from .fileio import (
     read_matrix,
@@ -38,7 +38,7 @@ from .fileio import (
 from .linalg import RankDeficientError, SingularMatrixError
 from .problems import CriticalSpec, gen_bse_like, gen_critical, gen_random_split
 from .reduction import Idea, Variant
-from .sfq import CayleyPair, GeneralPencil, anti_basis, sfq_basis
+from .sfq import CayleyPair, GeneralPencil
 from .doubling import StopMode
 
 _EXIT_FOR_STATUS = {
@@ -198,24 +198,26 @@ def _cmd_solve(args) -> int:
             "variant": args.variant, "maxIter": args.max_iter,
         },
     }
-    if result.final is not None:
-        write_permutation(out / "Q1.json", result.q1)
-        write_permutation(out / "Q2.json", result.q2)
-        write_matrix(out / "X.json", result.phi)
-        write_matrix(out / "Y.json", result.psi)
+    final = result.final
+    if final is not None:
+        write_permutation(out / "Q1.json", final.Q1)
+        write_permutation(out / "Q2.json", final.Q2)
+        write_matrix(out / "X.json", final.X)
+        write_matrix(out / "Y.json", final.Y)
         write_history_csv(out / "iterations.csv", result.history)
-        summary["normXFro"] = float(np.linalg.norm(result.phi))
-        summary["maxAbsX"] = float(np.abs(result.phi).max())
+        x_norm = float(np.linalg.norm(final.X))
+        summary["normXFro"] = x_norm
+        summary["maxAbsX"] = float(np.abs(final.X).max())
         summary["tau"] = cfg.tau_for(args.m, args.n)
-        basis = sfq_basis(result.final)
+        bases = bases_from_result(result)
         if np.array_equal(b, np.eye(a.shape[0])):
             try:
-                summary["nres1"] = nres1(a, basis, x_norm=float(np.linalg.norm(result.phi)))
-                summary["nres2"] = nres2(a, basis)
+                summary["nres1"] = nres1(a, bases.stable_basis, x_norm=x_norm)
+                summary["nres2"] = nres2(a, bases.stable_basis)
             except (RankDeficientError, SingularMatrixError) as exc:  # advisory metrics
                 summary["residualError"] = str(exc)
-        write_matrix(out / "stable_basis.json", basis)
-        write_matrix(out / "anti_stable_basis.json", anti_basis(result.final))
+        write_matrix(out / "stable_basis.json", bases.stable_basis)
+        write_matrix(out / "anti_stable_basis.json", bases.anti_stable_basis)
     write_manifest(out / "summary.json", summary)
     return _EXIT_FOR_STATUS[result.status]
 

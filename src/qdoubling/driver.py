@@ -89,10 +89,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class QdaResult:
-    phi: Optional[np.ndarray]
-    psi: Optional[np.ndarray]
-    q1: Optional[Permutation]
-    q2: Optional[Permutation]
+    """A run's answer is ``final``, its last accepted pencil (None if no step ran)."""
     history: tuple[IterationRecord, ...]
     status: RunStatus
     final: Optional[SfqPencil] = None
@@ -110,8 +107,7 @@ def _all_finite(p: SfqPencil) -> bool:
 
 def _no_start(message: str) -> QdaResult:
     """A run that ended before its first step."""
-    return QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
-                     status=RunStatus.BREAKDOWN, message=message)
+    return QdaResult(history=(), status=RunStatus.BREAKDOWN, message=message)
 
 
 #: What a solver is given: a disk-split pencil, or a half-plane pencil's
@@ -231,8 +227,7 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
             if _safeguard_ok(p, cfg.rtol, reference):
                 status = RunStatus.CONVERGED
                 break
-    return QdaResult(phi=p.X, psi=p.Y, q1=p.Q1, q2=p.Q2, history=tuple(history),
-                     status=status, final=p, message=message)
+    return QdaResult(history=tuple(history), status=status, final=p, message=message)
 
 
 def run_sdasfq(p0: SfqPencil | list[SfqPencil], cfg: QdaConfig,

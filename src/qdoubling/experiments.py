@@ -60,17 +60,14 @@ class RunRow:
 
 def _measure(experiment: str, algorithm: str, label: str, seed: int,
              h: np.ndarray, result: QdaResult, elapsed: float) -> RunRow:
-    if result.final is None:
-        return RunRow(experiment, algorithm, label, seed, result.status.value,
-                      result.iterations, float("nan"), float("nan"), float("nan"),
-                      elapsed)
-    xnorm = float(np.linalg.norm(result.phi))
-    basis = sfq_basis(result.final)
-    try:
-        r1 = nres1(h, basis, x_norm=xnorm)
-        r2 = nres2(h, basis)
-    except (RankDeficientError, SingularMatrixError):
-        r1, r2 = float("nan"), float("nan")
+    xnorm = r1 = r2 = float("nan")
+    if result.final is not None:
+        xnorm = float(np.linalg.norm(result.final.X))
+        basis = sfq_basis(result.final)
+        try:
+            r1, r2 = nres1(h, basis, x_norm=xnorm), nres2(h, basis)
+        except (RankDeficientError, SingularMatrixError):
+            pass    # a rank-deficient basis has no residual: both stay NaN
     return RunRow(experiment, algorithm, label, seed, result.status.value,
                   result.iterations, xnorm, r1, r2, elapsed)
 

@@ -315,15 +315,15 @@ def test_09_eta_sweep_robustness():
             g = cayley(inst.pencil, CayleyParams(gamma))
             res = run_qda(g, cfg)
             ok = (res.status is RunStatus.CONVERGED and res.iterations <= 12
-                  and np.abs(res.phi).max() <= default_tau(50, 60)
+                  and np.abs(res.final.X).max() <= default_tau(50, 60)
                   and nres2(inst.pencil.A, sfq_basis(res.final)) <= 1e-8)
             if not ok:
                 qda_fail.append(f"eta={eta:.0e} seed={seed}")
             if eta in (1e-6, 1e-7):
                 sres = run_sdasf1_on(g, cfg)
                 failed = sres.status is RunStatus.BREAKDOWN
-                if not failed and sres.phi is not None:
-                    failed = float(np.linalg.norm(sres.phi)) >= 1e4
+                if not failed and sres.final is not None:
+                    failed = float(np.linalg.norm(sres.final.X)) >= 1e4
                     if not failed:
                         try:
                             failed = nres2(inst.pencil.A, sfq_basis(sres.final)) >= 1e-7
@@ -349,7 +349,7 @@ def test_10_bse_analogue():
             qda_fail.append(f"seed={seed}: {res.status.value} in {res.iterations}")
             continue
         basis = sfq_basis(res.final)
-        r1 = nres1(inst.pencil.A, basis, x_norm=float(np.linalg.norm(res.phi)))
+        r1 = nres1(inst.pencil.A, basis, x_norm=float(np.linalg.norm(res.final.X)))
         r2 = nres2(inst.pencil.A, basis)
         if r1 > 1e-12 or r2 > 1e-12:
             qda_fail.append(f"seed={seed}: NRes1={r1:.1e} NRes2={r2:.1e}")
@@ -362,7 +362,7 @@ def test_10_bse_analogue():
             continue
         try:
             basis = sfq_basis(sres.final)
-            r1 = nres1(inst.pencil.A, basis, x_norm=float(np.linalg.norm(sres.phi)))
+            r1 = nres1(inst.pencil.A, basis, x_norm=float(np.linalg.norm(sres.final.X)))
             r2 = nres2(inst.pencil.A, basis)
         except Exception:
             continue

@@ -79,8 +79,8 @@ class TestRunQda:
         res = run_qda(g, QdaConfig())
         assert res.status is RunStatus.CONVERGED
         assert res.iterations <= 2
-        assert abs(res.phi[0, 0]) <= 1e-14
-        assert abs(res.psi[0, 0]) <= 1e-14
+        assert abs(res.final.X[0, 0]) <= 1e-14
+        assert abs(res.final.Y[0, 0]) <= 1e-14
 
     def test_recovers_generator_subspace(self):
         from qdoubling import thin_qr
@@ -99,8 +99,8 @@ class TestRunQda:
         res = run_qda(g, cfg)
         assert res.status is RunStatus.CONVERGED
         tau = cfg.tau_for(10, 12)
-        assert np.abs(res.phi).max() <= tau
-        assert np.abs(res.psi).max() <= tau
+        assert np.abs(res.final.X).max() <= tau
+        assert np.abs(res.final.Y).max() <= tau
 
     def test_a_solve_peaks_at_its_history_and_a_few_basis_blocks(self):
         # beside the history the run holds one live pencil and a step's
@@ -139,14 +139,14 @@ class TestRunQda:
         res = run_qda(g, QdaConfig())
         assert res.status is RunStatus.CONVERGED
         assert not any(rec.guard_events.acted for rec in res.history)
-        assert primal_nme_residual(reduce_with_fallback(g).pencil, res.phi) <= 1e-10
+        assert primal_nme_residual(reduce_with_fallback(g).pencil, res.final.X) <= 1e-10
 
     def test_init_breakdown_reported(self):
         # a pencil whose A is entirely zero cannot be reduced by any idea
         g = GeneralPencil(A=np.zeros((4, 4)), B=np.eye(4), m=2, n=2)
         res = run_qda(g, QdaConfig())
         assert res.status is RunStatus.BREAKDOWN
-        assert res.phi is None
+        assert res.final is None
         assert "initialization" in res.message
 
     @pytest.mark.parametrize("half_plane", [False, True], ids=["disk", "cayley-pair"])
@@ -257,9 +257,9 @@ class TestRunQda:
         base, res = (run_qda(CayleyPair(h, -1.0), QdaConfig()) for h in (g, scaled))
         assert (res.status, res.iterations, res.message) == (base.status, base.iterations,
                                                              base.message)
-        assert res.q1 == base.q1 and res.q2 == base.q2
-        assert res.phi.tobytes() == base.phi.tobytes()
-        assert res.psi.tobytes() == base.psi.tobytes()
+        assert res.final.Q1 == base.final.Q1 and res.final.Q2 == base.final.Q2
+        assert res.final.X.tobytes() == base.final.X.tobytes()
+        assert res.final.Y.tobytes() == base.final.Y.tobytes()
         assert [r.norm_x for r in res.history] == [r.norm_x for r in base.history]
 
 
@@ -494,7 +494,7 @@ class TestBaselines:
         z = np.zeros((2, 2), dtype=complex)
         res = run_sdasf1(e, f, z, z, QdaConfig())
         assert res.status is RunStatus.CONVERGED
-        np.testing.assert_array_equal(res.phi, z)
+        np.testing.assert_array_equal(res.final.X, z)
 
     def test_sf1_breakdown_is_never_recovered(self, monkeypatch):
         # X = Y = I makes I - XY singular at the first step; a baseline must
@@ -556,7 +556,7 @@ class TestBaselines:
         g = cayley(inst.pencil, CayleyParams(-1.0))
         res = run_sdasf1_on(g, QdaConfig())
         blew_up = res.status is RunStatus.BREAKDOWN
-        huge = res.phi is not None and np.linalg.norm(res.phi) >= 1e4
+        huge = res.final is not None and np.linalg.norm(res.final.X) >= 1e4
         assert blew_up or huge
 
     def test_sf2_on_a_problem_requires_a_square_split(self, rng):

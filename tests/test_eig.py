@@ -168,8 +168,7 @@ class TestNres:
 
 class TestSolveHalfplane:
     def test_no_final_pencil_has_no_bases(self):
-        result = QdaResult(phi=None, psi=None, q1=None, q2=None, history=(),
-                           status=RunStatus.BREAKDOWN, message="no start")
+        result = QdaResult(history=(), status=RunStatus.BREAKDOWN, message="no start")
         with pytest.raises(ValueError, match="no pencil to extract bases from"):
             bases_from_result(result)
 
@@ -234,6 +233,6 @@ class TestSolveHalfplane:
         got = run_qda(CayleyPair(inst.pencil, params.gamma), QdaConfig())
         assert got.status is ref.status is RunStatus.CONVERGED
         assert got.iterations == ref.iterations
-        assert got.phi.tobytes() == ref.phi.tobytes()
-        assert got.psi.tobytes() == ref.psi.tobytes()
-        assert got.q1 == ref.q1 and got.q2 == ref.q2
+        assert got.final.X.tobytes() == ref.final.X.tobytes()
+        assert got.final.Y.tobytes() == ref.final.Y.tobytes()
+        assert got.final.Q1 == ref.final.Q1 and got.final.Q2 == ref.final.Q2

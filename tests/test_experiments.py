@@ -110,8 +110,7 @@ class TestMeasure:
         ident = Permutation.identity(m + n)
         final = SfqPencil(m=m, n=n, E=np.eye(m), F=np.eye(n), X=x, Y=np.zeros((m, n)),
                           Q1=ident, Q2=ident)
-        result = QdaResult(phi=final.X, psi=final.Y, q1=ident, q2=ident, history=(),
-                           status=RunStatus.CONVERGED, final=final)
+        result = QdaResult(history=(), status=RunStatus.CONVERGED, final=final)
         return _measure("x", "qda", "seed=1", 1, np.eye(m + n), result, 0.0)
 
     def test_rank_deficient_basis_gives_a_nan_row(self):
