@@ -279,11 +279,13 @@ class SolvedSfqInstance:
     seed: int
 
 
-def _solved_blocks(psi, k1, g1, g2, m_mat, n_mat) -> tuple[np.ndarray, np.ndarray]:
-    """``E0`` from ``E0 (I - G2 N G1 M) = (K1 - Psi G1) M``, and ``Y0 = Psi - E0 G2 N``;
-    the same call on ``(Phi, K2, G2, G1, N, M)`` gives the mirror ``(F0, X0)``."""
-    e0 = solve_transposed(np.eye(len(m_mat)) - g2 @ n_mat @ g1 @ m_mat, (k1 - psi @ g1) @ m_mat)
-    return e0, psi - e0 @ g2 @ n_mat
+def _solved_blocks(psi, k1, g1, g2, mu, nu) -> tuple[np.ndarray, np.ndarray]:
+    """``E0`` from ``E0 (I - G2 N G1 M) = (K1 - Psi G1) M``, and ``Y0 = Psi - E0 G2 N``,
+    for ``M = diag(mu)`` and ``N = diag(nu)``, which scale columns by broadcasting;
+    the same call on ``(Phi, K2, G2, G1, nu, mu)`` gives the mirror ``(F0, X0)``."""
+    g2_n = g2 * nu
+    e0 = solve_transposed(np.eye(len(mu)) - g2_n @ (g1 * mu), (k1 - psi @ g1) * mu)
+    return e0, psi - e0 @ g2_n
 
 
 def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> SolvedSfqInstance:
@@ -302,8 +304,8 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> Sol
     rng = np.random.default_rng([seed])
     phi = 0.3 * _complex_normal(rng, n, m) / np.sqrt(m)
     psi = 0.3 * _complex_normal(rng, m, n) / np.sqrt(n)
-    m_mat = np.diag(_on_circle(rng, m, rho_m, 0.4))
-    n_mat = np.diag(_on_circle(rng, n, rho_n, 0.4))
+    mu = _on_circle(rng, m, rho_m, 0.4)
+    nu = _on_circle(rng, n, rho_n, 0.4)
     q1 = Permutation(rng.permutation(m + n))
     q2 = Permutation(rng.permutation(m + n))
     p = q1.compose(q2.inverse())                # P = Q1 Q2^T
@@ -311,8 +313,8 @@ def gen_solved_sfq(m: int, n: int, rho_m: float, rho_n: float, seed: int) -> Sol
     g2, k2 = np.split(_scatter_basis(p.compose(swap_perm(m, n)).inverse(), psi), [m])
     # P^T [I; Phi] = [Q11^T + Q21^T Phi; Q12^T + Q22^T Phi]
     k1, g1 = np.split(_scatter_basis(p, phi), [m])
-    e0, y0 = _solved_blocks(psi, k1, g1, g2, m_mat, n_mat)
-    f0, x0 = _solved_blocks(phi, k2, g2, g1, n_mat, m_mat)
+    e0, y0 = _solved_blocks(psi, k1, g1, g2, mu, nu)
+    f0, x0 = _solved_blocks(phi, k2, g2, g1, nu, mu)
     pencil = SfqPencil(m=m, n=n, E=e0, F=f0, X=x0, Y=y0, Q1=q1, Q2=q2)
-    return SolvedSfqInstance(pencil=pencil, phi=phi, psi=psi, m_mat=m_mat,
-                             n_mat=n_mat, rho_m=rho_m, rho_n=rho_n, seed=seed)
+    return SolvedSfqInstance(pencil=pencil, phi=phi, psi=psi, m_mat=np.diag(mu),
+                             n_mat=np.diag(nu), rho_m=rho_m, rho_n=rho_n, seed=seed)
