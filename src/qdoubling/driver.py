@@ -240,10 +240,17 @@ def run_sdasfq(p0: SfqPencil | list[SfqPencil], cfg: QdaConfig,
     ``reference`` given, as :func:`run_qda` does, a start held nowhere else
     is then freed once the first step has replaced it.  Without one the start
     is the safeguard's reference, as a plain argument is the caller's, until
-    the call returns.
+    the call returns.  A ``reference`` whose split ``(m, n)`` is not the
+    start's is refused before any step.
     """
     start = p0 if isinstance(p0, list) else [p0]
-    return _iterate(start, cfg, step, cfg.tau_for(start[0].m, start[0].n),
+    m, n = start[0].m, start[0].n
+    if reference is not None:
+        split = reference.source if isinstance(reference, CayleyPair) else reference
+        if (split.m, split.n) != (m, n):
+            raise ValueError(f"the reference's split (m, n) = {(split.m, split.n)} "
+                             f"is not the start's {(m, n)}")
+    return _iterate(start, cfg, step, cfg.tau_for(m, n),
                     start[0] if reference is None else reference)
 
 

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -73,6 +74,22 @@ class TestRunQda:
         zero_b = GeneralPencil(A=np.eye(9), B=np.zeros((9, 9)), m=4, n=5)
         res = run_sdasfq(p0, QdaConfig(max_iter=12), reference=zero_b)
         assert res.status is RunStatus.MAX_ITER and res.iterations == 12
+
+    @pytest.mark.parametrize("reference, split", [
+        (gen_random_split(5, 6, 8.0, 1e-2, 1).pencil, (5, 6)),
+        (gen_random_split(4, 8, 8.0, 1e-2, 1).pencil, (4, 8)),
+        (CayleyPair(gen_random_split(4, 8, 8.0, 1e-2, 1).pencil, -1.0), (4, 8)),
+        (gen_solved_sfq(4, 8, 0.9, 0.9, 1).pencil, (4, 8)),
+    ], ids=["other-size", "other-split", "cayley-other-split", "sfq-other-split"])
+    def test_a_reference_of_another_split_is_refused_before_any_step(
+            self, monkeypatch, reference, split):
+        def no_step(*_args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(qdoubling.driver, "step", no_step)
+        p0 = gen_solved_sfq(6, 6, 0.9, 0.9, 1).pencil
+        with pytest.raises(ValueError, match=re.escape(f"{split} is not the start's (6, 6)")):
+            run_sdasfq(p0, QdaConfig(), reference=reference)
 
     def test_decoupled_diagonal_converges_fast(self):
         g = GeneralPencil(A=np.diag([0.5, 2.0]), B=np.eye(2), m=1, n=1)
