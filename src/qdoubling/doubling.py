@@ -37,22 +37,22 @@ The calls a benchmark tracer wraps (``compute_w`` / ``compute_wt``,
 thread; the S solve is the one traced call the helper may take.
 
 The threshold was measured by timing the steps of whole solves serially and
-on two lanes, medians of five to seven alternating repetitions, on
-``gen_solved_sfq(m, m, 0.99, 0.99, 1)`` (N = 110 ... 600) and on the
-Cayley pairs of ``gen_random_split(m, n, 8, 1e-6, 1)`` (N = 110 ... 650),
-on a 2-vCPU host with one OpenBLAS thread (numpy 2.4, Python 3.11).  Around
-those timings two 300^3 GEMMs took 5.7-6.6 ms serially and 4.8-7.1 ms on
-two threads, so products overlapped little.  With nothing else running,
-two lanes lost up to N = 400 (0.62-0.98x), and from N = 450 up they gained
-1.31-1.57x on the split pencils and gave 0.86-1.03x on the solved ones.
-Beside one busy-looping process they gave 0.53-0.96x up to N = 450 and
-0.95-1.00x above.  Where the second vCPU is free, the same two GEMMs took
-3.0 against 5.6 ms and a step at m = n = 300 ran 1.35x faster (measured
-before this threshold existed).  These timings predate the phase split
-above: both solves then ran on the caller.  At 2**26 multiply-adds a step
-with m = n and r = N/4 runs on two lanes from N of about 450 up: an
-``eta_sweep`` step (N = 110) stays serial, and every step of an N = 600 or
-650 pencil runs on two lanes.
+on two lanes, with the phases above, medians of 7 and then 9 alternating
+repetitions, on ``gen_solved_sfq(k, k, 0.99, 0.99, 1)`` (N = 300 ... 600)
+and on the Cayley pairs of ``gen_random_split(N/2 - 25, N/2 + 25, 8, 1e-6,
+1)`` (N = 300 ... 650), on a 2-vCPU host with one OpenBLAS thread (numpy
+2.4, Python 3.11).  Two lanes lost on the split pencils up to N = 450
+(0.85-0.93x) and gained from N = 500 up (1.39-1.72x); on the solved ones
+they gave 0.92-1.04x at every size.  Timings made before the phase split,
+with both solves on the caller, put the split pencils' crossover one size
+step lower, gaining from N = 450 up; beside one busy-looping process those
+gave 0.53-0.96x up to N = 450 and 0.95-1.00x above, and where the second
+vCPU was free a step at m = n = 300 ran 1.35x faster.  At 2**26
+multiply-adds a step with m = n and r = N/4 runs on two lanes from N of
+about 450 up: an ``eta_sweep`` step (N = 110) stays serial, and every step
+of an N = 600 or 650 pencil runs on two lanes.  A split step at N = 450 thus
+runs on two lanes where it measured a loss; no benchmark workload has that
+size, and the constant is kept.
 """
 
 from __future__ import annotations
