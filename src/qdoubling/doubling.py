@@ -43,16 +43,14 @@ and on the Cayley pairs of ``gen_random_split(N/2 - 25, N/2 + 25, 8, 1e-6,
 1)`` (N = 300 ... 650), on a 2-vCPU host with one OpenBLAS thread (numpy
 2.4, Python 3.11).  Two lanes lost on the split pencils up to N = 450
 (0.85-0.93x) and gained from N = 500 up (1.39-1.72x); on the solved ones
-they gave 0.92-1.04x at every size.  Timings made before the phase split,
-with both solves on the caller, put the split pencils' crossover one size
-step lower, gaining from N = 450 up; beside one busy-looping process those
-gave 0.53-0.96x up to N = 450 and 0.95-1.00x above, and where the second
-vCPU was free a step at m = n = 300 ran 1.35x faster.  At 2**26
-multiply-adds a step with m = n and r = N/4 runs on two lanes from N of
-about 450 up: an ``eta_sweep`` step (N = 110) stays serial, and every step
-of an N = 600 or 650 pencil runs on two lanes.  A split step at N = 450 thus
-runs on two lanes where it measured a loss; no benchmark workload has that
-size, and the constant is kept.
+they gave 0.92-1.04x at every size.  Measured before the phase split, two
+lanes gave 0.53-0.96x beside one busy-looping process up to N = 450 and
+0.95-1.00x above, and where the second vCPU was free a step at m = n = 300
+ran 1.35x faster.  At 2**26 multiply-adds a step with m = n and r = N/4
+runs on two lanes from N of about 450 up: an ``eta_sweep`` step (N = 110)
+stays serial, and every step of an N = 600 or 650 pencil runs on two lanes.
+A split step at N = 450 thus runs on two lanes where it measured a loss; no
+benchmark workload has that size, and the constant is kept.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class QdaResult:
-    """A run's answer is ``final``, its last accepted pencil (None if no step ran)."""
+    """A run's answer is ``final``: its last accepted pencil, None if it had no finite start."""
     history: tuple[IterationRecord, ...]
     status: RunStatus
     final: Optional[SfqPencil] = None
