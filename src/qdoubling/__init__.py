@@ -3,11 +3,8 @@
 from .doubling import (
     Kernel,
     StepOutcome,
-    StopMode,
-    check_stop,
     compute_w,
     compute_wt,
-    select_kernel,
     step,
     step_sf1,
     step_w,
@@ -18,6 +15,8 @@ from .driver import (
     QdaConfig,
     QdaResult,
     RunStatus,
+    StopMode,
+    check_stop,
     run_qda,
     run_sdasf1,
     run_sdasf1_on,
@@ -26,6 +25,7 @@ from .driver import (
     run_sdasfq,
     sdasf1_init,
     sdasf2_init,
+    select_kernel,
 )
 from .eig import (
     CayleyParams,

@@ -21,6 +21,7 @@ from . import __version__
 from .driver import (
     QdaConfig,
     RunStatus,
+    StopMode,
     run_qda,
     run_sdasf1_on,
     run_sdasf2_on,
@@ -39,7 +40,6 @@ from .linalg import RankDeficientError, SingularMatrixError
 from .problems import CriticalSpec, gen_bse_like, gen_critical, gen_random_split
 from .reduction import Idea, Variant
 from .sfq import CayleyPair, GeneralPencil
-from .doubling import StopMode
 
 _EXIT_FOR_STATUS = {
     RunStatus.CONVERGED: 0,

@@ -1,4 +1,4 @@
-"""Structure-preserving doubling kernels and stopping rules.
+"""Structure-preserving doubling kernels.
 
 Two equivalent update rules advance a Q-standard-form pencil one doubling
 step: the W-rule solves with the n-by-n matrix ``W = [-X, I] P [Y; I]``
@@ -59,7 +59,7 @@ import enum
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -176,13 +176,7 @@ def step_wt(p: SfqPencil) -> StepOutcome:
     return replace(out, next=dual(out.next))
 
 
-def select_kernel(m: int, n: int) -> Kernel:
-    """Solve with the smaller matrix: W (n-by-n) unless n > m."""
-    return Kernel.W if n <= m else Kernel.WTILDE
-
-
-def step(p: SfqPencil, kernel: Kernel | None = None) -> StepOutcome:
-    kernel = kernel or select_kernel(p.m, p.n)
+def step(p: SfqPencil, kernel: Kernel) -> StepOutcome:
     return step_w(p) if kernel is Kernel.W else step_wt(p)
 
 
@@ -197,32 +191,3 @@ def step_sf1(e: np.ndarray, f: np.ndarray, x: np.ndarray, y: np.ndarray) -> Step
     return step_w(SfqPencil(m=e.shape[0], n=f.shape[0], E=e, F=f, X=x, Y=y,
                             Q1=ident, Q2=ident))
 
-
-# ---------------------------------------------------------------------------
-# Stopping rules
-# ---------------------------------------------------------------------------
-
-
-class StopMode(enum.Enum):
-    PLAIN = "plain"
-    KAHAN = "kahan"
-
-
-def check_stop(diffs: Sequence[float], x_norm: float, rtol: float,
-               mode: StopMode = StopMode.KAHAN) -> bool:
-    """Decide termination from the last two update norms.
-
-    ``diffs`` ends with ``||X_i - X_{i-1}||_F``; the driver passes its last
-    two records' norms.  The plain rule reads the last; the Kahan rule reads
-    both and needs a strictly positive denominator, else it falls back.
-    """
-    if not diffs:
-        return False
-    d_now = diffs[-1]
-    plain = d_now <= rtol * x_norm
-    if mode is StopMode.PLAIN or len(diffs) < 2:
-        return plain
-    denom = diffs[-2] - d_now
-    if denom <= 0.0:
-        return plain
-    return d_now * d_now / denom <= rtol * x_norm

@@ -31,8 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .doubling import (Kernel, StepOutcome, StopMode, check_stop, select_kernel, step,
-                       step_sf1, step_w)
+from .doubling import Kernel, StepOutcome, step, step_sf1, step_w
 from .guard import GuardReport, default_tau, guard
 from .linalg import Permutation, RankDeficientError, SingularMatrixError, check_count
 from .reduction import Idea, InitReport, Variant, closed_form_init, reduce_with_fallback, reinit
@@ -44,6 +43,11 @@ from .sfq import (
     orthonormal_residual,
     swap_perm,
 )
+
+class StopMode(enum.Enum):
+    PLAIN = "plain"
+    KAHAN = "kahan"
+
 
 class RunStatus(enum.Enum):
     CONVERGED = "converged"
@@ -140,6 +144,24 @@ def _safeguard_ok(p: SfqPencil, rtol: float, reference: Reference) -> bool:
     return res <= math.sqrt(rtol)
 
 
+def select_kernel(m: int, n: int) -> Kernel:
+    """Solve with the smaller matrix: W (n-by-n) unless n > m."""
+    return Kernel.W if n <= m else Kernel.WTILDE
+
+
+def check_stop(d_now: float, d_prev: Optional[float], x_norm: float, rtol: float,
+               mode: StopMode) -> bool:
+    """Decide termination from the last update norm ``||X_i - X_{i-1}||_F``
+    and the one before it, None at the first step.  The Kahan rule reads
+    ``d_now^2 / (d_prev - d_now)`` and falls back to the plain rule at the
+    first step and where the update did not shrink.
+    """
+    plain = d_now <= rtol * x_norm
+    if mode is StopMode.PLAIN or d_prev is None or d_prev <= d_now:
+        return plain
+    return d_now * d_now / (d_prev - d_now) <= rtol * x_norm
+
+
 def _relative(delta: float, norm_x: float) -> float:
     if norm_x > 0.0:
         return delta / norm_x
@@ -223,7 +245,8 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
         p = accepted
         if greport.acted:
             continue  # coordinates changed; the update norm is not comparable
-        if check_stop([rec.abs_update_x for rec in history[-2:]], norm_x, cfg.rtol, cfg.stop_mode):
+        d_prev = history[-2].abs_update_x if len(history) > 1 else None
+        if check_stop(delta, d_prev, norm_x, cfg.rtol, cfg.stop_mode):
             if _safeguard_ok(p, cfg.rtol, reference):
                 status = RunStatus.CONVERGED
                 break

@@ -180,7 +180,7 @@ class TestRunQda:
             refs.extend(weakref.ref(obj) for obj in (p, p.E, p.F, p.X, p.Y))
             return report
 
-        def watched_step(p, kernel=None):
+        def watched_step(p, kernel):
             alive.append([ref() is not None for ref in refs])
             return step_(p, kernel)
 
@@ -204,7 +204,7 @@ class TestRunQda:
         refs, alive = [], []
         step_ = qdoubling.driver.step
 
-        def watched_step(p, kernel=None):
+        def watched_step(p, kernel):
             alive.append([ref() is not None for ref in refs])
             outcome = step_(p, kernel)
             refs.append(weakref.ref(outcome.next.X))
@@ -340,7 +340,7 @@ class TestRecovery:
         kernels, reinits = [], []
         step_, reinit_ = qdoubling.driver.step, qdoubling.driver.reinit
 
-        def failing_step(p, kernel=None):
+        def failing_step(p, kernel):
             kernels.append(kernel)
             if len(kernels) in breaking:
                 raise BreakdownError("doubling step (W solve)", "forced")
@@ -402,7 +402,7 @@ class TestRecovery:
         steps, reinits, step_ = [], [], qdoubling.driver.step
         forced = random_sfq(np.random.default_rng(4), 3, 3, scale=1.0)
 
-        def forced_step(p, kernel=None):
+        def forced_step(p, kernel):
             steps.append(kernel)
             if len(steps) == 2:
                 return StepOutcome(next=forced, w_condition=1.0, w_min_pivot=1.0, kernel=kernel)

@@ -213,7 +213,7 @@ class TestSolveHalfplane:
             refs.extend(weakref.ref(obj) for obj in (disk, disk.A, disk.B))
             return disk
 
-        def watched_step(p, kernel=None):
+        def watched_step(p, kernel):
             if not alive:
                 alive.append([ref() is not None for ref in refs])
             return first_step(p, kernel)
