@@ -2,9 +2,10 @@
 
 Prints one ``name sha256`` line per output: the four generators, the four
 solvers under the default and one non-default configuration (every result
-field and every guard action), the files ``qdoubling solve`` writes, the
-three experiments and the benchmark's instance families at small sizes, and
-one instance of each family at full size, where the solvers run on two lanes.
+field and every guard action), the driver runs of the acceptance suite, the
+files ``qdoubling solve`` writes, the three experiments and the benchmark's
+instance families at small sizes, and one instance of each family at full
+size, where the solvers run on two lanes.
 Run it on two checkouts of ``src/`` and ``diff`` the outputs to show that a
 change keeps every output bit for bit::
 
@@ -47,6 +48,7 @@ from qdoubling import (
     Variant,
     bases_from_result,
     cayley,
+    dual,
     gen_bse_like,
     gen_critical,
     gen_random_split,
@@ -59,6 +61,8 @@ from qdoubling import (
 )
 from qdoubling.cli import main as cli_main
 from qdoubling.experiments import bse_like, critical_rate, eta_sweep
+
+from conftest import NO_GUARD, random_sfq
 
 #: The non-default configuration: a low guard threshold, so that the guard
 #: acts, the idea-1 B-first start and the plain stopping rule.
@@ -141,6 +145,37 @@ def solvers():
             inst = gen_solved_sfq(8, 7, 0.95, 0.95, seed)
             yield from _result_fields(f"run_sdasfq/solved_s{seed}/{label}",
                                       run_sdasfq(inst.pencil, cfg))
+
+
+def acceptance():
+    """The driver runs of ``tests/test_acceptance.py`` (tests 03, 04, 05,
+    07, 09 and 10), each on its test's instance and configuration."""
+    gamma = CayleyParams(-1.0)
+    for seed in range(1, 6):
+        g = cayley(gen_random_split(20, 25, 8.0, 1.0, seed).pencil, gamma)
+        yield from _result_fields(f"acceptance/03/s{seed}", run_qda(g, QdaConfig()))
+        inst = gen_solved_sfq(6, 7, 0.6, 0.7, seed)
+        yield from _result_fields(f"acceptance/04/s{seed}", run_sdasfq(
+            inst.pencil, QdaConfig(rtol=1e-12, stop_mode=StopMode.KAHAN)))
+    rng = np.random.default_rng(505)
+    cfg = QdaConfig(max_iter=6, rtol=1e-300, tau=NO_GUARD)
+    for m, n in ((3, 5), (4, 4), (2, 6), (5, 3), (4, 5)):
+        p0 = random_sfq(rng, m, n, scale=0.35)
+        yield from _result_fields(f"acceptance/05/{m}x{n}/primal", run_sdasfq(p0, cfg))
+        yield from _result_fields(f"acceptance/05/{m}x{n}/dual", run_sdasfq(dual(p0), cfg))
+    yield from _result_fields("acceptance/07", run_qda(gen_critical(CRITICAL_SPECS[0], 2).pencil,
+                                                       QdaConfig()))
+    for eta, seed in itertools.product((1e-4, 1e-5, 1e-6, 1e-7), (1, 2, 3)):
+        g = cayley(gen_random_split(50, 60, 8.0, eta, seed).pencil, gamma)
+        yield from _result_fields(f"acceptance/09/{eta:.0e}/s{seed}/qda", run_qda(g, QdaConfig()))
+        if eta in (1e-6, 1e-7):
+            yield from _result_fields(f"acceptance/09/{eta:.0e}/s{seed}/sf1",
+                                      run_sdasf1_on(g, QdaConfig()))
+    for seed in (1, 2, 3):
+        g = cayley(gen_bse_like(64, 2.0, seed).pencil, gamma)
+        yield from _result_fields(f"acceptance/10/s{seed}/qda", run_qda(g, QdaConfig()))
+        g = cayley(gen_bse_like(64, 2.0, seed, coupling_scale=1e-3).pencil, gamma)
+        yield from _result_fields(f"acceptance/10/s{seed}/sf1", run_sdasf1_on(g, QdaConfig()))
 
 
 def _cli(*argv: str) -> int:
@@ -229,7 +264,8 @@ def full_size():
     yield from _result_fields("full_size/solved/sfq", result)
 
 
-SECTIONS = (generators, solvers, cli_solve, experiments, benchmark_families, full_size)
+SECTIONS = (generators, solvers, acceptance, cli_solve, experiments, benchmark_families,
+            full_size)
 
 
 def fingerprint(sections=SECTIONS):
