@@ -36,20 +36,20 @@ The calls a benchmark tracer wraps (``compute_w`` / ``compute_wt``,
 :func:`lu_factor`, the T solve and :func:`q_blocks_of`) stay on the calling
 thread; the S solve is the one traced call the helper may take.
 
-The threshold was measured by timing the steps of whole solves serially and
-on two lanes, with the phases above, medians of 7 and then 9 alternating
-repetitions, on ``gen_solved_sfq(k, k, 0.99, 0.99, 1)`` (N = 300 ... 600)
-and on the Cayley pairs of ``gen_random_split(N/2 - 25, N/2 + 25, 8, 1e-6,
-1)`` (N = 300 ... 650), on a 2-vCPU host with one OpenBLAS thread (numpy
-2.4, Python 3.11).  Two lanes lost on the split pencils up to N = 450
-(0.85-0.93x) and gained from N = 500 up (1.39-1.72x); on the solved ones
-they gave 0.92-1.04x at every size.  Measured before the phase split, two
-lanes gave 0.53-0.96x beside one busy-looping process up to N = 450 and
-0.95-1.00x above, and where the second vCPU was free a step at m = n = 300
-ran 1.35x faster.  At 2**26 multiply-adds a step with m = n and r = N/4
-runs on two lanes from N of about 450 up: an ``eta_sweep`` step (N = 110)
-stays serial, and every step of an N = 600 or 650 pencil runs on two lanes.
-A split step at N = 450 thus runs on two lanes where it measured a loss; no
+The threshold was measured by timing steps serially and on two lanes, with
+the phases above, on a 2-vCPU host with one OpenBLAS thread (numpy 2.4,
+Python 3.11), in two passes of one session: the steps of whole solves
+(medians of 7 alternating solves) and single start steps (medians of 9).  On
+the Cayley pairs of ``gen_random_split(N/2 - 25, N/2 + 25, 8, 1e-6, 1)`` two
+lanes ran QDA's steps 1.30-1.74x as fast over whole solves and 1.24-1.73x as
+single steps at every N from 300 to 650; on ``gen_solved_sfq(N/2, N/2, 0.99,
+0.99, 1)`` they gave 0.84-0.98x and 0.83-0.94x up to N = 500, and 1.14-1.25x
+and 1.46-1.73x at N = 600.  Before the phase split, two lanes gave
+0.53-0.96x beside one busy-looping process up to N = 450 and 0.95-1.00x
+above.  At 2**26 multiply-adds a step with m = n and r = N/4 runs on two
+lanes from N of about 450 up: an ``eta_sweep`` step (N = 110) stays serial,
+and every step of an N = 600 or 650 pencil runs on two lanes.  A solved step
+at N = 500 (r = 120) thus runs on two lanes where it measured a loss; no
 benchmark workload has that size, and the constant is kept.
 """
 
