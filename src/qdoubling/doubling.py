@@ -38,7 +38,7 @@ thread; the S solve is the one traced call the helper may take.
 
 The threshold was measured by timing steps serially and on two lanes, with
 the phases above, on a 2-vCPU host with one OpenBLAS thread (numpy 2.4,
-Python 3.11), in two passes of one session: the steps of whole solves
+Python 3.11), in two back-to-back passes: the steps of whole solves
 (medians of 7 alternating solves) and single start steps (medians of 9).  On
 the Cayley pairs of ``gen_random_split(N/2 - 25, N/2 + 25, 8, 1e-6, 1)`` two
 lanes ran QDA's steps 1.30-1.74x as fast over whole solves and 1.24-1.73x as
