@@ -3,7 +3,8 @@
 Prints one ``name sha256`` line per output: the four generators, the four
 solvers under the default and one non-default configuration (every result
 field and every guard action), the driver runs of the acceptance suite, the
-files ``qdoubling solve`` writes, the three experiments and the benchmark's
+residual safeguard against each kind of reference and the block-form
+baselines, the files ``qdoubling solve`` writes, the three experiments and the benchmark's
 instance families at small sizes, and one instance of each family at full
 size, where the solvers run on two lanes.
 Run it on two checkouts of ``src/`` and ``diff`` the outputs to show that a
@@ -53,10 +54,16 @@ from qdoubling import (
     gen_critical,
     gen_random_split,
     gen_solved_sfq,
+    orthonormal_residual,
+    reduce_with_fallback,
     run_qda,
+    run_sdasf1,
     run_sdasf1_on,
+    run_sdasf2,
     run_sdasf2_on,
     run_sdasfq,
+    sdasf1_init,
+    sdasf2_init,
     solve_halfplane,
 )
 from qdoubling.cli import main as cli_main
@@ -178,6 +185,32 @@ def acceptance():
         yield from _result_fields(f"acceptance/10/s{seed}/sf1", run_sdasf1_on(g, QdaConfig()))
 
 
+def residuals():
+    """``orthonormal_residual`` of a split pencil's true stable basis and of
+    its QDA answer, each against a bare ``H`` (B = I), the Cayley pair's
+    dense pencil, the ``CayleyPair`` and the reduced start, and
+    ``run_sdasf1`` and ``run_sdasf2`` on the blocks of their closed-form
+    starts under each configuration."""
+    for (m, n), seed in (((12, 15), 1), ((12, 15), 2), ((12, 15), 3), ((50, 60), 1)):
+        inst = gen_random_split(m, n, 8.0, 1e-6, seed)
+        pair = CayleyPair(inst.pencil, -1.0)
+        disk = pair.pencil()
+        references = (("H", inst.pencil.A), ("general", disk), ("cayley", pair),
+                      ("sfq", reduce_with_fallback(disk, Idea.IDEA3, Variant.A_FIRST).pencil))
+        bases = (("matrix", inst.true_basis_stable), ("pencil", run_qda(pair).final))
+        for (ref_name, ref), (basis_name, z) in itertools.product(references, bases):
+            yield (f"residual/{m}x{n}/s{seed}/{ref_name}/{basis_name}",
+                   orthonormal_residual(ref, z))
+    problems = (("split", gen_random_split(12, 12, 8.0, 1e-6, 1).pencil),
+                ("bse", gen_bse_like(10, 2.0, 2, coupling_scale=1e-3).pencil))
+    for (family, g), (label, cfg) in itertools.product(problems, CONFIGS):
+        disk = CayleyPair(g, -1.0).pencil()
+        for runner, init in ((run_sdasf1, sdasf1_init), (run_sdasf2, sdasf2_init)):
+            p0 = init(disk)
+            yield from _result_fields(f"{runner.__name__}/{family}/{label}",
+                                      runner(p0.E, p0.F, p0.X, p0.Y, cfg))
+
+
 def _cli(*argv: str) -> int:
     with contextlib.redirect_stdout(io.StringIO()):     # gen names its temporary folder
         return cli_main(list(argv))
@@ -264,7 +297,7 @@ def full_size():
     yield from _result_fields("full_size/solved/sfq", result)
 
 
-SECTIONS = (generators, solvers, acceptance, cli_solve, experiments, benchmark_families,
+SECTIONS = (generators, solvers, acceptance, residuals, cli_solve, experiments, benchmark_families,
             full_size)
 
 
