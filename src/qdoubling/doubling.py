@@ -85,16 +85,16 @@ class StepOutcome:
     kernel: Kernel
 
 
-def compute_w(p: SfqPencil, pi: np.ndarray | None = None) -> np.ndarray:
-    """``W = Q22 - X Q12 + (Q21 - X Q11) Y`` (n-by-n); ``pi``, if given, is ``q_blocks_of(p)``."""
-    return bracket_w(p.X, p.Y, q_blocks_of(p) if pi is None else pi)
+def compute_w(p: SfqPencil, pi: np.ndarray) -> np.ndarray:
+    """``W = Q22 - X Q12 + (Q21 - X Q11) Y`` (n-by-n); ``pi`` is ``q_blocks_of(p)``."""
+    return bracket_w(p.X, p.Y, pi)
 
 
-def compute_wt(p: SfqPencil, pi: np.ndarray | None = None) -> np.ndarray:
+def compute_wt(p: SfqPencil, pi: np.ndarray) -> np.ndarray:
     """``Wt = Q11^T - Y Q12^T + (Q21^T - Y Q22^T) X`` (m-by-m), the W of
-    ``dual(p)``; ``pi``, if given, is ``q_blocks_of(dual(p))``."""
+    ``dual(p)``; ``pi`` is ``q_blocks_of(dual(p))``."""
     # not compute_w: a wrapper of compute_w (a benchmark span) sees W steps only
-    return bracket_w(p.Y, p.X, q_blocks_of(dual(p)) if pi is None else pi)
+    return bracket_w(p.Y, p.X, pi)
 
 
 def _w_rule(p: SfqPencil, form_w: Callable[[np.ndarray], np.ndarray],

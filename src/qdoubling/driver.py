@@ -190,6 +190,7 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
     status = RunStatus.MAX_ITER
     message = ""
     reinit_used = kernel_switched = False
+    d_prev: Optional[float] = None      # the last step's update norm
     while len(history) < cfg.max_iter:
         it = len(history) + 1
         kernel = select_kernel(p.m, p.n)
@@ -243,13 +244,12 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
         ))
         del outcome     # after a guard action, the unguarded pencil goes before the next step
         p = accepted
-        if greport.acted:
-            continue  # coordinates changed; the update norm is not comparable
-        d_prev = history[-2].abs_update_x if len(history) > 1 else None
-        if check_stop(delta, d_prev, norm_x, cfg.rtol, cfg.stop_mode):
-            if _safeguard_ok(p, cfg.rtol, reference):
-                status = RunStatus.CONVERGED
-                break
+        # after a guard action the coordinates changed: the update norm is not comparable
+        if (not greport.acted and check_stop(delta, d_prev, norm_x, cfg.rtol, cfg.stop_mode)
+                and _safeguard_ok(p, cfg.rtol, reference)):
+            status = RunStatus.CONVERGED
+            break
+        d_prev = delta
     return QdaResult(history=tuple(history), status=status, final=p, message=message)
 
 
@@ -307,11 +307,11 @@ def run_qda(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_q(stepper) -> Callable[[SfqPencil, Kernel], StepOutcome]:
-    """SDASF1's ``advance`` for the shared loop, run with no guard and no recovery."""
+def _sf1_advance(p: SfqPencil, _kernel: Kernel) -> StepOutcome:
+    """SDASF1's ``advance``: the W-rule with both Qs the identity."""
     # step_sf1 keeps its (e, f, x, y) signature because the benchmark's
     # tracer wraps driver.step_sf1; SDASF2 calls step_w directly
-    return lambda p, _k: stepper(p.E, p.F, p.X, p.Y)
+    return step_sf1(p.E, p.F, p.X, p.Y)
 
 
 def _sf2_advance(p: SfqPencil, _kernel: Kernel) -> StepOutcome:
@@ -325,7 +325,7 @@ def run_sdasf1(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
     m, n = e0.shape[0], f0.shape[0]
     ident = Permutation.identity(m + n)
     p0 = SfqPencil(m=m, n=n, E=e0, F=f0, X=x0, Y=y0, Q1=ident, Q2=ident)
-    return _iterate([p0], cfg, _fixed_q(step_sf1), None, p0)
+    return _iterate([p0], cfg, _sf1_advance, None, p0)
 
 
 def run_sdasf2(e0: np.ndarray, f0: np.ndarray, x0: np.ndarray, y0: np.ndarray,
@@ -363,7 +363,7 @@ def _run_baseline_on(problem: Problem, cfg: QdaConfig, init,
 
 
 def run_sdasf1_on(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:
-    return _run_baseline_on(problem, cfg, sdasf1_init, _fixed_q(step_sf1), "SF1")
+    return _run_baseline_on(problem, cfg, sdasf1_init, _sf1_advance, "SF1")
 
 
 def run_sdasf2_on(problem: Problem, cfg: QdaConfig = QdaConfig()) -> QdaResult:

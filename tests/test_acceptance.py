@@ -67,10 +67,10 @@ def test_01_kernel_equivalence():
         m = int(rng.integers(1, 9))
         n = int(rng.integers(1, 9))
         p = random_sfq(rng, m, n, scale=1.0)
-        from qdoubling import compute_w, compute_wt
+        from qdoubling import compute_w, compute_wt, q_blocks_of
         try:
-            cw = lu_factor(compute_w(p)).condition_estimate
-            cwt = lu_factor(compute_wt(p)).condition_estimate
+            cw = lu_factor(compute_w(p, q_blocks_of(p))).condition_estimate
+            cwt = lu_factor(compute_wt(p, q_blocks_of(dual(p)))).condition_estimate
         except Exception:
             continue
         if max(cw, cwt) > 1e6:

@@ -20,6 +20,7 @@ from qdoubling import (
     compute_w,
     compute_wt,
     gen_solved_sfq,
+    q_blocks_of,
     select_kernel,
     step_sf1,
     step_w,
@@ -41,9 +42,9 @@ def scalar_pencil(e, f, x, y, q2=None):
 class TestW:
     def test_equal_qs(self, rng):
         p = random_sfq(rng, 3, 4, random_q=False)
-        w = compute_w(p)
+        w = compute_w(p, q_blocks_of(p))
         np.testing.assert_allclose(w, np.eye(4) - p.X @ p.Y, atol=0)
-        wt = compute_wt(p)
+        wt = compute_wt(p, q_blocks_of(dual(p)))
         np.testing.assert_allclose(wt, np.eye(3) - p.Y @ p.X, atol=0)
 
     def test_block_swap(self, rng):
@@ -51,8 +52,8 @@ class TestW:
         p = SfqPencil(m=n, n=n, E=complex_normal(rng, n, n), F=complex_normal(rng, n, n),
                       X=complex_normal(rng, n, n), Y=complex_normal(rng, n, n),
                       Q1=Permutation.identity(2 * n), Q2=swap_perm(n, n))
-        np.testing.assert_array_equal(compute_w(p), p.Y - p.X)
-        np.testing.assert_array_equal(compute_wt(p), p.X - p.Y)
+        np.testing.assert_array_equal(compute_w(p, q_blocks_of(p)), p.Y - p.X)
+        np.testing.assert_array_equal(compute_wt(p, q_blocks_of(dual(p))), p.X - p.Y)
 
     def test_matches_bracket_product(self, rng):
         p = random_sfq(rng, 3, 5)
@@ -60,14 +61,15 @@ class TestW:
         left = np.hstack([-p.X, np.eye(5)])
         right = np.vstack([p.Y, np.eye(5)])
         expected = left @ qprod @ right
-        assert np.linalg.norm(compute_w(p) - expected) <= 1e-14 * max(1, np.linalg.norm(expected))
+        w = compute_w(p, q_blocks_of(p))
+        assert np.linalg.norm(w - expected) <= 1e-14 * max(1, np.linalg.norm(expected))
 
     def test_nonsingularity_covaries(self, rng):
         from qdoubling.linalg import lu_factor
         for _ in range(20):
             p = random_sfq(rng, 4, 4, scale=0.5)
-            cw = lu_factor(compute_w(p)).condition_estimate
-            cwt = lu_factor(compute_wt(p)).condition_estimate
+            cw = lu_factor(compute_w(p, q_blocks_of(p))).condition_estimate
+            cwt = lu_factor(compute_wt(p, q_blocks_of(dual(p)))).condition_estimate
             # both well-conditioned together on tame draws
             assert cw < 1e6 and cwt < 1e6
 

@@ -26,6 +26,7 @@ from qdoubling import (
     compute_w,
     compute_wt,
     dual,
+    q_blocks_of,
     step_sf1,
     step_w,
     step_wt,
@@ -148,8 +149,9 @@ def _same_outcome(got_fn, want_fn, p):
 
 def _check_w(p):
     """W and Wt entrywise within ``g * M_W`` (Wt: the W of ``dual(p)``)."""
-    assert np.all(np.abs(compute_w(p) - ref.compute_w(p)) <= _tolerances(p)["W"])
-    assert np.all(np.abs(compute_wt(p) - ref.compute_wt(p)) <= _tolerances(dual(p))["W"])
+    w, wt = compute_w(p, q_blocks_of(p)), compute_wt(p, q_blocks_of(dual(p)))
+    assert np.all(np.abs(w - ref.compute_w(p)) <= _tolerances(p)["W"])
+    assert np.all(np.abs(wt - ref.compute_wt(p)) <= _tolerances(dual(p))["W"])
 
 
 def test_w_and_wt_match_the_dense_block_reference():
