@@ -152,9 +152,9 @@ def select_kernel(m: int, n: int) -> Kernel:
 def check_stop(d_now: float, d_prev: Optional[float], x_norm: float, rtol: float,
                mode: StopMode) -> bool:
     """Decide termination from the last update norm ``||X_i - X_{i-1}||_F``
-    and the one before it, None at the first step.  The Kahan rule reads
-    ``d_now^2 / (d_prev - d_now)`` and falls back to the plain rule at the
-    first step and where the update did not shrink.
+    and the one before it, None at the first step and after a guard action.
+    The Kahan rule reads ``d_now^2 / (d_prev - d_now)`` and falls back to
+    the plain rule where ``d_prev`` is None or the update did not shrink.
     """
     plain = d_now <= rtol * x_norm
     if mode is StopMode.PLAIN or d_prev is None or d_prev <= d_now:
@@ -190,7 +190,7 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
     status = RunStatus.MAX_ITER
     message = ""
     reinit_used = kernel_switched = False
-    d_prev: Optional[float] = None      # the last step's update norm
+    d_prev: Optional[float] = None      # the last step's update norm, if comparable
     while len(history) < cfg.max_iter:
         it = len(history) + 1
         kernel = select_kernel(p.m, p.n)
@@ -244,12 +244,13 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
         ))
         del outcome     # after a guard action, the unguarded pencil goes before the next step
         p = accepted
-        # after a guard action the coordinates changed: the update norm is not comparable
+        # after a guard action the coordinates changed: this update norm is not
+        # comparable, neither to the stop rule now nor to the next step's Kahan estimate
         if (not greport.acted and check_stop(delta, d_prev, norm_x, cfg.rtol, cfg.stop_mode)
                 and _safeguard_ok(p, cfg.rtol, reference)):
             status = RunStatus.CONVERGED
             break
-        d_prev = delta
+        d_prev = None if greport.acted else delta
     return QdaResult(history=tuple(history), status=status, final=p, message=message)
 
 

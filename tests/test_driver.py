@@ -253,6 +253,29 @@ class TestRunQda:
                    for value in (rec.abs_update_x, rec.norm_e, rec.norm_f,
                                  rec.norm_x, rec.norm_y))
 
+    def test_the_kahan_rule_reads_no_update_from_before_a_guard_action(self, monkeypatch):
+        # this pair's guard acts at steps 4 and 5; step 6 once stopped on a
+        # Kahan estimate that divided by step 5's update of 8.1e5, measured
+        # in the coordinates before the swap, with the plain rule unmet
+        acted, checked = [], []
+        guard, check_stop = qdoubling.driver.guard, qdoubling.driver.check_stop
+
+        def watched_guard(*args):
+            accepted, report = guard(*args)
+            acted.append(report.acted)
+            return accepted, report
+
+        def watched_check(d_now, d_prev, *args):
+            checked.append((len(acted), d_prev))
+            return check_stop(d_now, d_prev, *args)
+
+        monkeypatch.setattr(qdoubling.driver, "guard", watched_guard)
+        monkeypatch.setattr(qdoubling.driver, "check_stop", watched_check)
+        res = run_qda(CayleyPair(gen_random_split(12, 15, 8.0, 1e-6, 4).pencil, -1.0))
+        assert res.status is RunStatus.CONVERGED
+        after_action = [d_prev for it, d_prev in checked if it > 1 and acted[it - 2]]
+        assert after_action == [None]
+
     def test_declared_split_of_the_overflow_instance_converges(self):
         g = cayley(gen_random_split(3, 3, 8.0, 1e-2, seed=1).pencil, CayleyParams(-1.0))
         res = run_qda(g, QdaConfig())
