@@ -56,7 +56,8 @@ def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
     norm of the trailing X block when the basis came from the solver;
     otherwise ``||Z||_F`` is used, and a given one must be finite and at
     least 0.  The ``max(1, .)`` floor keeps the metric finite for exactly
-    decoupled problems where X = 0.
+    decoupled problems where X = 0.  An ``H`` or ``z`` with a non-finite
+    entry is refused.
     """
     if x_norm is not None and not 0.0 <= x_norm < np.inf:
         raise ValueError(f"x_norm must be finite and at least 0, got {x_norm}")

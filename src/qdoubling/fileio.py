@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .driver import IterationRecord
-from .linalg import Permutation, as_complex_matrix
+from .linalg import Permutation, finite_matrix
 
 HISTORY_HEADER = ["i", "absUpdateX", "relUpdateX", "normE", "normF", "normX",
                   "normY", "wCondition", "wMinPivot", "guardActions"]
@@ -34,9 +34,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def matrix_to_obj(a: np.ndarray) -> dict:
-    a = as_complex_matrix(a)
-    if not np.isfinite(a).all():
-        raise ValueError("refusing to serialize non-finite matrix entries")
+    a = finite_matrix(a, "a matrix to write")
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
@@ -62,10 +60,7 @@ def obj_to_matrix(obj: dict) -> np.ndarray:
     if re.size != rows * cols or im.size != rows * cols:
         raise ValueError(f"matrix payload length {re.size}/{im.size} does not "
                          f"match {rows}x{cols}")
-    a = (re + 1j * im).reshape(rows, cols)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix file contains non-finite entries")
-    return a
+    return finite_matrix((re + 1j * im).reshape(rows, cols), "matrix file")
 
 
 def write_matrix(path: str | Path, a: np.ndarray) -> None:

@@ -88,6 +88,14 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+def finite_matrix(a, name: str) -> np.ndarray:
+    """:func:`as_complex_matrix` of ``a``, refused if an entry is not finite."""
+    a = as_complex_matrix(a)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
 def check_count(value, name: str, least: int = 1) -> None:
     """Raise unless ``value`` is an integer (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:

@@ -45,6 +45,7 @@ from .linalg import (
     abs_sums,
     as_complex_matrix,
     check_count,
+    finite_matrix,
     frozen,
     lu_factor,
     lu_solve,
@@ -319,7 +320,7 @@ def _basis_rows(z: np.ndarray | SfqPencil, order: Permutation | None) -> np.ndar
     if isinstance(z, SfqPencil):
         return _scatter_basis(z.Q1 if order is None else z.Q1.compose(order.inverse()),
                               z.X, order="F")
-    z = as_complex_matrix(z)
+    z = finite_matrix(z, "the basis")
     if order is None:
         return np.array(z, order="F")
     out = np.empty(z.shape, dtype=np.complex128, order="F")
@@ -387,12 +388,15 @@ def _sfq_products(p: SfqPencil, v: np.ndarray, order: Permutation, split: int):
         del au      # freed before the next block of rows is made
 
 
-def _standard_operands(h, z) -> tuple[np.ndarray, np.ndarray]:
-    """``(h, z)`` as complex matrices, refused unless h is square and z has its rows."""
-    h, z = as_complex_matrix(h), as_complex_matrix(z)
-    if h.shape[0] != h.shape[1] or z.shape[0] != h.shape[0]:
+def _standard_operands(h, z) -> tuple[np.ndarray, np.ndarray | SfqPencil]:
+    """``(h, z)`` as complex matrices (a pencil ``z`` stands for its basis),
+    refused unless both are finite, h is square and z has its rows."""
+    h = finite_matrix(h, "H")
+    z = z if isinstance(z, SfqPencil) else finite_matrix(z, "the basis")
+    shape = (z.size, z.m) if isinstance(z, SfqPencil) else z.shape
+    if h.shape[0] != h.shape[1] or shape[0] != h.shape[0]:
         raise ValueError("normalized residuals need a square H and a basis of its rows, "
-                         f"got H of shape {h.shape} and a basis of shape {z.shape}")
+                         f"got H of shape {h.shape} and a basis of shape {shape}")
     return h, z
 
 
@@ -429,6 +433,7 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     None forms a dense N-by-N matrix.  ``z`` may be an :class:`SfqPencil`
     standing for its basis ``Q1^T [I; X]``, which is then built here and
     factored in place, so the basis and its ``U`` are never held at once.
+    A matrix ``z`` or an ``H`` with a non-finite entry is refused before the QR.
 
     Only ``U`` is kept at the size of ``z``.  ``A U`` and ``B U`` are made
     :data:`CAYLEY_ROWS` rows at a time, twice: the first pass accumulates the
@@ -441,6 +446,8 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     every entry of ``A U``), so no scale of A or B makes ``G`` overflow or
     underflow.
     """
+    if not isinstance(pencil, (SfqPencil, GeneralPencil, CayleyPair)):
+        pencil, z = _standard_operands(pencil, z)   # the standard problem (H, I)
     order, split = _operand_order(pencil) if isinstance(pencil, SfqPencil) else (None, 0)
     u = qr_in_place(_basis_rows(z, order))[0]     # r goes before the Gram stage
     if isinstance(pencil, SfqPencil):
@@ -449,10 +456,9 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     elif isinstance(pencil, (GeneralPencil, CayleyPair)):
         ests = _pair_estimates(pencil, u.shape[0])
         products = partial(_pair_products, pencil, u)
-    else:   # the standard problem (H, I): B U is U itself
-        h, u = _standard_operands(pencil, u)
-        ests = two_est(h), 1.0
-        products = partial(_standard_products, h, u)
+    else:   # B U is U itself
+        ests = two_est(pencil), 1.0
+        products = partial(_standard_products, pencil, u)
     sa, sb = (_pow2_scale(est) for est in ests)
     cols = u.shape[1]
     gram = np.zeros((cols, cols), dtype=np.complex128, order="F")

@@ -20,6 +20,7 @@ from qdoubling import (
     gen_random_split,
     nres1,
     nres2,
+    orthonormal_residual,
     run_qda,
     solve_halfplane,
     thin_qr,
@@ -164,6 +165,24 @@ class TestNres:
         shapes = f"got H of shape {h_shape} and a basis of shape {z_shape}"
         with pytest.raises(ValueError, match=re.escape(shapes)):
             metric(h, z)
+
+    @pytest.mark.parametrize("where", ["H", "the basis"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("metric", [nres1, nres2, orthonormal_residual])
+    def test_non_finite_input_is_refused(self, metric, bad, where):
+        # each of these used to return nan
+        h = np.diag([-1.0, -2.0, 3.0]).astype(complex)
+        z = np.eye(3, 1, dtype=complex) + 0.1
+        (h if where == "H" else z)[1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{where} contains non-finite entries$"):
+            metric(h, z)
+
+    def test_a_non_finite_basis_is_refused_against_any_pencil(self):
+        z = np.eye(3, 1, dtype=complex)
+        z[2, 0] = np.nan
+        with pytest.raises(ValueError, match="^the basis contains non-finite entries$"):
+            orthonormal_residual(GeneralPencil(A=np.diag([0.5, 2.0, 3.0]), B=np.eye(3),
+                                               m=1, n=2), z)
 
 
 class TestSolveHalfplane:
