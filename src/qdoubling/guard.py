@@ -135,10 +135,8 @@ def guard(p: SfqPencil, tau: float, idea: Idea = Idea.IDEA3,
         kind, action = ("action_x", action_x) if fixed.which == "X" else ("action_y", action_y)
         current = action(current, fixed.row, fixed.col)
         violation = find_violation(current, tau)
-        if violation is None:
-            after = max(current.max_abs_x(), current.max_abs_y())
-        else:
-            after = violation.magnitude
+        after = (max(current.max_abs_x(), current.max_abs_y()) if violation is None
+                 else violation.magnitude)
         actions.append(GuardAction(kind=kind, pivot=(fixed.row, fixed.col),
                                    max_before=fixed.magnitude, max_after=after))
     if violation is not None:

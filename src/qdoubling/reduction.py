@@ -327,11 +327,9 @@ _FALLBACK_IDEAS = (Idea.IDEA3, Idea.IDEA2, Idea.IDEA1)
 def reduce_with_fallback(g: GeneralPencil, idea: Idea = Idea.IDEA3,
                          variant: Variant = Variant.A_FIRST) -> InitReport:
     other = Variant.B_FIRST if variant is Variant.A_FIRST else Variant.A_FIRST
-    attempts = [(idea, variant)]
-    for var in (variant, other):
-        for cand in _FALLBACK_IDEAS:
-            if (cand, var) not in attempts:
-                attempts.append((cand, var))
+    # the requested attempt first, then each other one once, in order
+    attempts = dict.fromkeys([(idea, variant), *((cand, var) for var in (variant, other)
+                                                 for cand in _FALLBACK_IDEAS)])
     last_error: BreakdownError | None = None
     for cand, var in attempts:
         try:
