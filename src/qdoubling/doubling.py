@@ -18,14 +18,11 @@ Every step goes through one W-rule, whose products and solves fall into four
 phases of independent work.  A step of at least
 :data:`LANE_MIN_MULTIPLY_ADDS` multiply-adds runs each phase on two lanes
 (:func:`~qdoubling.linalg.lanes`): the calling thread and one helper thread,
-which belongs to that step and is joined when it returns or raises.  Each
-piece is the same numpy or LAPACK call on the same operands whichever lane
-takes it, so the next pencil and the W telemetry are bit-identical at any
-schedule, and a helper that has not started a piece is never waited for.
-The phases split each step's work about evenly between the lanes.  On
-``gen_solved_sfq(300, 300, 0.99, 0.99, 1)`` (r = 157, one OpenBLAS thread,
-medians of 30 serial calls) forming W and its LU took 4.5 ms, G and H
-1.9-2.0 ms each, ``E Q11 E`` 1.6 ms and each solve 5.7 ms:
+which belongs to that step and is joined when it returns or raises; the
+phases split the step's work about evenly between them.  Each piece is the
+same numpy or LAPACK call on the same operands whichever lane takes it, so
+the next pencil and the W telemetry are bit-identical at any schedule, and a
+helper that has not started a piece is never waited for:
 
 1. the caller forms and factors W; the helper takes ``E Q11 E``, G and H;
 2. the caller solves for T; the helper solves for S with the same factors;
@@ -35,22 +32,8 @@ medians of 30 serial calls) forming W and its LU took 4.5 ms, G and H
 The calls a benchmark tracer wraps (``compute_w`` / ``compute_wt``,
 :func:`lu_factor`, the T solve and :func:`q_blocks_of`) stay on the calling
 thread; the S solve is the one traced call the helper may take.
-
-The threshold was measured by timing steps serially and on two lanes, with
-the phases above, on a 2-vCPU host with one OpenBLAS thread (numpy 2.4,
-Python 3.11), in two back-to-back passes: the steps of whole solves
-(medians of 7 alternating solves) and single start steps (medians of 9).  On
-the Cayley pairs of ``gen_random_split(N/2 - 25, N/2 + 25, 8, 1e-6, 1)`` two
-lanes ran QDA's steps 1.30-1.74x as fast over whole solves and 1.24-1.73x as
-single steps at every N from 300 to 650; on ``gen_solved_sfq(N/2, N/2, 0.99,
-0.99, 1)`` they gave 0.84-0.98x and 0.83-0.94x up to N = 500, and 1.14-1.25x
-and 1.46-1.73x at N = 600.  Before the phase split, two lanes gave
-0.53-0.96x beside one busy-looping process up to N = 450 and 0.95-1.00x
-above.  At 2**26 multiply-adds a step with m = n and r = N/4 runs on two
-lanes from N of about 450 up: an ``eta_sweep`` step (N = 110) stays serial,
-and every step of an N = 600 or 650 pencil runs on two lanes.  A solved step
-at N = 500 (r = 120) thus runs on two lanes where it measured a loss; no
-benchmark workload has that size, and the constant is kept.
+:data:`LANE_MIN_MULTIPLY_ADDS` says how the phases and the threshold were
+measured.
 """
 
 from __future__ import annotations
@@ -68,7 +51,22 @@ from .sfq import BreakdownError, SfqPencil, bracket_w, dual, q_blocks_of, unit_p
 
 
 #: Multiply-adds (``N^2 (n + r)``) from which a doubling step runs on two
-#: lanes; see the module docstring for how it was measured.
+#: lanes.  Measured on a 2-vCPU host with one OpenBLAS thread (numpy 2.4,
+#: Python 3.11).  The phases: on ``gen_solved_sfq(300, 300, 0.99, 0.99, 1)``
+#: (r = 157, medians of 30 serial calls) forming W and its LU took 4.5 ms,
+#: G and H 1.9-2.0 ms each, ``E Q11 E`` 1.6 ms and each solve 5.7 ms.  The
+#: threshold: steps timed serially and on two lanes in two back-to-back
+#: passes, the steps of whole solves (medians of 7 alternating solves) and
+#: single start steps (medians of 9).  On the Cayley pairs of
+#: ``gen_random_split(N/2 - 25, N/2 + 25, 8, 1e-6, 1)`` two lanes ran QDA's
+#: steps 1.30-1.74x as fast over whole solves and 1.24-1.73x as single steps
+#: at every N from 300 to 650; on ``gen_solved_sfq(N/2, N/2, 0.99, 0.99, 1)``
+#: they gave 0.84-0.98x and 0.83-0.94x up to N = 500, and 1.14-1.25x and
+#: 1.46-1.73x at N = 600.  At 2**26 a step with m = n and r = N/4 runs on two
+#: lanes from N of about 450 up: an ``eta_sweep`` step (N = 110) stays
+#: serial, and every step of an N = 600 or 650 pencil runs on two lanes.  A
+#: solved step at N = 500 (r = 120) thus runs on two lanes where it measured
+#: a loss; no benchmark workload has that size, and the constant is kept.
 LANE_MIN_MULTIPLY_ADDS = 1 << 26
 
 

@@ -14,10 +14,9 @@ half-plane pencil, whose dense transform is formed for the reduction or the
 closed-form start only and released before the first step.
 
 A run holds its live iterate, its history of pencils and, only while the
-safeguard runs, the orthonormal basis, two m-by-m arrays and one block of
-rows of its products.  The safeguard checks
-against one pencil (:data:`Reference`) and never builds a dense copy.  A run
-from a :data:`Problem` checks against it and frees its start after the first
+safeguard runs, what :func:`~qdoubling.sfq.orthonormal_residual` holds.  The
+safeguard checks against one pencil (:data:`Reference`).  A run from a
+:data:`Problem` checks against it and frees its start after the first
 step.  Each step's fresh blocks are sealed (:func:`~qdoubling.linalg.sealed`)
 and so become the next pencil without a copy.
 """
@@ -130,13 +129,8 @@ def _disk(problem: Problem) -> GeneralPencil:
 
 
 def _safeguard_ok(p: SfqPencil, rtol: float, reference: Reference) -> bool:
-    """Residual backstop before declaring convergence.
-
-    The check holds the orthonormal basis of ``sfq_basis(p)``, built in its
-    own storage, the m-by-m Gram and cross products, and one block of rows
-    of the pencil's products with the basis, beside the run's history (see
-    :func:`orthonormal_residual`).
-    """
+    """Residual backstop before declaring convergence: the
+    :func:`orthonormal_residual` of ``sfq_basis(p)`` against ``reference``."""
     try:
         res = orthonormal_residual(reference, p)
     except (RankDeficientError, SingularMatrixError):

@@ -51,20 +51,8 @@ the output and ``pivot_growth`` (the maximum of the tiles' peaks) are
 bit-identical at any schedule.  Claiming is dynamic, so a lane the OS
 deschedules on a shared host does not stall the step.  The helper belongs
 to one :func:`reduce_pencil` call and is joined when it returns or raises;
-it starts at the first large step only.
-
-The threshold was measured by timing one step serially and on two lanes,
-medians of nine alternating repetitions, on split Cayley pencils of
-N = 110 ... 650, on a 2-vCPU host with one OpenBLAS thread (numpy 2.4,
-Python 3.11).  With both vCPUs free, two lanes lost up to 50 000 entries
-(0.4-0.9x at N <= 220: the helper's wake-up and the GIL hand-offs outweigh
-tiles this small), gained 1.1-1.25x from 80 000 to 140 000 and 1.3-1.6x
-from 200 000 up.  With one vCPU taken by other work they lose instead: a
-whole N = 650 reduction beside one busy-looping process ran at 0.86-0.89x
-its serial speed, as a lane preempted while it holds the GIL stalls the
-other.  At 2**17 = 131 072 every step of N <= 362 stays serial, and
-every step of an N = 650, m = 300 reduction (at least 300 rows) runs on
-two lanes.
+it starts at the first large step only.  :data:`LANE_MIN_ENTRIES` says how
+its threshold was measured.
 """
 
 from __future__ import annotations
@@ -88,7 +76,18 @@ from .sfq import BreakdownError, GeneralPencil, SfqPencil
 ELIMINATION_TILE = 32
 
 #: Entries (rows times N) from which an elimination step's update runs on
-#: two threads; see the module docstring for how it was measured.
+#: two lanes.  Measured by timing one step serially and on two lanes,
+#: medians of nine alternating repetitions, on split Cayley pencils of
+#: N = 110 ... 650, on a 2-vCPU host with one OpenBLAS thread (numpy 2.4,
+#: Python 3.11).  With both vCPUs free, two lanes lost up to 50 000 entries
+#: (0.4-0.9x at N <= 220: the helper's wake-up and the GIL hand-offs
+#: outweigh tiles this small), gained 1.1-1.25x from 80 000 to 140 000 and
+#: 1.3-1.6x from 200 000 up.  With one vCPU taken by other work they lose
+#: instead: a whole N = 650 reduction beside one busy-looping process ran at
+#: 0.86-0.89x its serial speed, as a lane preempted while it holds the GIL
+#: stalls the other.  At 2**17 = 131 072 every step of N <= 362 stays
+#: serial, and every step of an N = 650, m = 300 reduction (at least 300
+#: rows) runs on two lanes.
 LANE_MIN_ENTRIES = 1 << 17
 
 
