@@ -75,6 +75,24 @@ class TestRunQda:
         res = run_sdasfq(p0, QdaConfig(max_iter=12), reference=zero_b)
         assert res.status is RunStatus.MAX_ITER and res.iterations == 12
 
+    def test_a_correct_basis_with_m_above_n_is_accepted(self):
+        # cond(B U) = 5.6e6 on this pair's basis, squared in the Gram matrix
+        # (B U)^H B U: an LU of it with a relative pivot test read it as
+        # singular, so every iterate from step 8 on was rejected
+        res = run_qda(CayleyPair(gen_random_split(3, 1, 8.0, 1e-4, 56727).pencil, -1.0))
+        assert res.status is RunStatus.CONVERGED
+
+    @settings(max_examples=20, deadline=None)
+    @given(split=st.integers(1, 29).flatmap(lambda n: st.tuples(st.integers(n + 1, 30),
+                                                                 st.just(n))),
+           seed=st.integers(1, 2**16))
+    def test_every_split_with_m_above_n_converges(self, split, seed):
+        # the m stable columns live mostly in the n unscaled rows at eta 1e-4,
+        # which leaves B U ill-conditioned where m > n
+        m, n = split
+        res = run_qda(CayleyPair(gen_random_split(m, n, 8.0, 1e-4, seed).pencil, -1.0))
+        assert res.status is RunStatus.CONVERGED
+
     @pytest.mark.parametrize("reference, split", [
         (gen_random_split(5, 6, 8.0, 1e-2, 1).pencil, (5, 6)),
         (gen_random_split(4, 8, 8.0, 1e-2, 1).pencil, (4, 8)),
