@@ -102,14 +102,15 @@ def check_count(value, name: str, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-#: Rows per block in the kernels that stream over a tall matrix, so that no
-#: temporary grows with the matrix.
-ROW_BLOCK = 128
+#: Rows per block in the kernels that stream over a tall matrix: no
+#: temporary grows with the matrix, and the residual safeguard's rows of a
+#: pencil and their products stay well under one block of the basis's size.
+ROW_BLOCK = 24
 
 
-def row_blocks(rows: int, block: int = ROW_BLOCK) -> list[slice]:
-    """Slices of ``block`` consecutive rows covering ``range(rows)``."""
-    return [slice(i, i + block) for i in range(0, rows, block)]
+def row_blocks(rows: int) -> list[slice]:
+    """Slices of :data:`ROW_BLOCK` consecutive rows covering ``range(rows)``."""
+    return [slice(i, i + ROW_BLOCK) for i in range(0, rows, ROW_BLOCK)]
 
 
 def abs_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

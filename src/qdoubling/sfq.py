@@ -272,16 +272,11 @@ def _two_est_a(p: SfqPencil) -> float:
                       max(float(e_rows.max()), float(x_rows.max()) + 1.0))
 
 
-#: Rows of a pencil the safeguard takes at a time: the rows and their
-#: products stay well under one block of the basis's size.
-CAYLEY_ROWS = 24
-
-
 def _pair_estimates(pair: GeneralPencil | CayleyPair, size: int) -> tuple[float, float]:
-    """``two_est(A)`` and ``two_est(B)`` of a pair, from :data:`CAYLEY_ROWS`
-    of its rows at a time."""
+    """``two_est(A)`` and ``two_est(B)`` of a pair, from
+    :data:`~qdoubling.linalg.ROW_BLOCK` of its rows at a time."""
     norm1, norminf = np.zeros((2, size)), np.zeros(2)
-    for rows in row_blocks(size, CAYLEY_ROWS):
+    for rows in row_blocks(size):
         for k, block in enumerate(pair.rows(rows)):
             col, row = abs_sums(block)
             norm1[k] += col
@@ -332,21 +327,22 @@ def _fortran(rows: np.ndarray, product: np.ndarray | None = None) -> np.ndarray:
 
 
 def _pair_products(pair: GeneralPencil | CayleyPair, u: np.ndarray):
-    """``B U`` and ``A U`` of a dense or Cayley pair, :data:`CAYLEY_ROWS` rows
-    at a time, each block of rows formed as :meth:`CayleyPair.rows` forms it."""
+    """``B U`` and ``A U`` of a dense or Cayley pair,
+    :data:`~qdoubling.linalg.ROW_BLOCK` rows at a time, each block of rows
+    formed as :meth:`CayleyPair.rows` forms it."""
     def block(rows):
         a, b = pair.rows(rows)
         au = _fortran(a, u)
         del a
         return _fortran(b, u), au
 
-    for rows in row_blocks(u.shape[0], CAYLEY_ROWS):
+    for rows in row_blocks(u.shape[0]):
         yield block(rows)
 
 
 def _standard_products(h: np.ndarray, u: np.ndarray):
     """``U`` and ``H U``, the products of the standard problem ``(H, I)``."""
-    for rows in row_blocks(u.shape[0], CAYLEY_ROWS):
+    for rows in row_blocks(u.shape[0]):
         yield _fortran(u[rows]), _fortran(h[rows], u)
 
 
@@ -358,7 +354,7 @@ def _sfq_products(p: SfqPencil, v: np.ndarray, order: Permutation, split: int):
     and ``b`` are the slices ``v[:m]`` and ``v[split:split + n]`` up to a row
     order, which the blocks' columns take on instead.  ``b_top - Y b`` and
     ``a_bot - X a`` are one mirrored helper, which gathers its rows of ``v``
-    :data:`CAYLEY_ROWS` at a time.
+    :data:`~qdoubling.linalg.ROW_BLOCK` at a time.
     """
     m, n = p.m, p.n
     at_row = order.inverse().image
@@ -373,9 +369,9 @@ def _sfq_products(p: SfqPencil, v: np.ndarray, order: Permutation, split: int):
         out -= block[rows, cols] @ op
         return _fortran(out)
 
-    for rows in row_blocks(m, CAYLEY_ROWS):
+    for rows in row_blocks(m):
         yield gathered(b_top, p.Y, rows, b_cols, b_op), _fortran(p.E[rows, a_cols], a_op)
-    for rows in row_blocks(n, CAYLEY_ROWS):
+    for rows in row_blocks(n):
         au = gathered(a_bot, p.X, rows, a_cols, a_op)
         yield _fortran(p.F[rows, b_cols], b_op), au
         del au      # freed before the next block of rows is made
@@ -418,8 +414,8 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     * a :class:`GeneralPencil` ``(A, B)``, or a :class:`CayleyPair` for
       ``(A - gamma B, A + gamma B)``: its rows are taken (for the Cayley pair,
       formed exactly as :meth:`CayleyPair.pencil` forms them)
-      :data:`CAYLEY_ROWS` at a time, first for both estimates, then for the
-      products;
+      :data:`~qdoubling.linalg.ROW_BLOCK` at a time, first for both
+      estimates, then for the products;
     * a bare square ``H`` for the standard problem ``(H, I)`` and a basis of
       its rows, where this is the conditioning-robust normalized residual.
 
@@ -430,8 +426,8 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     QR.
 
     Only ``U`` is kept at the size of ``z``.  ``A U`` and ``B U`` are made
-    :data:`CAYLEY_ROWS` rows at a time, twice: the first pass accumulates the
-    m-by-m Gram matrix ``G = (B U)^H B U`` and cross product
+    :data:`~qdoubling.linalg.ROW_BLOCK` rows at a time, twice: the first
+    pass accumulates the m-by-m Gram matrix ``G = (B U)^H B U`` and cross product
     ``C = (B U)^H A U``, and the second the residual of ``M = G^{-1} C``.
     ``G`` is factored in its own storage and ``M`` takes ``C``'s, so beside
     ``U`` the safeguard holds two m-by-m arrays and one block of rows: about

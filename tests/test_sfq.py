@@ -26,8 +26,8 @@ from qdoubling import (
     swap_perm,
     two_est,
 )
-from qdoubling.linalg import row_blocks
-from qdoubling.sfq import CAYLEY_ROWS, orthonormal_residual
+from qdoubling.linalg import ROW_BLOCK, row_blocks
+from qdoubling.sfq import orthonormal_residual
 
 from conftest import complex_normal, random_sfq
 from doubling_reference import assemble, perm_matrix
@@ -193,7 +193,7 @@ class TestResiduals:
 
     @pytest.mark.parametrize("m, n", [(25, 71), (71, 25), (48, 53)])
     def test_streamed_matches_dense_products(self, m, n):
-        # A_i and B_i assembled densely; with CAYLEY_ROWS = 24 both sides span
+        # A_i and B_i assembled densely; with ROW_BLOCK = 24 both sides span
         # several row blocks.  A product of inner length k is within k eps of
         # |A| |z| per entry, so each residual is within (N + m + 2) eps
         # (||A|| + ||B|| ||M||) ||z|| of the exact one (Frobenius norms), and
@@ -383,10 +383,10 @@ class TestStructuredResidual:
                 assert abs(got - ref) <= self.bound(m + n) * ref, (m, n)
 
     def test_matches_the_dense_pair_over_several_row_blocks(self):
-        # blocks past CAYLEY_ROWS rows on both sides of the split, random Q's
+        # blocks past ROW_BLOCK rows on both sides of the split, random Q's
         rng = np.random.default_rng(14)
         for _ in range(6):
-            m, n = (int(k) for k in rng.integers(CAYLEY_ROWS + 1, 3 * CAYLEY_ROWS, size=2))
+            m, n = (int(k) for k in rng.integers(ROW_BLOCK + 1, 3 * ROW_BLOCK, size=2))
             q1, q2 = self.q_pair(rng, "random", m, n)
             p = SfqPencil(m=m, n=n, E=complex_normal(rng, m, m), F=complex_normal(rng, n, n),
                           X=complex_normal(rng, n, m), Y=complex_normal(rng, m, n),
@@ -399,7 +399,7 @@ class TestStructuredResidual:
     @pytest.mark.parametrize("structured", [True, False])
     def test_peak_memory_is_a_few_basis_blocks(self, structured):
         # U (one block of the basis's size), the m-by-m Gram and cross
-        # products (half a block each at m = n) and one block of CAYLEY_ROWS
+        # products (half a block each at m = n) and one block of ROW_BLOCK
         # rows with its products: about 2.45 blocks here, against 4.1 with
         # A U and B U held whole and 6.5 for the unblocked form
         inst = gen_solved_sfq(m=120, n=120, rho_m=0.5, rho_n=0.5, seed=3)
@@ -412,7 +412,7 @@ class TestStructuredResidual:
     def test_least_squares_stage_holds_three_square_arrays(self, kind):
         # at m = n an m-by-m array is half a basis block: U (1 block), the
         # Gram matrix factored in its own storage and the cross product that
-        # becomes M (1), and one block of CAYLEY_ROWS rows with its products
+        # becomes M (1), and one block of ROW_BLOCK rows with its products
         # (about 0.3) make about 2.3; holding A U and B U whole adds 1.5 to 2
         inst = gen_solved_sfq(m=256, n=256, rho_m=0.5, rho_n=0.5, seed=3)
         p0 = inst.pencil
@@ -461,14 +461,14 @@ class TestCayleyResidual:
         g = self.pencil(rng, 40, 57)
         disk = cayley(g, CayleyParams(-0.75))
         pair = CayleyPair(g, -0.75)
-        blocks = [pair.rows(rows) for rows in row_blocks(g.size, CAYLEY_ROWS)]
+        blocks = [pair.rows(rows) for rows in row_blocks(g.size)]
         assert np.vstack([a for a, _ in blocks]).tobytes() == disk.A.tobytes()
         assert np.vstack([b for _, b in blocks]).tobytes() == disk.B.tobytes()
 
     def test_matches_the_formed_transform(self):
         rng = np.random.default_rng(47)
         for _ in range(60):
-            # sizes up to 96 rows: up to four blocks of CAYLEY_ROWS, often a partial one
+            # sizes up to 96 rows: up to four blocks of ROW_BLOCK, often a partial one
             m, n = (int(k) for k in rng.integers(1, 49, size=2))
             g = self.pencil(rng, m, n)
             gamma = -float(rng.uniform(0.25, 4.0))
@@ -482,7 +482,7 @@ class TestCayleyResidual:
     @pytest.mark.parametrize("basis_of_pencil", [False, True])
     def test_peak_memory_is_a_few_basis_blocks(self, basis_of_pencil):
         # U and the m-by-m Gram and cross products (2 blocks of the basis's
-        # size at m = n), and CAYLEY_ROWS formed rows of A' and B' with one
+        # size at m = n), and ROW_BLOCK formed rows of A' and B' with one
         # product: about 2.5 blocks here; holding A' U and B' U whole made
         # 4.1, and the formed pair itself would be 8
         inst = gen_solved_sfq(m=120, n=120, rho_m=0.5, rho_n=0.5, seed=3)
