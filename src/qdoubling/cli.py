@@ -214,7 +214,7 @@ def _cmd_solve(args) -> int:
             try:
                 summary["nres1"] = nres1(a, bases.stable_basis, x_norm=x_norm)
                 summary["nres2"] = nres2(a, bases.stable_basis)
-            except (RankDeficientError, SingularMatrixError) as exc:  # advisory metrics
+            except RankDeficientError as exc:  # advisory metrics
                 summary["residualError"] = str(exc)
         write_matrix(out / "stable_basis.json", bases.stable_basis)
         write_matrix(out / "anti_stable_basis.json", bases.anti_stable_basis)

@@ -133,7 +133,7 @@ def _safeguard_ok(p: SfqPencil, rtol: float, reference: Reference) -> bool:
     :func:`orthonormal_residual` of ``sfq_basis(p)`` against ``reference``."""
     try:
         res = orthonormal_residual(reference, p)
-    except (RankDeficientError, SingularMatrixError):
+    except RankDeficientError:
         return False
     return res <= math.sqrt(rtol)
 

@@ -191,19 +191,17 @@ class LUFactors:
         return zgetrs(self.lu, self.piv.copy(), b, overwrite_b=overwrite_b)[0]
 
 
-def lu_factor(a: np.ndarray, overwrite_a: bool = False) -> LUFactors:
+def lu_factor(a: np.ndarray) -> LUFactors:
     """Row-pivoted LU factorization of a square matrix.
 
     Raises :class:`SingularMatrixError` carrying the index of the first pivot
-    with ``|U[k, k]| <= SINGULARITY_TOL * norm_inf(a)``.  With
-    ``overwrite_a``, a Fortran-ordered complex ``a`` that its maker no longer
-    needs becomes the factors; any other ``a`` is copied as without it.
+    with ``|U[k, k]| <= SINGULARITY_TOL * norm_inf(a)``.
     """
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"lu_factor needs a square matrix, got {a.shape}")
     scale = norm_inf(a)     # before zgetrf's copy, so the two are never held at once
-    lu, piv, _ = zgetrf(a, overwrite_a=overwrite_a)
+    lu, piv, _ = zgetrf(a)
     pivot_mags = np.abs(np.diagonal(lu))
     small = np.flatnonzero(pivot_mags <= SINGULARITY_TOL * scale)
     if small.size:

@@ -32,6 +32,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import zgemm
+from scipy.linalg.lapack import zposv
 
 from .linalg import (
     Permutation,
@@ -40,7 +41,6 @@ from .linalg import (
     check_count,
     finite_matrix,
     frozen,
-    lu_factor,
     lu_solve,
     qr_in_place,
     row_blocks,
@@ -327,9 +327,8 @@ def _fortran(rows: np.ndarray, product: np.ndarray | None = None) -> np.ndarray:
 
 
 def _pair_products(pair: GeneralPencil | CayleyPair, u: np.ndarray):
-    """``B U`` and ``A U`` of a dense or Cayley pair,
-    :data:`~qdoubling.linalg.ROW_BLOCK` rows at a time, each block of rows
-    formed as :meth:`CayleyPair.rows` forms it."""
+    """``B U`` and ``A U`` of a dense or Cayley pair, a block of rows at a
+    time, each block formed as :meth:`CayleyPair.rows` forms it."""
     def block(rows):
         a, b = pair.rows(rows)
         au = _fortran(a, u)
@@ -426,16 +425,18 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
     QR.
 
     Only ``U`` is kept at the size of ``z``.  ``A U`` and ``B U`` are made
-    :data:`~qdoubling.linalg.ROW_BLOCK` rows at a time, twice: the first
-    pass accumulates the m-by-m Gram matrix ``G = (B U)^H B U`` and cross product
-    ``C = (B U)^H A U``, and the second the residual of ``M = G^{-1} C``.
-    ``G`` is factored in its own storage and ``M`` takes ``C``'s, so beside
-    ``U`` the safeguard holds two m-by-m arrays and one block of rows: about
-    2.3 arrays of the basis's size (N-by-m) at m = n = 300.  The second pass
-    costs one more set of products.  The products are scaled by the powers
-    of two that bring the estimates of ``A`` and ``B`` near 1 (since ``U``
-    is orthonormal, ``two_est(A)`` bounds every entry of ``A U``), so no
-    scale of A or B makes ``G`` overflow or underflow.
+    :data:`~qdoubling.linalg.ROW_BLOCK` rows at a time, twice.  The first
+    pass sums ``G = (B U)^H B U`` and ``C = (B U)^H A U``, and one LAPACK
+    ``zposv`` solves ``G M = C`` by Cholesky in their own storage, with no
+    pivoting and no tolerance; where ``G`` is not positive definite, ``B``
+    has lost rank on span(z), and the residual is ``inf``.  The second pass
+    measures the true residual of that ``M``, so an inexact ``M`` can only
+    raise it.  Beside ``U`` the safeguard holds two m-by-m arrays and one
+    block of rows: about 2.3 arrays of the basis's size (N-by-m) at
+    m = n = 300.  The products are scaled by the powers of two that bring
+    the estimates of ``A`` and ``B`` near 1 (since ``U`` is orthonormal,
+    ``two_est(A)`` bounds every entry of ``A U``), so no scale of A or B
+    makes ``G`` overflow or underflow.
     """
     if not isinstance(pencil, (SfqPencil, GeneralPencil, CayleyPair)):
         pencil, z = _standard_operands(pencil, z)   # the standard problem (H, I)
@@ -460,7 +461,9 @@ def orthonormal_residual(pencil: np.ndarray | GeneralPencil | CayleyPair | SfqPe
         gram = zgemm(1.0, bu, bu, 1.0, gram, trans_a=2, overwrite_c=True)
         cross = zgemm(1.0, bu, au, 1.0, cross, trans_a=2, overwrite_c=True)
         del bu, au      # freed before the next block of rows is made
-    mray = lu_factor(gram, overwrite_a=True).solve(cross, overwrite_b=True)
+    mray, info = zposv(gram, cross, overwrite_a=True, overwrite_b=True)[1:]
+    if info:    # G is not positive definite: B has lost rank on span(z)
+        return math.inf
     sq = 0.0
     for bu, au in products():
         bu *= sb

@@ -65,9 +65,9 @@ class TestRunQda:
         assert scaled.iterations == base.iterations
 
     def test_a_singular_safeguard_never_converges(self):
-        # against B = 0 the safeguard's Gram matrix (B U)^H B U is zero and
-        # cannot be factored, so every iterate the stopping test passes is
-        # rejected, and the run that converges on its own ends at the limit
+        # against B = 0 the safeguard's Gram matrix (B U)^H B U is zero, which
+        # is not positive definite, so every iterate the stopping test passes
+        # is rejected, and the run that converges on its own ends at the limit
         p0 = gen_solved_sfq(4, 5, 0.5, 0.5, seed=1).pencil
         own = run_sdasfq(p0, QdaConfig(max_iter=12))
         assert own.status is RunStatus.CONVERGED and own.iterations < 12

@@ -105,15 +105,6 @@ class TestLuSolve:
             tracemalloc.stop()
         assert peak <= 1.15 * a.nbytes
 
-    def test_overwriting_factor_takes_a_fortran_storage(self, rng):
-        a = complex_normal(rng, 7, 7)
-        want = lu_factor(a)
-        fortran = np.array(a, order="F")
-        got = lu_factor(fortran, overwrite_a=True)
-        assert np.shares_memory(got.lu, fortran)
-        assert got.lu.tobytes() == want.lu.tobytes()
-        np.testing.assert_array_equal(got.piv, want.piv)
-
     def test_threads_may_share_one_factorization(self):
         # scipy's zgetrs wrapper shifts the pivot array it is given to 1-based
         # and back in place, so two threads solving with one shared array
