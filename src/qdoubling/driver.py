@@ -146,9 +146,10 @@ def select_kernel(m: int, n: int) -> Kernel:
 def check_stop(d_now: float, d_prev: Optional[float], x_norm: float, rtol: float,
                mode: StopMode) -> bool:
     """Decide termination from the last update norm ``||X_i - X_{i-1}||_F``
-    and the one before it, None at the first step and after a guard action.
-    The Kahan rule reads ``d_now^2 / (d_prev - d_now)`` and falls back to
-    the plain rule where ``d_prev`` is None or the update did not shrink.
+    and the one before it, None at the first step and after a guard action
+    or a re-reduction.  The Kahan rule reads ``d_now^2 / (d_prev - d_now)``
+    and falls back to the plain rule where ``d_prev`` is None or the update
+    did not shrink.
     """
     plain = d_now <= rtol * x_norm
     if mode is StopMode.PLAIN or d_prev is None or d_prev <= d_now:
@@ -193,11 +194,12 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
         try:
             outcome = advance(p, kernel)
         except BreakdownError as exc:
-            # Recovery policy: one re-reduction, then one kernel switch.
+            # Recovery policy: one re-reduction, then one kernel switch.  A
+            # re-reduction changes the coordinates, as a guard action does
             if tau is not None and not reinit_used:
                 reinit_used = True
                 try:
-                    p = reinit(p, cfg.init_idea, cfg.init_variant).pencil
+                    p, d_prev = reinit(p, cfg.init_idea, cfg.init_variant).pencil, None
                     continue
                 except BreakdownError:
                     pass

@@ -294,6 +294,29 @@ class TestRunQda:
         after_action = [d_prev for it, d_prev in checked if it > 1 and acted[it - 2]]
         assert after_action == [None]
 
+    def test_the_kahan_rule_reads_no_update_from_before_a_re_reduction(self, monkeypatch):
+        # the fourth step breaks down and the run re-reduces, which changes
+        # the coordinates as a guard action does; the check after the step
+        # made again once divided by the third step's update of 143.9
+        steps, checked = [], []
+        step_, check_stop = qdoubling.driver.step, qdoubling.driver.check_stop
+
+        def failing_step(p, kernel):
+            steps.append(kernel)
+            if len(steps) == 4:
+                raise BreakdownError("doubling step (W solve)", "forced")
+            return step_(p, kernel)
+
+        def watched_check(d_now, d_prev, *args):
+            checked.append((len(steps), d_prev))
+            return check_stop(d_now, d_prev, *args)
+
+        monkeypatch.setattr(qdoubling.driver, "step", failing_step)
+        monkeypatch.setattr(qdoubling.driver, "check_stop", watched_check)
+        res = run_qda(CayleyPair(gen_random_split(12, 15, 8.0, 1e-6, 1).pencil, -1.0))
+        assert res.status is RunStatus.CONVERGED
+        assert [d_prev for step_count, d_prev in checked if step_count == 5] == [None]
+
     def test_declared_split_of_the_overflow_instance_converges(self):
         g = cayley(gen_random_split(3, 3, 8.0, 1e-2, seed=1).pencil, CayleyParams(-1.0))
         res = run_qda(g, QdaConfig())
