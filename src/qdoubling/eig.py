@@ -27,6 +27,7 @@ from .linalg import RankDeficientError, SingularMatrixError, lu_solve, thin_qr, 
 from .sfq import (
     CayleyPair,
     GeneralPencil,
+    SfqPencil,
     _standard_operands,
     anti_basis,
     orthonormal_residual,
@@ -47,7 +48,7 @@ def cayley(g: GeneralPencil, params: CayleyParams) -> GeneralPencil:
     return CayleyPair(g, params.gamma).pencil()
 
 
-def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
+def nres1(h, z: np.ndarray | SfqPencil, x_norm: Optional[float] = None) -> float:
     """Raw normalized eigen-residual of a basis ``z`` for the square ``H``.
 
     ``||H Z - Z M||_F / (max(1, ||X||_F) (||H||_2 + ||M||_2))`` with the
@@ -57,11 +58,12 @@ def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
     otherwise ``||Z||_F`` is used, and a given one must be finite and at
     least 0.  The ``max(1, .)`` floor keeps the metric finite for exactly
     decoupled problems where X = 0.  An ``H`` or ``z`` with a non-finite
-    entry is refused.
+    entry is refused, and a pencil ``z`` stands for its ``sfq_basis``.
     """
     if x_norm is not None and not 0.0 <= x_norm < np.inf:
         raise ValueError(f"x_norm must be finite and at least 0, got {x_norm}")
     hm, z = _standard_operands(h, z)
+    z = sfq_basis(z) if isinstance(z, SfqPencil) else z
     hz = hm @ z
     # (Z^H Z)^{-1} Z^H = R^{-1} U^H via thin QR: solving with R instead of the
     # Gram matrix halves the condition number's exponent, which matters
@@ -76,7 +78,7 @@ def nres1(h, z: np.ndarray, x_norm: Optional[float] = None) -> float:
     return num / (max(1.0, scale) * (two_est(hm) + two_est(mray)))
 
 
-def nres2(h, z: np.ndarray) -> float:
+def nres2(h, z: np.ndarray | SfqPencil) -> float:
     """Conditioning-robust normalized residual: evaluated on orthonormal Z."""
     return orthonormal_residual(h, z)
 

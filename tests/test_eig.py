@@ -22,6 +22,7 @@ from qdoubling import (
     nres2,
     orthonormal_residual,
     run_qda,
+    sfq_basis,
     solve_halfplane,
     thin_qr,
 )
@@ -124,6 +125,13 @@ class TestNres:
         assert nres1(a, u) <= 1e-12 and nres2(a, u) <= 1e-12
         z = u + 1e-6 * complex_normal(rng, 9, 4)
         assert nres1(a, z) == pytest.approx(nres2(a, z), rel=1e-4)
+
+    def test_a_pencil_stands_for_its_basis(self):
+        # as it does in nres2: a pencil z is read as sfq_basis(z)
+        g = gen_random_split(m=5, n=6, alpha=8.0, eta=1e-2, seed=3).pencil
+        p = run_qda(CayleyPair(g, -1.0)).final
+        for metric in (nres1, nres2):
+            assert metric(g.A, p) == metric(g.A, sfq_basis(p))
 
     def test_rank_deficient_raises(self, rng):
         col = complex_normal(rng, 6, 1)
