@@ -7,9 +7,10 @@ known basis of the same subspace, reached on another path, so these hold
 to :data:`SINE_BOUND`.  A real pencil with a real Cayley shift keeps every
 iterate exactly real.  Instances are drawn by seed at N = m + n <= 60.
 
-The relations hold for whatever basis a run returns, so they are checked
-whatever the run's status: many draws with m > n end at the iteration
-limit with a correct basis, which the residual safeguard keeps rejecting.
+Every run a relation compares must also converge, so that the bases it
+compares are answers the solver vouches for.  Power-of-two diagonal
+scalings, which change no subspace, must converge within one iteration of
+the unscaled run.
 """
 
 import numpy as np
@@ -51,6 +52,7 @@ def test_conjugating_the_pencil_conjugates_the_bases_exactly(m, n, seed):
     g = gen_random_split(m, n, 8.0, 1e-4, seed).pencil
     base, conj = (solve_halfplane(h, GAMMA) for h in
                   (g, GeneralPencil(A=g.A.conj(), B=g.B.conj(), m=m, n=n)))
+    assert base.source.status is RunStatus.CONVERGED
     assert (conj.source.status, conj.source.iterations) == (base.source.status,
                                                             base.source.iterations)
     # equal entry for entry: a zero's sign may differ (the identity rows' 1s
@@ -67,6 +69,7 @@ def test_a_symmetric_permutation_permutes_the_basis(m, n, seed):
     perm = np.random.default_rng(seed).permutation(m + n)
     permuted = GeneralPencil(A=g.A[np.ix_(perm, perm)], B=g.B[np.ix_(perm, perm)], m=m, n=n)
     base, moved = (solve_halfplane(h, GAMMA) for h in (g, permuted))
+    assert base.source.status is moved.source.status is RunStatus.CONVERGED
     assert sine(moved.stable_basis, base.stable_basis[perm]) <= SINE_BOUND
 
 
@@ -78,6 +81,7 @@ def test_the_swapped_disk_pair_has_the_basis_as_its_anti_stable_one(m, n, seed):
     disk = CayleyPair(gen_random_split(m, n, 8.0, 1e-4, seed).pencil, GAMMA.gamma).pencil()
     base = run_qda(disk)
     swapped = run_qda(GeneralPencil(A=disk.B, B=disk.A, m=n, n=m))
+    assert base.status is swapped.status is RunStatus.CONVERGED
     assert sine(anti_basis(swapped.final), sfq_basis(base.final)) <= SINE_BOUND
 
 
@@ -94,8 +98,10 @@ def real_split(m: int, n: int, eta: float, seed: int) -> GeneralPencil:
 
 
 def real_run(m: int, n: int, seed: int):
-    """QDA on the Cayley pair of a real pencil, every iterate checked real."""
+    """QDA on the Cayley pair of a real pencil, converged with every iterate
+    checked real."""
     run = run_qda(CayleyPair(real_split(m, n, 1e-4, seed), GAMMA.gamma))
+    assert run.status is RunStatus.CONVERGED
     for p in [rec.pencil for rec in run.history] + [run.final]:
         for block in (p.E, p.F, p.X, p.Y):
             assert not block.imag.any()
@@ -117,7 +123,7 @@ def test_a_real_pencil_keeps_its_iterates_real_through_guard_swaps():
 def converges_as_unscaled(g: GeneralPencil, scaled: GeneralPencil) -> None:
     """QDA converges on both pencils' Cayley pairs, within one iteration."""
     base, res = (run_qda(CayleyPair(h, GAMMA.gamma)) for h in (g, scaled))
-    assert base.status is RunStatus.CONVERGED and res.status is RunStatus.CONVERGED
+    assert base.status is res.status is RunStatus.CONVERGED
     assert abs(res.iterations - base.iterations) <= 1
 
 
