@@ -194,8 +194,7 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
         try:
             outcome = advance(p, kernel)
         except BreakdownError as exc:
-            # Recovery policy: one re-reduction, then one kernel switch.  A
-            # re-reduction changes the coordinates, as a guard action does
+            # Recovery policy: one re-reduction (new coordinates), then one kernel switch.
             if tau is not None and not reinit_used:
                 reinit_used = True
                 try:
