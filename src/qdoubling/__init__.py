@@ -15,7 +15,6 @@ from .driver import (
     QdaConfig,
     QdaResult,
     RunStatus,
-    StopMode,
     check_stop,
     run_qda,
     run_sdasf1,

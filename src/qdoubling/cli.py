@@ -21,7 +21,6 @@ from . import __version__
 from .driver import (
     QdaConfig,
     RunStatus,
-    StopMode,
     run_qda,
     run_sdasf1_on,
     run_sdasf2_on,
@@ -88,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--gamma", type=float, default=None,
                        help="negative Cayley parameter; omit if already disk-split")
     solve.add_argument("--rtol", type=float, default=1e-14)
-    solve.add_argument("--stop", default="kahan", choices=[s.value for s in StopMode])
     solve.add_argument("--tau", type=float, default=None)
     solve.add_argument("--idea", default="3", choices=["1", "2", "3"])
     solve.add_argument("--variant", default="afirst", choices=[v.value for v in Variant])
@@ -114,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> QdaConfig:
     return QdaConfig(
-        rtol=args.rtol, max_iter=args.max_iter, stop_mode=StopMode(args.stop),
+        rtol=args.rtol, max_iter=args.max_iter,
         tau=args.tau, init_idea=Idea(f"idea{args.idea}"), init_variant=Variant(args.variant),
     )
 
@@ -194,7 +192,7 @@ def _cmd_solve(args) -> int:
         "toolVersion": __version__,
         "parameters": {
             "m": args.m, "n": args.n, "gamma": args.gamma, "rtol": args.rtol,
-            "stop": args.stop, "tau": args.tau, "idea": args.idea,
+            "tau": args.tau, "idea": args.idea,
             "variant": args.variant, "maxIter": args.max_iter,
         },
     }

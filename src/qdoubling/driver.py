@@ -2,11 +2,11 @@
 
 ``run_qda`` reduces a general pencil to Q-standard form, iterates the
 doubling kernel with the magnitude guard after every step, and terminates on
-a Kahan (or plain) update criterion backed by a residual safeguard against
-false convergence.  ``run_sdasf1`` / ``run_sdasf2`` run the same loop on the
-W-rule with Q frozen (``step_sf1``, and ``step_w`` on SDASF2's own pencil), no
-guard and no recovery, reporting breakdowns and non-finite blow-ups as they
-happen.
+Kahan's estimate of the remaining error (the plain update test where there is
+none), backed by a residual safeguard against false convergence.
+``run_sdasf1`` / ``run_sdasf2`` run the same loop on the W-rule with Q frozen
+(``step_sf1``, and ``step_w`` on SDASF2's own pencil), no guard and no
+recovery, reporting breakdowns and non-finite blow-ups as they happen.
 
 ``run_qda``, ``run_sdasf1_on`` and ``run_sdasf2_on`` take a
 :data:`Problem`: a disk-split ``GeneralPencil``, or the ``CayleyPair`` of a
@@ -43,11 +43,6 @@ from .sfq import (
     swap_perm,
 )
 
-class StopMode(enum.Enum):
-    PLAIN = "plain"
-    KAHAN = "kahan"
-
-
 class RunStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
@@ -58,7 +53,6 @@ class RunStatus(enum.Enum):
 class QdaConfig:
     rtol: float = 1e-14
     max_iter: int = 50
-    stop_mode: StopMode = StopMode.KAHAN
     tau: Optional[float] = None      # guard threshold; None -> default_tau(m, n)
     init_idea: Idea = Idea.IDEA3
     init_variant: Variant = Variant.A_FIRST
@@ -143,17 +137,16 @@ def select_kernel(m: int, n: int) -> Kernel:
     return Kernel.W if n <= m else Kernel.WTILDE
 
 
-def check_stop(d_now: float, d_prev: Optional[float], x_norm: float, rtol: float,
-               mode: StopMode) -> bool:
+def check_stop(d_now: float, d_prev: Optional[float], x_norm: float, rtol: float) -> bool:
     """Decide termination from the last update norm ``||X_i - X_{i-1}||_F``
     and the one before it, None at the first step and after a guard action
-    or a re-reduction.  The Kahan rule reads ``d_now^2 / (d_prev - d_now)``
-    and falls back to the plain rule where ``d_prev`` is None or the update
-    did not shrink.
+    or a re-reduction.  Kahan's estimate ``d_now^2 / (d_prev - d_now)`` of
+    the remaining error must be at most ``rtol * x_norm``; where ``d_prev``
+    is None or the update did not shrink, there is no estimate and the plain
+    test ``d_now <= rtol * x_norm`` decides.
     """
-    plain = d_now <= rtol * x_norm
-    if mode is StopMode.PLAIN or d_prev is None or d_prev <= d_now:
-        return plain
+    if d_prev is None or d_prev <= d_now:
+        return d_now <= rtol * x_norm
     return d_now * d_now / (d_prev - d_now) <= rtol * x_norm
 
 
@@ -241,7 +234,7 @@ def _iterate(start: list[SfqPencil], cfg: QdaConfig,
         p = accepted
         # after a guard action the coordinates changed: this update norm is not
         # comparable, neither to the stop rule now nor to the next step's Kahan estimate
-        if (not greport.acted and check_stop(delta, d_prev, norm_x, cfg.rtol, cfg.stop_mode)
+        if (not greport.acted and check_stop(delta, d_prev, norm_x, cfg.rtol)
                 and _safeguard_ok(p, cfg.rtol, reference)):
             status = RunStatus.CONVERGED
             break

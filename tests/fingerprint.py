@@ -45,7 +45,6 @@ from qdoubling import (
     Idea,
     Permutation,
     QdaConfig,
-    StopMode,
     Variant,
     bases_from_result,
     cayley,
@@ -72,9 +71,8 @@ from qdoubling.experiments import bse_like, critical_rate, eta_sweep
 from conftest import NO_GUARD, random_sfq
 
 #: The non-default configuration: a low guard threshold, so that the guard
-#: acts, the idea-1 B-first start and the plain stopping rule.
-OTHER_CFG = QdaConfig(tau=20.0, init_idea=Idea.IDEA1, init_variant=Variant.B_FIRST,
-                      stop_mode=StopMode.PLAIN)
+#: acts, and the idea-1 B-first start.
+OTHER_CFG = QdaConfig(tau=20.0, init_idea=Idea.IDEA1, init_variant=Variant.B_FIRST)
 CONFIGS = (("default", QdaConfig()), ("other", OTHER_CFG))
 SEEDS = (1, 2, 3)
 CRITICAL_SPECS = (CriticalSpec(3, 3, ((2, 1.0 + 0j),), 0.3, 0.3),
@@ -163,7 +161,7 @@ def acceptance():
         yield from _result_fields(f"acceptance/03/s{seed}", run_qda(g, QdaConfig()))
         inst = gen_solved_sfq(6, 7, 0.6, 0.7, seed)
         yield from _result_fields(f"acceptance/04/s{seed}", run_sdasfq(
-            inst.pencil, QdaConfig(rtol=1e-12, stop_mode=StopMode.KAHAN)))
+            inst.pencil, QdaConfig(rtol=1e-12)))
     rng = np.random.default_rng(505)
     cfg = QdaConfig(max_iter=6, rtol=1e-300, tau=NO_GUARD)
     for m, n in ((3, 5), (4, 4), (2, 6), (5, 3), (4, 5)):
@@ -220,7 +218,7 @@ def cli_solve():
     """The files ``qdoubling solve`` writes for each algorithm (and for QDA
     under the non-default flags), ``summary.json`` without ``cpuSeconds``."""
     runs = {algorithm: ("--algorithm", algorithm) for algorithm in ("qda", "sdasf1", "sdasf2")}
-    runs["qda-other"] = ("--tau", "20", "--idea", "1", "--variant", "bfirst", "--stop", "plain")
+    runs["qda-other"] = ("--tau", "20", "--idea", "1", "--variant", "bfirst")
     with tempfile.TemporaryDirectory() as tmp:
         inst = Path(tmp, "inst")
         _cli("gen", "--family", "split", "--m", "8", "--n", "8", "--eta", "1e-4",

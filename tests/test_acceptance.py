@@ -13,7 +13,6 @@ from qdoubling import (
     QdaConfig,
     RunStatus,
     SfqPencil,
-    StopMode,
     action_x,
     action_y,
     cayley,
@@ -167,7 +166,7 @@ def test_04_regular_rate():
         inst = gen_solved_sfq(m=6, n=7, rho_m=0.6, rho_n=0.7, seed=seed)
         prod = inst.rho_m * inst.rho_n
         assert prod <= 0.5  # construction-known product
-        res = run_sdasfq(inst.pencil, QdaConfig(rtol=1e-12, stop_mode=StopMode.KAHAN))
+        res = run_sdasfq(inst.pencil, QdaConfig(rtol=1e-12))
         if res.status is not RunStatus.CONVERGED or res.iterations > 10:
             failures.append(f"seed {seed}: {res.status.value} in {res.iterations}")
             continue

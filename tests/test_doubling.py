@@ -15,7 +15,6 @@ from qdoubling import (
     Kernel,
     Permutation,
     SfqPencil,
-    StopMode,
     check_stop,
     compute_w,
     compute_wt,
@@ -200,32 +199,32 @@ class TestSpecializations:
 
 
 class TestCheckStop:
-    """``check_stop(d_now, d_prev, x_norm, rtol, mode)``: the last update norm
+    """``check_stop(d_now, d_prev, x_norm, rtol)``: the last update norm
     and the one before it, None at the first step."""
 
     def test_kahan_arithmetic_example(self):
         # norms 1e-2 then 1e-4: LHS = 1e-8 / (1e-2 - 1e-4) ~ 1.0101e-6 <= 1e-5
-        assert check_stop(1e-4, 1e-2, 1.0, 1e-5, StopMode.KAHAN)
-        assert not check_stop(1e-4, 1e-2, 1.0, 1e-7, StopMode.KAHAN)
+        assert check_stop(1e-4, 1e-2, 1.0, 1e-5)
+        assert not check_stop(1e-4, 1e-2, 1.0, 1e-7)
 
     def test_identical_iterates_stop_plain(self):
-        assert check_stop(0.0, None, 1.0, 1e-300, StopMode.PLAIN)
-        assert check_stop(0.0, None, 0.0, 1e-300, StopMode.PLAIN)
+        assert check_stop(0.0, None, 1.0, 1e-300)
+        assert check_stop(0.0, None, 0.0, 1e-300)
 
     def test_increasing_diffs_fall_back(self):
         # Kahan denominator < 0: falls back to the plain rule, which fails
-        assert not check_stop(2e-4, 1e-4, 1.0, 1e-5, StopMode.KAHAN)
+        assert not check_stop(2e-4, 1e-4, 1.0, 1e-5)
         # ... and succeeds when the plain rule itself passes
-        assert check_stop(2e-7, 1e-7, 1.0, 1e-5, StopMode.KAHAN)
+        assert check_stop(2e-7, 1e-7, 1.0, 1e-5)
 
     def test_equal_diffs_fall_back(self):
         # Kahan denominator exactly 0: the plain rule decides, with no division
-        assert not check_stop(1e-4, 1e-4, 1.0, 1e-5, StopMode.KAHAN)
-        assert check_stop(1e-7, 1e-7, 1.0, 1e-5, StopMode.KAHAN)
+        assert not check_stop(1e-4, 1e-4, 1.0, 1e-5)
+        assert check_stop(1e-7, 1e-7, 1.0, 1e-5)
 
     def test_first_step_reads_the_plain_rule(self):
-        assert not check_stop(1e-4, None, 1.0, 1e-5, StopMode.KAHAN)
-        assert check_stop(1e-7, None, 1.0, 1e-5, StopMode.KAHAN)
+        assert not check_stop(1e-4, None, 1.0, 1e-5)
+        assert check_stop(1e-7, None, 1.0, 1e-5)
 
 
 # ---------------------------------------------------------------------------
