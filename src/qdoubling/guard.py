@@ -83,10 +83,14 @@ def _swap_x(p: SfqPencil, j: int, ell: int, block: str) -> SfqPencil:
     row_adj = -p.X[j, :].copy()                   # e_ell^T - e_j^T X
     row_adj[ell] += 1.0
     frow = p.F[j, :].copy()
-    x_new, f_new, e_new, y_new = sealed(p.X + np.outer(u, row_adj),
-                                        p.F - np.outer(u, frow),
-                                        p.E + np.outer(h, row_adj),
-                                        p.Y - np.outer(h, frow))
+    # each block is made in its outer product's storage; IEEE addition commutes
+    x_new, f_new = np.outer(u, row_adj), np.outer(u, frow)
+    e_new, y_new = np.outer(h, row_adj), np.outer(h, frow)
+    x_new += p.X
+    np.subtract(p.F, f_new, out=f_new)
+    e_new += p.E
+    np.subtract(p.Y, y_new, out=y_new)
+    sealed(x_new, f_new, e_new, y_new)
     return replace(p, E=e_new, F=f_new, X=x_new, Y=y_new, Q1=p.Q1.swapped(ell, p.m + j))
 
 
