@@ -278,9 +278,9 @@ class TestSolve:
     @pytest.mark.parametrize("flag", [("--tau", "0.5"), ("--tau", "nan"), ("--rtol", "0"),
                                       ("--rtol", "nan"), ("--rtol", "inf"), ("--max-iter", "0"),
                                       ("--gamma", "1"), ("--gamma=-inf",), ("--algorithm", "bogus"),
-                                      ("--m", "one")],
+                                      ("--m", "one"), ("--stop", "plain")],
                              ids=["tau", "tau-nan", "rtol", "rtol-nan", "rtol-inf", "max-iter",
-                                  "gamma", "gamma-inf", "algorithm-bogus", "m-one"])
+                                  "gamma", "gamma-inf", "algorithm-bogus", "m-one", "stop"])
     def test_invalid_flag_is_one_error_line(self, tmp_path, capsys, flag):
         self.write_instance(tmp_path)
         code = main(["solve", "--matrix-a", str(tmp_path / "A.json"),

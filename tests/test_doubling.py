@@ -226,6 +226,14 @@ class TestCheckStop:
         assert not check_stop(1e-4, None, 1.0, 1e-5)
         assert check_stop(1e-7, None, 1.0, 1e-5)
 
+    def test_a_linear_run_waits_for_its_estimate(self):
+        # ratio 0.99: the plain rule holds, but the remaining error is
+        # estimated at 0.99 / 0.01 times the update, 49.5 * rtol * x_norm
+        rtol, x_norm = 1e-5, 2.0
+        d_now = 0.5 * rtol * x_norm
+        assert check_stop(d_now, None, x_norm, rtol)
+        assert not check_stop(d_now, d_now / 0.99, x_norm, rtol)
+
 
 # ---------------------------------------------------------------------------
 # Two lanes

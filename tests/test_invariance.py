@@ -127,13 +127,25 @@ def converges_as_unscaled(g: GeneralPencil, scaled: GeneralPencil) -> None:
     assert abs(res.iterations - base.iterations) <= 1
 
 
+def similar(g: GeneralPencil, seed: int) -> GeneralPencil:
+    """D A D^-1 with D = diag(2^k), k uniform in [-10, 10] from ``seed``:
+    its basis is D Z exactly, and B = I stays I."""
+    d = 2.0 ** np.random.default_rng(seed).integers(-10, 11, size=g.size)
+    return GeneralPencil(A=d[:, None] * g.A / d, B=g.B, m=g.m, n=g.n)
+
+
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_a_diagonal_similarity_keeps_the_run(seed):
-    # D A D^-1 with D = diag(2^k), k uniform in [-10, 10], has the basis D Z
-    # exactly; B = I stays I
     g = gen_random_split(50, 60, 8.0, 1e-4, seed).pencil
-    d = 2.0 ** np.random.default_rng(seed).integers(-10, 11, size=g.size)
-    converges_as_unscaled(g, GeneralPencil(A=d[:, None] * g.A / d, B=g.B, m=g.m, n=g.n))
+    converges_as_unscaled(g, similar(g, seed))
+
+
+@pytest.mark.xfail(strict=True, reason="the scaled run's W solve meets a singular pivot")
+def test_a_diagonal_similarity_keeps_a_larger_run():
+    # N = 320: the unscaled run converges in 8 iterations; the scaled one
+    # ends BREAKDOWN after 5, at W pivot 169 of magnitude 1.9e-10
+    g = gen_random_split(150, 170, 8.0, 1e-6, 1).pencil
+    converges_as_unscaled(g, similar(g, 1))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, *(pytest.param(s, marks=pytest.mark.xfail(
