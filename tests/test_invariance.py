@@ -5,7 +5,8 @@ bases come out conjugated bit for bit.  Permuting its rows and columns
 alike, or swapping the two matrices of a disk pair, maps the answer to a
 known basis of the same subspace, reached on another path, so these hold
 to :data:`SINE_BOUND`.  A real pencil with a real Cayley shift keeps every
-iterate exactly real.  Instances are drawn by seed at N = m + n <= 60.
+iterate exactly real.  Drawn instances have N = m + n <= 60; fixed ones
+reach N = 320.
 
 Every run a relation compares must also converge, so that the bases it
 compares are answers the solver vouches for.  Power-of-two diagonal
