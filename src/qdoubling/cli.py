@@ -112,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> QdaConfig:
     return QdaConfig(
-        rtol=args.rtol, max_iter=args.max_iter,
-        tau=args.tau, init_idea=Idea(f"idea{args.idea}"), init_variant=Variant(args.variant),
+        rtol=args.rtol, max_iter=args.max_iter, tau=args.tau,
+        init_idea=Idea(f"idea{args.idea}"), init_variant=Variant(args.variant),
     )
 
 
